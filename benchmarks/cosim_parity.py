@@ -1,0 +1,109 @@
+"""Dump every co-simulation output over the grid and a fuzz corpus.
+
+Run it on two commits and compare the files: a refactor of the cosim
+harness, a simulation engine or an oracle must leave them byte-identical::
+
+    PYTHONPATH=src python benchmarks/cosim_parity.py parity.json
+
+Inputs:
+
+* all 40 grid cells (8 Table 3 ISAXes x 5 cores) at ``-O2``, 25 trials;
+* the 13-program fuzz corpus of the benchmark's fuzz workload
+  (``perfbench/workloads.py``, ``FUZZ_CORPUS_SEED = 0``) on the 4
+  ``DEFAULT_CORES`` at ``-O0``, 8 trials.
+
+Recorded per cell, for each of the ``interp``, ``compiled`` and
+``batched`` engines: the ``architectural_trace`` text and the
+``verify_artifact`` trial count and failures.  Per fuzz program it also
+records the ``run_oracles`` verdict and failures (default oracles under
+``batched`` and ``auto``, plus ``optequiv``).  How many trials ran
+lane-parallel (``batched_trials``) is left out on purpose: it is a
+property of the harness, not an output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+
+from repro.fuzz.generator import generate_program
+from repro.fuzz.oracles import DEFAULT_CORES, run_oracles
+from repro.hls.longnail import compile_isax
+from repro.isaxes import ALL_ISAXES
+from repro.opt.equiv import architectural_trace
+from repro.scaiev.cores import CORES, EXPERIMENTAL_CORES
+from repro.sim.cosim import verify_artifact
+
+ENGINES = ("interp", "compiled", "batched")
+GRID_TRIALS, FUZZ_TRIALS, FUZZ_COSIM_SEED = 25, 8, 5
+
+
+def fuzz_corpus(programs: int = 13, pool: int = 16) -> list:
+    """The benchmark's fuzz corpus: ``pool`` candidate seeds per slot,
+    sorted by source length, one pick per stratum."""
+    rng = random.Random("fuzz-corpus:0")
+    seeds = sorted({rng.randrange(1 << 20, 1 << 31)
+                    for _ in range(programs * pool)})
+    seeds.sort(key=lambda s: (len(generate_program(s).source), s))
+    strata = [seeds[i * len(seeds) // programs:
+                    (i + 1) * len(seeds) // programs]
+              for i in range(programs)]
+    return [rng.choice(stratum) for stratum in strata]
+
+
+def cell(artifact, trials: int, seed: int) -> dict:
+    record = {}
+    for engine in ENGINES:
+        report = verify_artifact(artifact, trials=trials, seed=seed,
+                                 sim_engine=engine)
+        record[engine] = {
+            "trace": architectural_trace(artifact, trials=trials, seed=seed,
+                                         sim_engine=engine),
+            "trials": report.trials,
+            "failures": [[f.functionality,
+                          [[m.kind, m.detail] for m in f.mismatches]]
+                         for f in report.failures],
+        }
+    return record
+
+
+def verdict(report) -> list:
+    return [report.ok, [[f.kind, f.core, f.detail] for f in report.failures]]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON file to write")
+    args = parser.parse_args()
+
+    doc: dict = {"grid": {}, "fuzz": {}, "oracles": {}}
+    for isax in sorted(ALL_ISAXES):
+        for core in (*CORES, *EXPERIMENTAL_CORES):
+            artifact = compile_isax(ALL_ISAXES[isax], core, opt=2)
+            doc["grid"][f"{isax}@{core}"] = cell(artifact, GRID_TRIALS, 0)
+    doc["corpus"] = fuzz_corpus()
+    for seed in doc["corpus"]:
+        source = generate_program(seed).source
+        for core in DEFAULT_CORES:
+            artifact = compile_isax(source, core, engine="fastpath",
+                                    schedule_cache=False)
+            doc["fuzz"][f"{seed}@{core}"] = cell(artifact, FUZZ_TRIALS,
+                                                 FUZZ_COSIM_SEED)
+        for engine in ("batched", "auto"):
+            doc["oracles"][f"{seed}/{engine}"] = verdict(run_oracles(
+                source, trials=FUZZ_TRIALS, cosim_seed=FUZZ_COSIM_SEED,
+                sim_engine=engine))
+        doc["oracles"][f"{seed}/optequiv"] = verdict(run_oracles(
+            source, trials=FUZZ_TRIALS, cosim_seed=FUZZ_COSIM_SEED,
+            sim_engine="batched", oracles=("optequiv",)))
+
+    text = json.dumps(doc, indent=0, sort_keys=True)
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"{args.out}: sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

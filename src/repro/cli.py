@@ -27,6 +27,7 @@ import pathlib
 import sys
 from typing import List, Optional
 
+from repro.fuzz.oracles import ALL_ORACLES, DEFAULT_ORACLES, ORACLE_ALIASES
 from repro.hls.longnail import compile_isax
 from repro.isaxes import ALL_ISAXES
 from repro.opt.pipeline import PASS_ORDER, OptOptions
@@ -40,9 +41,7 @@ from repro.utils.diagnostics import CoreDSLError
 ALL_CORES = CORES + EXPERIMENTAL_CORES
 
 #: Oracle kinds `fuzz --oracle` accepts ("all" expands to every kind).
-ORACLE_CHOICES = ("compile", "schedule", "irverify", "cosim", "simengine",
-                  "batchsim", "rangesound", "determinism", "optequiv",
-                  "discover", "all")
+ORACLE_CHOICES = ALL_ORACLES + tuple(ORACLE_ALIASES) + ("all",)
 
 
 def _add_opt_arguments(parser: argparse.ArgumentParser) -> None:
@@ -697,8 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "reproducer instead of fuzzing")
     fuzz_p.add_argument("--oracle", action="append", default=[],
                         choices=ORACLE_CHOICES, metavar="KIND",
-                        help="oracle to run (repeatable; default: the six "
-                             "classic oracles; 'optequiv' adds -O2 "
+                        help="oracle to run (repeatable; default: "
+                             + ", ".join(DEFAULT_ORACLES)
+                             + "; 'optequiv' adds -O2 "
                              "optimized-vs-unoptimized trace equivalence; "
                              "'all' enables everything)")
     fuzz_p.set_defaults(func=_cmd_fuzz)

@@ -182,7 +182,6 @@ def run_pricing_payload(payload: dict) -> dict:
                             sim_engine=sim_engine)
     record["sim_engine"] = sim_engine
     record["batched_trials"] = cosim.batched_trials
-    record["scalar_fallbacks"] = cosim.scalar_fallbacks
     if not cosim.passed:
         return _failure(record, "cosim",
                         f"{len(cosim.failures)} mismatching trials")

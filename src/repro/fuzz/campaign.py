@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fuzz.corpus import FuzzCorpus
 from repro.fuzz.generator import FuzzBudget, generate_program
-from repro.fuzz.oracles import DEFAULT_CORES, run_oracles
+from repro.fuzz.oracles import DEFAULT_CORES, _resolve_oracles, run_oracles
 from repro.fuzz.reduce import reduce_program
+from repro.ir.core import IRError
 from repro.service.executor import BatchExecutor, TaskSpec
+from repro.sim.compile import resolve_engine
 
 #: Runner reference used in the per-seed task specs.
 FUZZ_RUNNER = "repro.fuzz.campaign:run_fuzz_payload"
@@ -165,7 +167,17 @@ def _flatten(outcome, seed: int) -> SeedOutcome:
 def run_campaign(config: FuzzConfig,
                  log: Optional[Callable[[str], None]] = None,
                  executor: Optional[BatchExecutor] = None) -> CampaignResult:
-    """Run one fuzzing campaign and persist reproducers + stats."""
+    """Run one fuzzing campaign and persist reproducers + stats.
+
+    Raises :class:`ValueError` for an unknown ``sim_engine`` or oracle
+    kind before any seed runs: a bad config is not a generator bug, and
+    every seed would otherwise be reported ``invalid``.
+    """
+    try:
+        resolve_engine(config.sim_engine)
+    except IRError as err:
+        raise ValueError(str(err)) from None
+    _resolve_oracles(config.oracles)
     emit = log or (lambda message: None)
     start = time.perf_counter()
     budget = config.resolved_budget()

@@ -15,16 +15,15 @@ two as fixed-corpus spot checks; here they become programmable):
 * **determinism** — compile the same source twice and require byte-identical
   SystemVerilog and config YAML (any iteration-order leak in lowering,
   scheduling or hwgen shows up here first).
-* **simengine** — run the interpreting and the compiled RTL-simulation
-  engines (:mod:`repro.sim.compile`) over the same random stimulus on every
-  generated module and require identical output traces, register counts and
-  final register state.
-* **batchsim** — the numpy lane-parallel engine
-  (:mod:`repro.sim.batch`) must match the scalar engines byte for byte on
+* **batchsim** — the interpreting, compiled and numpy lane-parallel RTL
+  engines (:mod:`repro.sim.compile`, :mod:`repro.sim.batch`) must produce
+  identical output traces, register counts and final register state on
   every generated module (three-engine ``crosscheck_engines``), and a
-  ``verify_artifact`` run with ``sim_engine="batched"`` — the trials of
-  each functionality evaluated as lanes of one numpy batch — must reach
-  the same PASS verdict as the golden model.
+  ``verify_artifact`` run with ``sim_engine="batched"`` must match the
+  golden model.  When the cosim oracle already ran with
+  ``sim_engine="batched"``, its report is reused instead of re-running the
+  same trials.  The retired name ``simengine`` (interpreter vs compiled
+  only) is accepted as an alias for ``batchsim``, so old corpora replay.
 * **irverify** — run the IR verifier (:mod:`repro.analysis.verifier`) over
   every functionality's lil graph, solved schedule and hardware module;
   any error-severity ``IVxxx`` finding on a valid program is a
@@ -78,7 +77,7 @@ DEFAULT_CORES: Tuple[str, ...] = ("ORCA", "Piccolo", "PicoRV32", "VexRiscv")
 
 #: The classic oracle stack run when no explicit selection is given.
 DEFAULT_ORACLES: Tuple[str, ...] = (
-    "compile", "schedule", "irverify", "cosim", "simengine", "batchsim",
+    "compile", "schedule", "irverify", "cosim", "batchsim",
     "rangesound", "determinism",
 )
 
@@ -86,19 +85,23 @@ DEFAULT_ORACLES: Tuple[str, ...] = (
 #: ISAX-discovery smoke checks.
 ALL_ORACLES: Tuple[str, ...] = DEFAULT_ORACLES + ("optequiv", "discover")
 
+#: Retired oracle names -> the oracle that now covers them.
+ORACLE_ALIASES: Dict[str, str] = {"simengine": "batchsim"}
+
 
 def _resolve_oracles(oracles: Optional[Sequence[str]]) -> Tuple[str, ...]:
     if not oracles:
         return DEFAULT_ORACLES
     if "all" in oracles:
         return ALL_ORACLES
-    unknown = sorted(set(oracles) - set(ALL_ORACLES))
+    wanted = {ORACLE_ALIASES.get(kind, kind) for kind in oracles}
+    unknown = sorted(wanted - set(ALL_ORACLES))
     if unknown:
         raise ValueError(
             f"unknown oracle kinds {unknown}; available: "
-            + ", ".join(ALL_ORACLES) + ", all")
+            + ", ".join(ALL_ORACLES + tuple(ORACLE_ALIASES)) + ", all")
     # Keep canonical order regardless of how the flags were given.
-    return tuple(k for k in ALL_ORACLES if k in set(oracles))
+    return tuple(k for k in ALL_ORACLES if k in wanted)
 
 
 @dataclasses.dataclass
@@ -106,7 +109,7 @@ class OracleFailure:
     """One oracle violation; picklable and JSON-able."""
 
     kind: str  # "compile" | "schedule" | "cosim" | "determinism"
-               # | "simengine" | "batchsim" | "rangesound" | "irverify"
+               # | "batchsim" | "rangesound" | "irverify"
                # | "optequiv" | "discover"
     core: str
     detail: str
@@ -332,29 +335,19 @@ def run_oracles(source: str,
                     detail=diag.render().splitlines()[0]))
 
         # Oracle 3: interpreter vs RTL co-simulation.
+        cosim_report = None
         if "cosim" in selected:
-            report = verify_artifact(fast, trials=trials, seed=cosim_seed,
-                                     vcd_dir=vcd_dir, sim_engine=sim_engine)
-            vcd_paths.extend(report.vcd_paths)
-            for result in report.failures:
+            cosim_report = verify_artifact(
+                fast, trials=trials, seed=cosim_seed, vcd_dir=vcd_dir,
+                sim_engine=sim_engine)
+            vcd_paths.extend(cosim_report.vcd_paths)
+            for result in cosim_report.failures:
                 failures.append(OracleFailure(
                     kind="cosim", core=core, detail=str(result)))
 
-        # Oracle 4: compiled vs interpreted RTL-simulation engines.
-        if "simengine" in selected:
-            for name, functionality in fast.functionalities.items():
-                mismatch = crosscheck_engines(
-                    functionality.module, cycles=max(trials, 8),
-                    seed=cosim_seed)
-                if mismatch is not None:
-                    failures.append(OracleFailure(
-                        kind="simengine", core=core,
-                        detail=f"{name}: {mismatch}"))
-
-        # Oracle: the batched engine is a drop-in for the scalar ones —
-        # lane-exact on random stimulus, and the whole cosim trial set of
-        # each functionality evaluated as one numpy batch still matches
-        # the golden model.
+        # Oracle 4: the three RTL-simulation engines agree lane for lane
+        # on random stimulus, and the batched cosim (the cosim oracle's
+        # own report when it already ran batched) matches the golden model.
         if "batchsim" in selected:
             for name, functionality in fast.functionalities.items():
                 mismatch = crosscheck_engines(
@@ -365,8 +358,11 @@ def run_oracles(source: str,
                     failures.append(OracleFailure(
                         kind="batchsim", core=core,
                         detail=f"{name}: {mismatch}"))
-            batched = verify_artifact(fast, trials=trials, seed=cosim_seed,
-                                      sim_engine="batched")
+            batched = cosim_report
+            if batched is None or sim_engine != "batched":
+                batched = verify_artifact(fast, trials=trials,
+                                          seed=cosim_seed,
+                                          sim_engine="batched")
             for result in batched.failures:
                 failures.append(OracleFailure(
                     kind="batchsim", core=core,

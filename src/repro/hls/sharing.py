@@ -32,6 +32,7 @@ from repro.dialects.hw import HWModule
 from repro.eval.tech import TechLibrary
 from repro.hls.longnail import FunctionalityArtifact, IsaxArtifact
 from repro.ir.core import Operation
+from repro.opt.share import shape_of
 
 #: Operation kinds worth sharing: real arithmetic operators.  Wiring, muxes
 #: and bitwise gates are cheaper than the sharing muxes they would need.
@@ -40,17 +41,6 @@ SHAREABLE_OPS = (
     "comb.divu", "comb.divs", "comb.modu", "comb.mods",
     "comb.icmp",
 )
-
-
-def _shape_of(op: Operation) -> Tuple:
-    """Grouping key: operator kind plus its operand/result widths (two
-    differently-sized adders cannot share a unit)."""
-    widths = tuple(o.width for o in op.operands)
-    mul_widths = op.attr("op_widths")
-    if mul_widths:
-        widths = tuple(mul_widths)
-    result = op.results[0].width if op.results else 0
-    return (op.name, widths, result)
 
 
 @dataclasses.dataclass
@@ -148,7 +138,7 @@ def _collect_groups(views: List[Tuple[object, Dict[Operation, int]]],
     grouped: Dict[Tuple, Dict] = {}
     for _graph, steps in views:
         for op, step in steps.items():
-            key = _shape_of(op)
+            key = shape_of(op)
             entry = grouped.setdefault(
                 key, {"instances": 0, "per_step": defaultdict(int),
                       "area": tech.area_um2(op),

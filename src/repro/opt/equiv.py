@@ -9,10 +9,10 @@ writeback, PC redirect, memory write/read request, custom-register traffic
 data/address field on its valid bit (a lane that is not written is a
 don't-care and is recorded as ``-``).
 
-Stimuli are drawn from a seed-keyed RNG that replicates
-``verify_artifact``'s randomization discipline, so both artifacts see the
-exact same architectural states and operand values; the resulting trace
-strings are required to be byte-identical.
+Stimuli are drawn from a seed-keyed RNG by the same helper
+``verify_artifact`` uses (:func:`repro.sim.cosim.draw_trials`), so both
+artifacts see the exact same architectural states and operand values; the
+resulting trace strings are required to be byte-identical.
 
 This module imports the simulator and HLS layers — keep it out of
 ``repro.opt.__init__`` (``hls.longnail`` imports ``repro.opt.pipeline``).
@@ -24,13 +24,7 @@ import random
 from typing import Dict, List, Optional
 
 from repro.hls.longnail import IsaxArtifact
-from repro.sim.coredsl_interp import ArchState
-from repro.sim.cosim import (
-    CosimResult,
-    _find_output,
-    cosim_always,
-    cosim_instruction,
-)
+from repro.sim.cosim import _find_output, cosim_lanes, draw_trials
 
 
 def _gated(outputs: Dict[str, int], data_prefix: str,
@@ -65,20 +59,6 @@ def _trace_fields(outputs: Dict[str, int], regs: List[str]) -> List[str]:
     return fields
 
 
-def _randomized_state(artifact: IsaxArtifact,
-                      rng: random.Random) -> ArchState:
-    state = ArchState(artifact.isa)
-    for index in range(1, 32):
-        state.write_x(index, rng.getrandbits(32))
-    state.pc = rng.getrandbits(32) & ~3
-    for reg in state.custom:
-        for element in range(len(state.custom[reg])):
-            state.write_custom(reg, rng.getrandbits(32), element)
-    for _ in range(64):
-        state.write_mem_byte(rng.getrandbits(32), rng.getrandbits(8))
-    return state
-
-
 def architectural_trace(artifact: IsaxArtifact, trials: int = 4,
                         seed: int = 0, sim_engine: str = "auto") -> str:
     """One line per (functionality, trial): role-normalized RTL effects.
@@ -89,25 +69,10 @@ def architectural_trace(artifact: IsaxArtifact, trials: int = 4,
     """
     lines = []
     for name in sorted(artifact.functionalities):
-        functionality = artifact.functionalities[name]
-        rng = random.Random(f"{seed}:{name}")
-        for trial in range(trials):
-            state = _randomized_state(artifact, rng)
-            result: CosimResult
-            if functionality.kind == "instruction":
-                encoding = artifact.isa.instructions[name].encoding
-                fields = {
-                    fname: rng.getrandbits(field.width)
-                    for fname, field in encoding.fields.items()
-                }
-                for reg_field in ("rs1", "rs2", "rd"):
-                    if reg_field in fields:
-                        fields[reg_field] = rng.randrange(32)
-                result = cosim_instruction(artifact, name, state, fields,
-                                           sim_engine=sim_engine)
-            else:
-                result = cosim_always(artifact, name, state,
-                                      sim_engine=sim_engine)
+        drawn = draw_trials(artifact, name, trials,
+                            random.Random(f"{seed}:{name}"))
+        results = cosim_lanes(artifact, name, drawn, sim_engine)
+        for trial, ((state, _), result) in enumerate(zip(drawn, results)):
             regs = sorted(state.custom)
             parts = [f"{name} t{trial}", f"ok={int(result.matches)}"]
             parts.extend(_trace_fields(result.rtl_outputs, regs))

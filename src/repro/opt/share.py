@@ -118,14 +118,22 @@ def mux_push(graph: Graph) -> Tuple[int, int]:
 # Cross-ISAX: pool same-shaped units across instruction graphs
 # ---------------------------------------------------------------------------
 
-def _shape_key(op: Operation) -> Tuple[Any, ...]:
-    """Same grouping idea as ``repro.hls.sharing._shape_of`` plus the
-    attribute payload (two ROMs only share if their tables match)."""
+def shape_of(op: Operation) -> Tuple[Any, ...]:
+    """Operator kind plus operand widths (``op_widths`` when set) and
+    result width: two differently-sized units cannot share one.  The
+    grouping key of :mod:`repro.hls.sharing` as well."""
     widths = tuple(o.width for o in op.operands)
     op_widths = op.attr("op_widths")
     if op_widths:
         widths = tuple(op_widths)
-    return (op.name, widths, op.result.width, _attrs_key(op))
+    result = op.results[0].width if op.results else 0
+    return (op.name, widths, result)
+
+
+def _shape_key(op: Operation) -> Tuple[Any, ...]:
+    """:func:`shape_of` plus the attribute payload (two ROMs only share
+    if their tables match)."""
+    return shape_of(op) + (_attrs_key(op),)
 
 
 def _unit_id(key: Tuple[Any, ...], slot: int) -> str:

@@ -3,26 +3,27 @@
 The paper verifies extended cores by RTL simulation (Section 5.3).  This
 module packages that methodology as a library feature: given a compiled
 :class:`~repro.hls.longnail.IsaxArtifact`, it executes each instruction (or
-always-block) once through the CoreDSL interpreter and once through the
-cycle-level RTL simulation of the generated module, and compares every
-architectural effect — GPR result, PC redirect, memory request, custom
-register writes — including the valid bits.
+always-block) through the CoreDSL interpreter and through the cycle-level
+RTL simulation of the generated module, and compares every architectural
+effect — GPR result, PC redirect, memory request, custom register writes —
+including the valid bits.
 
-Memory reads are resolved with a fixpoint loop: the module's address
-outputs are observed, the corresponding data is fed back on the
-``mem_rdata``/``rd<REG>_data`` inputs, and simulation repeats until the
-requests stabilize (one round suffices unless an address depends on loaded
-data).
+Every check runs through one algorithm, :func:`cosim_lanes`, with one
+*lane* per trial.  The golden model runs per lane; the RTL simulates all
+lanes with constant inputs (one :meth:`repro.sim.batch.BatchedSimulator
+.run_const` sweep under ``sim_engine="batched"``, lane by lane on the
+scalar engines).  Reads are then resolved across lanes: the module's
+``mem_raddr``/``rd<REG>_addr`` outputs are observed, the addressed data is
+fed back on the ``mem_rdata``/``rd<REG>_data`` inputs, and only the lanes
+whose inputs changed are simulated again, for at most three rounds (one
+suffices unless an address depends on loaded data).  Instructions and
+always-blocks take the same path.
 
 ``verify_artifact`` runs randomized trials over all functionalities; it is
 what a downstream ISAX author would call before handing the SystemVerilog
-to a real flow.  With ``sim_engine="batched"`` the randomized trials of
-each functionality are evaluated together through the numpy lane-parallel
-engine (one lane per trial, :meth:`repro.sim.batch.BatchedSimulator
-.run_const`); functionalities whose datapath reads memory or indexed
-custom registers need the per-trial feedback fixpoint and transparently
-fall back to the scalar path — both populations are counted on the
-report (``batched_trials`` / ``scalar_fallbacks``).
+to a real flow.  :func:`cosim_instruction` and :func:`cosim_always` check
+one hand-made stimulus, and :func:`repro.opt.equiv.architectural_trace`
+records the RTL effects of randomized trials drawn by :func:`draw_trials`.
 """
 
 from __future__ import annotations
@@ -30,12 +31,16 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hls.longnail import FunctionalityArtifact, IsaxArtifact
 from repro.sim.coredsl_interp import ArchState, CoreDSLInterpreter, Effect
 from repro.sim.rtl_sim import RTLSimulator
 from repro.utils.bits import to_unsigned
+
+#: One trial's stimulus: the architectural pre-state and, for an
+#: instruction, its encoding-field values (``None`` for an always-block).
+Trial = Tuple[ArchState, Optional[Dict[str, int]]]
 
 
 @dataclasses.dataclass
@@ -61,30 +66,11 @@ class CosimResult:
         return self.matches
 
 
-def _port_groups(module) -> Dict[str, List[str]]:
-    groups: Dict[str, List[str]] = {}
-    for port in module.ports:
-        base = port.name.rsplit("_", 1)[0]
-        groups.setdefault(base, []).append(port.name)
-    return groups
-
-
 def _find_output(outputs: Dict[str, int], prefix: str) -> Optional[int]:
     for name, value in outputs.items():
         if name.startswith(prefix):
             return value
     return None
-
-
-def _steady_outputs(functionality: FunctionalityArtifact,
-                    inputs: Dict[str, int],
-                    sim_engine: str = "auto") -> Dict[str, int]:
-    sim = RTLSimulator(functionality.module, engine=sim_engine)
-    depth = functionality.schedule.makespan + 2
-    outputs: Dict[str, int] = {}
-    for _ in range(depth):
-        outputs = sim.step(inputs)
-    return outputs
 
 
 def _fork_state(state: ArchState) -> ArchState:
@@ -98,19 +84,47 @@ def _fork_state(state: ArchState) -> ArchState:
     return golden
 
 
-def _instruction_inputs(module, state: ArchState,
-                        field_values: Dict[str, int],
-                        word: int) -> Dict[str, int]:
-    """Initial RTL input vector for an instruction trial (before any
-    memory/indexed-register read feedback)."""
-    rs1 = field_values.get("rs1", 0)
-    rs2 = field_values.get("rs2", 0)
+def draw_trials(artifact: IsaxArtifact, name: str, trials: int,
+                rng: random.Random) -> List[Trial]:
+    """Random stimuli for one functionality, drawn from ``rng`` in a fixed
+    order per trial: GPRs, PC, every custom-register element, 64 memory
+    bytes, then (for an instruction) its encoding fields."""
+    isa = artifact.isa
+    encoding = (isa.instructions[name].encoding
+                if artifact.artifact(name).kind == "instruction" else None)
+    drawn: List[Trial] = []
+    for _ in range(trials):
+        state = ArchState(isa)
+        for index in range(1, 32):
+            state.write_x(index, rng.getrandbits(32))
+        state.pc = rng.getrandbits(32) & ~3
+        for reg in state.custom:
+            for element in range(len(state.custom[reg])):
+                state.write_custom(reg, rng.getrandbits(32), element)
+        for _ in range(64):
+            state.write_mem_byte(rng.getrandbits(32), rng.getrandbits(8))
+        fields = None
+        if encoding is not None:
+            fields = {
+                fname: rng.getrandbits(field.width)
+                for fname, field in encoding.fields.items()
+            }
+            for reg_field in ("rs1", "rs2", "rd"):
+                if reg_field in fields:
+                    fields[reg_field] = rng.randrange(32)
+        drawn.append((state, fields))
+    return drawn
+
+
+def _initial_inputs(module, state: ArchState, fields: Dict[str, int],
+                    word: int) -> Dict[str, int]:
+    """RTL input vector of one trial before any read feedback."""
     inputs: Dict[str, int] = {}
     for port in module.inputs:
         if port.name.startswith("rs1_data"):
-            inputs[port.name] = state.read_x(rs1)
+            inputs[port.name] = state.read_x(fields.get("rs1", 0))
         elif port.name.startswith("rs2_data"):
-            inputs[port.name] = state.read_x(rs2)
+            inputs[port.name] = state.read_x(fields.get("rs2", 0))
         elif port.name.startswith("pc_data"):
             inputs[port.name] = state.pc
         elif port.name.startswith("instr_word"):
@@ -124,113 +138,121 @@ def _instruction_inputs(module, state: ArchState,
     return inputs
 
 
-def _always_inputs(module, state: ArchState) -> Dict[str, int]:
-    """RTL input vector for one always-block evaluation."""
-    inputs: Dict[str, int] = {}
-    for port in module.inputs:
-        if port.name.startswith("pc_data"):
-            inputs[port.name] = state.pc
-        elif port.name.startswith("rd") and "_data_" in port.name:
-            reg = port.name[2:port.name.index("_data_")]
+def _feed_reads(module, state: ArchState, inputs: Dict[str, int],
+                outputs: Dict[str, int]) -> bool:
+    """Drive the read-data inputs with the data the read-address outputs
+    request (memory loads, indexed custom-register reads); True when an
+    input changed."""
+    changed = False
+
+    def feed(prefix: str, data: int) -> None:
+        nonlocal changed
+        for port in module.inputs:
+            if port.name.startswith(prefix) and inputs.get(port.name) != data:
+                inputs[port.name] = data
+                changed = True
+
+    read_addr = _find_output(outputs, "mem_raddr")
+    if read_addr is not None:
+        size = next((p.width for p in module.inputs
+                     if p.name.startswith("mem_rdata")), 32)
+        feed("mem_rdata", state.read_mem(read_addr, size // 8))
+    for port in module.outputs:
+        if port.name.startswith("rd") and "_addr_" in port.name:
+            reg = port.name[2:port.name.index("_addr_")]
             if reg in state.custom:
-                inputs[port.name] = state.read_custom(reg)
-    return inputs
+                feed(f"rd{reg}_data",
+                     state.read_custom(reg, outputs[port.name]))
+    return changed
 
 
-def _needs_feedback(module) -> bool:
-    """True when the datapath observes read responses that depend on its
-    own outputs: memory loads (``mem_raddr`` -> ``mem_rdata``) or indexed
-    custom-register reads (``rd<REG>_addr`` -> ``rd<REG>_data``).  Such
-    trials need the scalar fixpoint loop; everything else can run as one
-    batched lane with constant inputs."""
-    reads_mem = (
-        any(p.name.startswith("mem_raddr") for p in module.outputs)
-        and any(p.name.startswith("mem_rdata") for p in module.inputs))
-    if reads_mem:
-        return True
-    indexed = {p.name[2:p.name.index("_addr_")]
-               for p in module.outputs
-               if p.name.startswith("rd") and "_addr_" in p.name}
-    return any(
-        p.name.startswith("rd") and "_data_" in p.name
-        and p.name[2:p.name.index("_data_")] in indexed
-        for p in module.inputs)
+def _lane_simulator(module, cycles: int, sim_engine: str):
+    """``simulate(lanes) -> outputs``: drive each lane's constant inputs
+    for ``cycles`` cycles from reset and return its final outputs."""
+    if sim_engine == "batched":
+        from repro.sim.batch import BatchedSimulator  # deferred: numpy
+
+        batch = BatchedSimulator(module)
+        return lambda lanes: batch.run_const(lanes, cycles)
+    sim = RTLSimulator(module, engine=sim_engine)
+
+    def simulate(lanes: List[Dict[str, int]]) -> List[Dict[str, int]]:
+        results = []
+        for inputs in lanes:
+            sim.reset()
+            for _ in range(cycles):
+                outputs = sim.step(inputs)
+            results.append(outputs)
+        return results
+
+    return simulate
+
+
+def cosim_lanes(artifact: IsaxArtifact, name: str, trials: Sequence[Trial],
+                sim_engine: str = "auto") -> List[CosimResult]:
+    """Co-simulate one functionality on every trial, one lane per trial.
+
+    The golden model runs on a copy of each trial's state.  The RTL
+    simulates every lane once, then up to three read-feedback rounds
+    re-simulate only the lanes whose read data changed."""
+    functionality = artifact.artifact(name)
+    module = functionality.module
+    isa = artifact.isa
+    is_instr = functionality.kind == "instruction"
+    interp = CoreDSLInterpreter(isa)
+    effects: List[List[Effect]] = []
+    lanes: List[Dict[str, int]] = []
+    for state, fields in trials:
+        golden_state = _fork_state(state)
+        if is_instr:
+            word = isa.instructions[name].encoding.encode(fields)
+            effects.append(
+                interp.execute_instruction(golden_state, name, word))
+        else:
+            word = 0
+            effects.append(interp.execute_always(golden_state, name))
+        lanes.append(_initial_inputs(module, state, fields or {}, word))
+
+    # An instruction runs until its pipeline drains; an always-block is
+    # one combinational cycle.
+    cycles = functionality.schedule.makespan + 2 if is_instr else 1
+    simulate = _lane_simulator(module, cycles, sim_engine)
+    outputs = simulate(lanes)
+    pending = list(range(len(lanes)))
+    for _round in range(3):
+        pending = [lane for lane in pending
+                   if _feed_reads(module, trials[lane][0], lanes[lane],
+                                  outputs[lane])]
+        if not pending:
+            break
+        resimulated = simulate([lanes[lane] for lane in pending])
+        for lane, lane_outputs in zip(pending, resimulated):
+            outputs[lane] = lane_outputs
+    return [
+        _compare(functionality, lane_effects, lane_outputs, inputs)
+        for lane_effects, lane_outputs, inputs
+        in zip(effects, outputs, lanes)
+    ]
 
 
 def cosim_instruction(artifact: IsaxArtifact, name: str, state: ArchState,
                       field_values: Dict[str, int],
                       sim_engine: str = "auto") -> CosimResult:
     """Co-simulate one instruction against a *copy* of ``state``."""
-    functionality = artifact.artifact(name)
-    isa = artifact.isa
-    encoding = isa.instructions[name].encoding
-    word = encoding.encode(field_values)
-
-    # --- golden execution on a snapshot -------------------------------------
-    golden_state = _fork_state(state)
-    interp = CoreDSLInterpreter(isa)
-    effects = interp.execute_instruction(golden_state, name, word)
-
-    # --- RTL execution with memory/register read feedback -------------------
-    module = functionality.module
-    inputs = _instruction_inputs(module, state, field_values, word)
-
-    outputs = _steady_outputs(functionality, inputs, sim_engine)
-    for _round in range(3):
-        changed = False
-        read_addr = _find_output(outputs, "mem_raddr")
-        if read_addr is not None:
-            size = next(
-                (p.width for p in module.inputs
-                 if p.name.startswith("mem_rdata")), 32
-            )
-            data = state.read_mem(read_addr, size // 8)
-            for port in module.inputs:
-                if port.name.startswith("mem_rdata"):
-                    if inputs.get(port.name) != data:
-                        inputs[port.name] = data
-                        changed = True
-        for port in module.outputs:
-            # Indexed custom-register reads: feed data for the index.
-            if port.name.startswith("rd") and "_addr_" in port.name:
-                reg = port.name[2:port.name.index("_addr_")]
-                if reg in state.custom:
-                    index = outputs[port.name]
-                    data = state.read_custom(reg, index)
-                    for in_port in module.inputs:
-                        if in_port.name.startswith(f"rd{reg}_data"):
-                            if inputs.get(in_port.name) != data:
-                                inputs[in_port.name] = data
-                                changed = True
-        if not changed:
-            break
-        outputs = _steady_outputs(functionality, inputs, sim_engine)
-
-    return _compare(functionality, effects, outputs, state, golden_state,
-                    inputs)
+    return cosim_lanes(artifact, name, [(state, field_values)],
+                       sim_engine)[0]
 
 
 def cosim_always(artifact: IsaxArtifact, name: str,
                  state: ArchState, sim_engine: str = "auto") -> CosimResult:
     """Co-simulate one always-block evaluation (single combinational
     cycle)."""
-    functionality = artifact.artifact(name)
-    isa = artifact.isa
-    golden_state = _fork_state(state)
-    interp = CoreDSLInterpreter(isa)
-    effects = interp.execute_always(golden_state, name)
-
-    module = functionality.module
-    inputs = _always_inputs(module, state)
-    outputs = RTLSimulator(module, engine=sim_engine).step(inputs)
-    return _compare(functionality, effects, outputs, state, golden_state,
-                    inputs)
+    return cosim_lanes(artifact, name, [(state, None)], sim_engine)[0]
 
 
 def _compare(functionality: FunctionalityArtifact, effects: List[Effect],
-             outputs: Dict[str, int], pre: ArchState,
-             post: ArchState,
-             inputs: Optional[Dict[str, int]] = None) -> CosimResult:
+             outputs: Dict[str, int],
+             inputs: Dict[str, int]) -> CosimResult:
     mismatches: List[Mismatch] = []
 
     def check(kind: str, expect_value: Optional[int], data_prefix: str,
@@ -287,62 +309,8 @@ def _compare(functionality: FunctionalityArtifact, effects: List[Effect],
         mismatches=mismatches,
         golden_effects=effects,
         rtl_outputs=outputs,
-        rtl_inputs=dict(inputs or {}),
+        rtl_inputs=dict(inputs),
     )
-
-
-def _cosim_instruction_batch(artifact: IsaxArtifact, name: str,
-                             specs) -> List[CosimResult]:
-    """Run every (state, fields) trial of one instruction as one lane of
-    a single batched steady-state evaluation.  Only valid for datapaths
-    without read feedback (see :func:`_needs_feedback`)."""
-    from repro.sim.batch import BatchedSimulator  # deferred: numpy
-
-    functionality = artifact.artifact(name)
-    isa = artifact.isa
-    encoding = isa.instructions[name].encoding
-    module = functionality.module
-    goldens = []
-    vectors: List[Dict[str, int]] = []
-    for state, fields in specs:
-        word = encoding.encode(fields)
-        golden_state = _fork_state(state)
-        effects = CoreDSLInterpreter(isa).execute_instruction(
-            golden_state, name, word)
-        goldens.append((effects, golden_state))
-        vectors.append(_instruction_inputs(module, state, fields, word))
-    depth = functionality.schedule.makespan + 2
-    outs = BatchedSimulator(module).run_const(vectors, depth)
-    return [
-        _compare(functionality, effects, outputs, state, golden_state,
-                 inputs)
-        for (state, _), (effects, golden_state), inputs, outputs
-        in zip(specs, goldens, vectors, outs)
-    ]
-
-
-def _cosim_always_batch(artifact: IsaxArtifact, name: str,
-                        states) -> List[CosimResult]:
-    """Run every always-block trial as one lane of a single-cycle batch."""
-    from repro.sim.batch import BatchedSimulator  # deferred: numpy
-
-    functionality = artifact.artifact(name)
-    isa = artifact.isa
-    module = functionality.module
-    goldens = []
-    vectors: List[Dict[str, int]] = []
-    for state in states:
-        golden_state = _fork_state(state)
-        effects = CoreDSLInterpreter(isa).execute_always(golden_state, name)
-        goldens.append((effects, golden_state))
-        vectors.append(_always_inputs(module, state))
-    outs = BatchedSimulator(module).run_const(vectors, 1)
-    return [
-        _compare(functionality, effects, outputs, state, golden_state,
-                 inputs)
-        for state, (effects, golden_state), inputs, outputs
-        in zip(states, goldens, vectors, outs)
-    ]
 
 
 @dataclasses.dataclass
@@ -361,8 +329,8 @@ class VerificationReport:
     #: Trials evaluated lane-parallel through the batched engine; only
     #: populated when ``sim_engine="batched"``.
     batched_trials: int = 0
-    #: Trials that needed the scalar read-feedback fixpoint and fell back
-    #: to the per-trial path despite ``sim_engine="batched"``.
+    #: Always 0: every trial runs as a lane, read feedback included.  Kept
+    #: for readers of the older two-path report.
     scalar_fallbacks: int = 0
 
     @property
@@ -371,10 +339,8 @@ class VerificationReport:
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else f"FAIL ({len(self.failures)})"
-        batching = ""
-        if self.batched_trials or self.scalar_fallbacks:
-            batching = (f"{self.batched_trials} batched/"
-                        f"{self.scalar_fallbacks} scalar-fallback, ")
+        batching = (f"{self.batched_trials} batched, "
+                    if self.batched_trials else "")
         return (f"co-simulation of '{self.artifact}' on {self.core}: "
                 f"{self.trials} trials, {batching}seed={self.seed}, "
                 f"{status}")
@@ -413,67 +379,24 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
     each failing trial's waveform is saved as a VCD file there instead of
     being discarded.  ``sim_engine`` selects the RTL simulation engine
     (``auto``/``interp``/``compiled``/``batched``, see
-    :mod:`repro.sim.compile`).  With ``batched``, each functionality's
-    trials run lane-parallel through one numpy evaluation unless its
-    datapath needs read feedback, in which case they fall back to the
-    scalar per-trial path; the report counts both populations.  Stimuli
-    are drawn in the same RNG order either way, so a seed reproduces the
-    exact trial set regardless of engine.
+    :mod:`repro.sim.compile`).  Each functionality's trials run as the
+    lanes of one :func:`cosim_lanes` call; with ``batched`` that is one
+    numpy evaluation per feedback round, counted as ``batched_trials``.
+    Stimuli are drawn by :func:`draw_trials` in the same RNG order for
+    every engine, so a seed reproduces the exact trial set regardless of
+    engine.
     """
     rng = random.Random(seed)
     failures: List[CosimResult] = []
     vcd_paths: List[str] = []
     total = 0
     batched_trials = 0
-    scalar_fallbacks = 0
-    batch = sim_engine == "batched"
     for name, functionality in artifact.functionalities.items():
-        is_instr = functionality.kind == "instruction"
-        encoding = (artifact.isa.instructions[name].encoding
-                    if is_instr else None)
-        # Draw every trial's stimulus upfront, in the exact per-trial
-        # order of the scalar path, so the RNG stream (and therefore the
-        # trial set for a given seed) is engine-independent.
-        specs = []
-        for _ in range(trials):
-            state = ArchState(artifact.isa)
-            for index in range(1, 32):
-                state.write_x(index, rng.getrandbits(32))
-            state.pc = rng.getrandbits(32) & ~3
-            for reg in state.custom:
-                for element in range(len(state.custom[reg])):
-                    state.write_custom(reg, rng.getrandbits(32), element)
-            for _ in range(64):
-                state.write_mem_byte(rng.getrandbits(32), rng.getrandbits(8))
-            fields = None
-            if is_instr:
-                fields = {
-                    fname: rng.getrandbits(field.width)
-                    for fname, field in encoding.fields.items()
-                }
-                for reg_field in ("rs1", "rs2", "rd"):
-                    if reg_field in fields:
-                        fields[reg_field] = rng.randrange(32)
-            specs.append((state, fields))
-        if batch and not _needs_feedback(functionality.module):
-            if is_instr:
-                results = _cosim_instruction_batch(artifact, name, specs)
-            else:
-                results = _cosim_always_batch(
-                    artifact, name, [state for state, _ in specs])
-            batched_trials += len(specs)
-        else:
-            if batch:
-                scalar_fallbacks += len(specs)
-            results = []
-            for state, fields in specs:
-                if is_instr:
-                    results.append(cosim_instruction(
-                        artifact, name, state, fields,
-                        sim_engine=sim_engine))
-                else:
-                    results.append(cosim_always(
-                        artifact, name, state, sim_engine=sim_engine))
+        results = cosim_lanes(artifact, name,
+                              draw_trials(artifact, name, trials, rng),
+                              sim_engine)
+        if sim_engine == "batched":
+            batched_trials += len(results)
         for result in results:
             total += 1
             if not result.matches:
@@ -492,5 +415,4 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
         seed=seed,
         vcd_paths=vcd_paths,
         batched_trials=batched_trials,
-        scalar_fallbacks=scalar_fallbacks,
     )

@@ -75,16 +75,16 @@ def test_injected_fault_caught_reduced_deduplicated(tmp_path, monkeypatch):
     result = run_campaign(config)
 
     assert result.failing_seeds == [40, 41]
-    # The broken interpreter xor trips three oracles: cosim (interpreter
-    # vs golden model), simengine (interpreter vs compiled engine) and
-    # batchsim (interpreter vs the numpy batched engine).
+    # The broken interpreter xor trips two oracles: cosim (interpreter
+    # vs golden model) and batchsim (interpreter vs the compiled and the
+    # numpy batched engines).
     # Deduplication: both seeds map onto one canonical reproducer per kind.
-    assert len(result.reproducers) == 6
-    assert len(result.new_reproducers) == 3
+    assert len(result.reproducers) == 4
+    assert len(result.new_reproducers) == 2
     corpus = FuzzCorpus(out)
-    assert len(corpus) == 3
+    assert len(corpus) == 2
     kinds = sorted(entry.split("-")[0] for entry in corpus.entries())
-    assert kinds == ["batchsim", "cosim", "simengine"]
+    assert kinds == ["batchsim", "cosim"]
     name = next(entry for entry in corpus.entries()
                 if entry.startswith("cosim-"))
 
@@ -99,7 +99,23 @@ def test_injected_fault_caught_reduced_deduplicated(tmp_path, monkeypatch):
 
     stats = json.loads(open(result.stats_path).read())
     assert stats["failing_seeds"] == [40, 41]
-    assert stats["corpus_size"] == 3
+    assert stats["corpus_size"] == 2
+
+
+@pytest.mark.parametrize("bad", [{"sim_engine": "verilator"},
+                                 {"oracles": ("bogus",)}])
+def test_config_errors_raise_before_any_seed_runs(tmp_path, monkeypatch,
+                                                   bad):
+    """A bad engine or oracle name is the caller's error, not a generator
+    bug: it must raise instead of marking every seed ``invalid``."""
+    def no_generation(seed, budget=None):
+        raise AssertionError("a seed ran despite the bad config")
+
+    monkeypatch.setattr(campaign_module, "generate_program", no_generation)
+    config = FuzzConfig(seeds=1, seed_start=3, cores=("VexRiscv",),
+                        out_dir=str(tmp_path / "out"), **bad)
+    with pytest.raises(ValueError):
+        run_campaign(config)
 
 
 def test_worker_pool_matches_inline(tmp_path):

@@ -92,6 +92,35 @@ def test_oracles_run_on_every_requested_core():
     assert report.ok, [str(f) for f in report.failures]
 
 
+def test_simengine_oracle_name_selects_batchsim():
+    """The retired ``simengine`` kind still replays old corpora: it is an
+    alias for ``batchsim``, which covers its interpreter-vs-compiled
+    check."""
+    report = run_oracles(XOR_ISAX, cores=("VexRiscv",), trials=2,
+                         oracles=("simengine",))
+    assert report.oracles == ("batchsim",)
+    assert report.ok, [str(f) for f in report.failures]
+
+
+@pytest.mark.parametrize("engine, calls", [("batched", 1), ("compiled", 2)])
+def test_batchsim_reuses_a_batched_cosim_report(monkeypatch, engine, calls):
+    """With the cosim oracle already running batched, batchsim must not
+    repeat the same ``verify_artifact`` call."""
+    real_verify = oracles_module.verify_artifact
+    engines = []
+
+    def counting(*args, **kwargs):
+        engines.append(kwargs["sim_engine"])
+        return real_verify(*args, **kwargs)
+
+    monkeypatch.setattr(oracles_module, "verify_artifact", counting)
+    report = run_oracles(XOR_ISAX, cores=("VexRiscv",), trials=2,
+                         sim_engine=engine, oracles=("cosim", "batchsim"))
+    assert report.ok, [str(f) for f in report.failures]
+    assert len(engines) == calls
+    assert engines[-1] == "batched"
+
+
 def test_discover_oracle_is_opt_in_and_passes():
     from repro.fuzz.oracles import ALL_ORACLES, DEFAULT_ORACLES
 

@@ -1,10 +1,10 @@
 """Compile-memoization regression tests.
 
 ``verify_artifact`` used to rebuild (codegen + ``exec``) the step function
-of the same module up to 4x per trial through ``_steady_outputs``; the
-per-module cache in :mod:`repro.sim.compile` must bring that down to one
-codegen per module per engine, across an arbitrary number of trials and
-simulator constructions.
+of the same module up to 4x per trial, once per simulator it constructed;
+the per-module cache in :mod:`repro.sim.compile` must bring that down to
+one codegen per module per engine, across an arbitrary number of trials
+and simulator constructions.
 """
 
 from repro import compile_isax

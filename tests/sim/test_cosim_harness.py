@@ -6,7 +6,9 @@ import pytest
 
 from repro import compile_isax
 from repro.isaxes import ALL_ISAXES, AUTOINC, IJMP, ZOL
+from repro.opt.equiv import architectural_trace
 from repro.scaiev import CORES
+from repro.scaiev.cores import EXPERIMENTAL_CORES
 from repro.sim import ArchState
 from repro.sim.cosim import cosim_always, cosim_instruction, verify_artifact
 
@@ -88,3 +90,72 @@ class TestTargetedCosim:
                                    {"rs1": 3, "rd": 5})
         assert not result.matches
         assert any(m.kind == "gpr" for m in result.mismatches)
+
+
+TABWALK = '''import "RV32I.core_desc"
+
+InstructionSet tabwalk extends RV32I {
+  architectural_state {
+    register unsigned<32> TAB[4];
+    register unsigned<32> IDX;
+  }
+  instructions {
+    set_idx {
+      encoding: 12'd0 :: rs1[4:0] :: 3'b000 :: 5'd0 :: 7'b0001011;
+      behavior: {
+        IDX = X[rs1];
+      }
+    }
+  }
+  always {
+    tabwalk {
+      unsigned<32> t = TAB[IDX[1:0]];
+      if (t != 0) {
+        PC = t;
+      }
+    }
+  }
+}
+'''
+
+
+@pytest.mark.parametrize("engine", ["interp", "compiled", "batched"])
+def test_always_block_indexed_register_read(engine):
+    """An always-block reading ``TAB[IDX[1:0]]`` needs the addressed
+    element fed back on ``rdTAB_data``, exactly like an instruction; a
+    harness that only feeds back instruction reads sees element 0 and
+    reports false mismatches."""
+    artifact = compile_isax(TABWALK, "VexRiscv")
+    outputs = {p.name for p in artifact.artifact("tabwalk").module.outputs}
+    assert "rdTAB_addr_0" in outputs
+    report = verify_artifact(artifact, trials=8, seed=1, sim_engine=engine)
+    assert report.passed, [str(f) for f in report.failures]
+
+    state = ArchState(artifact.isa)
+    for element, value in enumerate((0, 0x100, 0x200, 0x300)):
+        state.write_custom("TAB", value, element)
+    state.write_custom("IDX", 6)                 # IDX[1:0] = 2
+    result = cosim_always(artifact, "tabwalk", state, sim_engine=engine)
+    assert result.matches, result.mismatches
+    assert result.rtl_inputs["rdTAB_data_0"] == 0x200
+    pc = next(e for e in result.golden_effects if e.kind == "pc")
+    assert pc.value == 0x200
+
+
+@pytest.mark.parametrize("core", CORES + EXPERIMENTAL_CORES)
+@pytest.mark.parametrize("name", ["autoinc", "ijmp"])
+def test_read_feedback_runs_on_lanes(core, name):
+    """Memory loads and indexed reads need read feedback; under the
+    batched engine every trial still runs as a lane, with traces equal to
+    the scalar engines'."""
+    artifact = compile_isax(ALL_ISAXES[name], core)
+    trials = 6
+    report = verify_artifact(artifact, trials=trials, seed=4,
+                             sim_engine="batched")
+    assert report.passed, [str(f) for f in report.failures]
+    assert report.batched_trials == trials * len(artifact.functionalities)
+    assert report.scalar_fallbacks == 0
+    traces = {engine: architectural_trace(artifact, trials=trials, seed=4,
+                                          sim_engine=engine)
+              for engine in ("interp", "compiled", "batched")}
+    assert traces["batched"] == traces["interp"] == traces["compiled"]

@@ -3,8 +3,8 @@
 The compiled engine (:mod:`repro.sim.compile`) must be bit-identical to
 the interpreting engine on every module the toolchain can produce: all 8
 benchmark ISAXes on every host core, plus randomly generated fuzz
-programs.  The same comparison runs in every fuzz campaign as the
-``simengine`` oracle; these tests pin it down deterministically.
+programs.  The same comparison runs in every fuzz campaign inside the
+``batchsim`` oracle; these tests pin it down deterministically.
 """
 
 import pytest
@@ -110,8 +110,9 @@ def test_compiled_source_is_straight_line():
 
 
 def test_simengine_is_a_fuzz_oracle(monkeypatch):
-    """A compiled-engine miscompile must surface as a 'simengine' oracle
-    failure in the standard oracle stack."""
+    """A compiled-engine miscompile must surface in the standard oracle
+    stack as a 'batchsim' failure (the oracle that took over the retired
+    'simengine' interpreter-vs-compiled check)."""
     import repro.sim.rtl_sim as rtl_sim
     from repro.sim.compile import CompiledModule
     from repro.sim.compile import compile_module as real_compile
@@ -131,7 +132,7 @@ def test_simengine_is_a_fuzz_oracle(monkeypatch):
     report = run_oracles(XOR_ISAX, cores=("VexRiscv",), trials=2,
                          sim_engine="interp")
     assert not report.ok
-    assert "simengine" in report.kinds
+    assert "batchsim" in report.kinds
 
 
 def test_counter_module_semantics_match_interp():
