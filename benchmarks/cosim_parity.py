@@ -19,6 +19,11 @@ records the ``run_oracles`` verdict and failures (default oracles under
 ``batched`` and ``auto``, plus ``optequiv``).  How many trials ran
 lane-parallel (``batched_trials``) is left out on purpose: it is a
 property of the harness, not an output.
+
+The ``hardware`` key fingerprints the emitted hardware: the sha256 of the
+SystemVerilog plus the SCAIE-V YAML of every grid cell at ``-O0`` and
+``-O2`` and of every fuzz program x core at ``-O0``.  So one file per
+commit shows that the generated RTL did not move either.
 """
 
 from __future__ import annotations
@@ -69,6 +74,12 @@ def cell(artifact, trials: int, seed: int) -> dict:
     return record
 
 
+def fingerprint(artifact) -> str:
+    """sha256 of the artifact's SystemVerilog and SCAIE-V YAML."""
+    text = artifact.verilog + "\0" + artifact.config_yaml
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def verdict(report) -> list:
     return [report.ok, [[f.kind, f.core, f.detail] for f in report.failures]]
 
@@ -78,10 +89,13 @@ def main() -> None:
     parser.add_argument("out", help="JSON file to write")
     args = parser.parse_args()
 
-    doc: dict = {"grid": {}, "fuzz": {}, "oracles": {}}
+    doc: dict = {"grid": {}, "fuzz": {}, "oracles": {}, "hardware": {}}
     for isax in sorted(ALL_ISAXES):
         for core in (*CORES, *EXPERIMENTAL_CORES):
+            doc["hardware"][f"{isax}@{core}/O0"] = fingerprint(
+                compile_isax(ALL_ISAXES[isax], core))
             artifact = compile_isax(ALL_ISAXES[isax], core, opt=2)
+            doc["hardware"][f"{isax}@{core}/O2"] = fingerprint(artifact)
             doc["grid"][f"{isax}@{core}"] = cell(artifact, GRID_TRIALS, 0)
     doc["corpus"] = fuzz_corpus()
     for seed in doc["corpus"]:
@@ -89,6 +103,7 @@ def main() -> None:
         for core in DEFAULT_CORES:
             artifact = compile_isax(source, core, engine="fastpath",
                                     schedule_cache=False)
+            doc["hardware"][f"{seed}@{core}/O0"] = fingerprint(artifact)
             doc["fuzz"][f"{seed}@{core}"] = cell(artifact, FUZZ_TRIALS,
                                                  FUZZ_COSIM_SEED)
         for engine in ("batched", "auto"):

@@ -507,10 +507,6 @@ def _t_shrs(op: Operation, val: _Lookup, width: int) -> AbsVal:
     return AbsVal.top(width)
 
 
-_UNSIGNED_PREDS = {"ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
-_SIGNED_PREDS = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
-
-
 def _prove_icmp(predicate: str, a: AbsVal, b: AbsVal) -> Optional[bool]:
     """Decide an icmp from the operand facts, or ``None``.
 
@@ -521,6 +517,9 @@ def _prove_icmp(predicate: str, a: AbsVal, b: AbsVal) -> Optional[bool]:
     """
     ra = IntRange(a.lo, a.hi)
     rb = IntRange(b.lo, b.hi)
+    pred = comb.ICMP.get(predicate)
+    if pred is None:
+        return None                          # malformed, unverified IR
     if predicate in ("eq", "ne"):
         # eq/ne are bit-pattern comparisons, but only meaningful across
         # equal widths (the verifier enforces this; on unverified IR a
@@ -531,16 +530,13 @@ def _prove_icmp(predicate: str, a: AbsVal, b: AbsVal) -> Optional[bool]:
         if decided is None:
             return None
         return decided if predicate == "eq" else not decided
-    if predicate in _UNSIGNED_PREDS:
-        return ra.compare(_UNSIGNED_PREDS[predicate], rb)
-    if predicate in _SIGNED_PREDS:
-        sa = a.signed_interval()
-        sb = b.signed_interval()
-        if sa is None or sb is None:
-            return None
-        return IntRange(*sa).compare(_SIGNED_PREDS[predicate],
-                                     IntRange(*sb))
-    return None
+    if not pred.signed:
+        return ra.compare(pred.symbol, rb)
+    sa = a.signed_interval()
+    sb = b.signed_interval()
+    if sa is None or sb is None:
+        return None
+    return IntRange(*sa).compare(pred.symbol, IntRange(*sb))
 
 
 @_transfer("comb.icmp")

@@ -37,6 +37,7 @@ import dataclasses
 import os
 from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence
 
+from repro.dialects import comb
 from repro.ir.core import Graph, IRError, Operation, Value
 from repro.utils.bits import mask
 from repro.utils.diagnostics import Diagnostic, Severity
@@ -220,9 +221,6 @@ def _check_acyclic(graph: Graph) -> Iterator[Diagnostic]:
             "cyclic")
 
 
-_SHIFT_OPS = ("comb.shl", "comb.shru", "comb.shrs")
-
-
 def _is_constant_value(value: Value) -> bool:
     owner = value.owner
     return owner is not None and owner.name in ("comb.constant",
@@ -242,7 +240,7 @@ def _check_ranges(graph: Graph) -> Iterator[Diagnostic]:
     shift_check = IR_CHECKS["IV008"]
     rom_check = IR_CHECKS["IV009"]
     for index, op in enumerate(graph.operations):
-        if op.name in _SHIFT_OPS and len(op.operands) == 2:
+        if op.name in comb.SHIFT_OPS and len(op.operands) == 2:
             amount = op.operands[1]
             width = op.operands[0].width
             # Constant amounts are LN002 / constant-folding territory;

@@ -9,18 +9,64 @@ Conventions (enforced by verifiers):
 
 Each operation also has an evaluation function (used by the constant folder
 and by the RTL simulator) operating on unsigned bit-pattern ints.
+
+The facts that several backends share are declared here once: the icmp
+predicate table (:data:`ICMP`) and the op classes (:data:`SHIFT_OPS`,
+:data:`DIVMOD_OPS`, :data:`WIRING_OPS`, :data:`INFIX`).  Each backend keeps
+its own per-op rules — :func:`evaluate`, the simulator code generators,
+the abstract-interpretation transfer functions and the SystemVerilog
+printer are independent implementations on purpose, so the engine and
+soundness oracles have something to compare.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import operator
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.ir.core import IRError, OpDef, Operation, register_op
 from repro.utils.bits import mask, to_signed, to_unsigned
 
-ICMP_PREDICATES = (
-    "eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge",
-)
+
+class IcmpPredicate(NamedTuple):
+    """One ``comb.icmp`` predicate."""
+
+    #: Comparison operator, spelled the same in Python and SystemVerilog.
+    symbol: str
+    #: Compares two's-complement readings instead of bit patterns.
+    signed: bool
+    #: The predicate with the operands swapped: ``a P b == b P' a``.
+    swapped: str
+    #: The logical negation: ``!(a P b) == a P' b``.
+    negated: str
+
+
+ICMP: Dict[str, IcmpPredicate] = {
+    "eq": IcmpPredicate("==", False, "eq", "ne"),
+    "ne": IcmpPredicate("!=", False, "ne", "eq"),
+    "ult": IcmpPredicate("<", False, "ugt", "uge"),
+    "ule": IcmpPredicate("<=", False, "uge", "ugt"),
+    "ugt": IcmpPredicate(">", False, "ult", "ule"),
+    "uge": IcmpPredicate(">=", False, "ule", "ult"),
+    "slt": IcmpPredicate("<", True, "sgt", "sge"),
+    "sle": IcmpPredicate("<=", True, "sge", "sgt"),
+    "sgt": IcmpPredicate(">", True, "slt", "sle"),
+    "sge": IcmpPredicate(">=", True, "sle", "slt"),
+}
+ICMP_PREDICATES = tuple(ICMP)
+
+#: Shifts: the second operand is the shift amount.
+SHIFT_OPS = ("comb.shl", "comb.shru", "comb.shrs")
+#: Division and remainder (x/0 is all-ones, x%0 is x).
+DIVMOD_OPS = ("comb.divu", "comb.divs", "comb.modu", "comb.mods")
+#: Pure wiring: no logic in hardware.
+WIRING_OPS = ("comb.constant", "comb.extract", "comb.concat",
+              "comb.replicate")
+#: Binary ops whose infix operator Python and SystemVerilog spell alike.
+INFIX = {
+    "comb.add": "+", "comb.sub": "-", "comb.mul": "*",
+    "comb.and": "&", "comb.or": "|", "comb.xor": "^",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +210,9 @@ _BINARY_EVAL: Dict[str, Callable[[int, int, int], int]] = {
     "comb.shrs": _eval_shrs,
 }
 
-# Signed predicates sign-extend each operand from its *own* width: verified
-# IR guarantees equal widths, but ops are evaluated before verification too
-# (hand-built netlists, fuzz reducers), and borrowing operand 0's width for
-# operand 1 would silently mis-sign the comparison.
-_ICMP_EVAL: Dict[str, Callable[[int, int, int, int], bool]] = {
-    "eq": lambda a, b, wa, wb: a == b,
-    "ne": lambda a, b, wa, wb: a != b,
-    "ult": lambda a, b, wa, wb: a < b,
-    "ule": lambda a, b, wa, wb: a <= b,
-    "ugt": lambda a, b, wa, wb: a > b,
-    "uge": lambda a, b, wa, wb: a >= b,
-    "slt": lambda a, b, wa, wb: to_signed(a, wa) < to_signed(b, wb),
-    "sle": lambda a, b, wa, wb: to_signed(a, wa) <= to_signed(b, wb),
-    "sgt": lambda a, b, wa, wb: to_signed(a, wa) > to_signed(b, wb),
-    "sge": lambda a, b, wa, wb: to_signed(a, wa) >= to_signed(b, wb),
+_COMPARE: Dict[str, Callable[[int, int], bool]] = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
 
@@ -197,8 +231,15 @@ def evaluate(op: Operation, operand_values: List[int]) -> int:
         return to_unsigned(~operand_values[0], width)
     if name == "comb.icmp":
         a, b = operand_values
-        return int(_ICMP_EVAL[op.attr("predicate")](
-            a, b, op.operands[0].width, op.operands[1].width))
+        predicate = ICMP[op.attr("predicate")]
+        if predicate.signed:
+            # Each operand sign-extends from its *own* width: verified IR
+            # guarantees equal widths, but ops are evaluated before
+            # verification too (hand-built netlists, fuzz reducers), and
+            # borrowing operand 0's width would mis-sign operand 1.
+            a = to_signed(a, op.operands[0].width)
+            b = to_signed(b, op.operands[1].width)
+        return int(_COMPARE[predicate.symbol](a, b))
     if name == "comb.mux":
         cond, true_value, false_value = operand_values
         return true_value if cond else false_value

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from repro.dialects import comb
 from repro.ir.core import Operation
 
 #: ns per logic level at the 22 nm node (fanout-4 inverter class).
@@ -43,8 +44,7 @@ class TechLibrary:
         """Propagation delay of one operator instance."""
         name = op.name
         width = op.results[0].width if op.results else 1
-        if name in ("comb.constant", "comb.extract", "comb.concat",
-                    "comb.replicate", "lil.sink"):
+        if name in comb.WIRING_OPS or name == "lil.sink":
             return 0.0
         if name in ("comb.add", "comb.sub"):
             # Carry-lookahead-class adder: logarithmic depth.
@@ -52,7 +52,7 @@ class TechLibrary:
         if name == "comb.mul":
             operand_width = max(self._mul_widths(op))
             return _FO4 * (4 + 3.2 * _log2(operand_width))
-        if name in ("comb.divu", "comb.divs", "comb.modu", "comb.mods"):
+        if name in comb.DIVMOD_OPS:
             operand_width = max(o.width for o in op.operands)
             return _FO4 * (8 + operand_width * 1.5)
         if name == "comb.icmp":
@@ -62,7 +62,7 @@ class TechLibrary:
             return _FO4 * 1.4
         if name == "comb.mux":
             return _FO4 * 1.8
-        if name in ("comb.shl", "comb.shru", "comb.shrs"):
+        if name in comb.SHIFT_OPS:
             return _FO4 * (1.2 * _log2(width))
         if name in ("comb.rom", "lil.rom"):
             entries = len(op.attr("values") or [])
@@ -90,15 +90,15 @@ class TechLibrary:
         """Cell area of one operator instance (µm²)."""
         name = op.name
         width = op.results[0].width if op.results else 1
-        if name in ("comb.constant", "comb.extract", "comb.concat",
-                    "comb.replicate", "lil.sink", "hw.input", "hw.output"):
+        if name in comb.WIRING_OPS or name in ("lil.sink", "hw.input",
+                                               "hw.output"):
             return 0.0
         if name in ("comb.add", "comb.sub"):
             return 1.2 * width
         if name == "comb.mul":
             w1, w2 = self._mul_widths(op)[:2]
             return 2.2 * w1 * w2
-        if name in ("comb.divu", "comb.divs", "comb.modu", "comb.mods"):
+        if name in comb.DIVMOD_OPS:
             operand_width = max(o.width for o in op.operands)
             return 2.0 * operand_width * operand_width
         if name == "comb.icmp":
@@ -109,7 +109,7 @@ class TechLibrary:
             return 0.15 * width
         if name == "comb.mux":
             return 0.4 * width
-        if name in ("comb.shl", "comb.shru", "comb.shrs"):
+        if name in comb.SHIFT_OPS:
             return 0.5 * width * _log2(width)
         if name in ("comb.rom", "lil.rom"):
             entries = len(op.attr("values") or [])

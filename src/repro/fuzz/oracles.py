@@ -31,8 +31,8 @@ two as fixed-corpus spot checks; here they become programmable):
   IV008/IV009 are legitimate on generated programs and don't fail the
   oracle).
 * **rangesound** — run the abstract-interpretation engine
-  (:mod:`repro.analysis.absint`) over every generated module and execute
-  random stimulus through the reference interpreter semantics: every
+  (:mod:`repro.analysis.absint`) over every generated module and run
+  random stimulus on the ``interp`` engine of the RTL simulator: every
   concrete SSA value must lie inside its predicted interval and respect
   its known-bits masks.  A violation is an unsound transfer function —
   the one bug class that would silently corrupt the linter, the
@@ -152,49 +152,32 @@ def check_range_soundness(module: "HWModule", cycles: int = 16,
     """Concretely validate the abstract-interpretation engine on a module.
 
     Replays ``cycles`` of random stimulus through the reference
-    interpreter semantics (the same evaluation order and register model
-    :class:`repro.sim.rtl_sim.RTLSimulator` uses) and checks every SSA
-    value against its predicted :class:`~repro.analysis.absint.AbsVal`.
-    Returns ``None`` when sound, else a mismatch description.  Shared by
-    the ``rangesound`` fuzz oracle and the Hypothesis soundness suite.
+    interpreter engine of :class:`repro.sim.rtl_sim.RTLSimulator` and
+    checks every combinational SSA value of each cycle, in schedule
+    order, against its predicted :class:`~repro.analysis.absint.AbsVal`
+    (inputs and registers are environment values: top).  Returns ``None``
+    when sound, else a description of the first mismatch.  Shared by the
+    ``rangesound`` fuzz oracle and the Hypothesis soundness suite.
     """
     from repro.analysis.absint import analyze_module
-    from repro.dialects import comb
-    from repro.sim.compile import cached_schedule, random_stimulus
-    from repro.utils.bits import mask
+    from repro.sim.compile import random_stimulus
+    from repro.sim.rtl_sim import RTLSimulator
 
     facts = analyze_module(module)
-    order = cached_schedule(module)
-    register_ops = [op for op in order if op.name == "seq.compreg"]
-    regs = {op: 0 for op in register_ops}
+    sim = RTLSimulator(module, engine="interp")
     for cycle, vector in enumerate(random_stimulus(module, cycles, seed)):
         values: Dict[Value, int] = {}
-        for op in order:
-            if op.name == "hw.input":
-                result = op.results[0]
-                values[result] = vector.get(op.attr("name"), 0) \
-                    & mask(result.width)
-                continue                     # environment values: top
-            if op.name == "hw.output":
+        sim.step(vector, values)
+        # The interpreter fills ``values`` in schedule order.
+        for value, concrete in values.items():
+            op = value.owner
+            if op.name in ("hw.input", "seq.compreg"):
                 continue
-            if op.name == "seq.compreg":
-                values[op.results[0]] = regs[op]
-                continue
-            result = op.results[0]
-            concrete = comb.evaluate(
-                op, [values[operand] for operand in op.operands])
-            values[result] = concrete
-            fact = facts.get(result)
+            fact = facts.get(value)
             if not fact.contains(concrete):
                 return (f"cycle {cycle}: '{op.name}' in module "
                         f"'{module.name}' produced {concrete:#x}, outside "
                         f"its predicted {fact!r}")
-        for op in register_ops:
-            data = values[op.operands[0]]
-            enable = (values[op.operands[1]]
-                      if len(op.operands) == 2 else 1)
-            if enable:
-                regs[op] = data
     return None
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.dialects import lil
+from repro.dialects import comb, lil
 from repro.dialects.hw import HWModule
 from repro.ir.core import Graph, IRError, Operation, Value
 from repro.scheduling.scheduler import ScheduleResult
@@ -40,10 +40,6 @@ class _Recipe:
     def __init__(self, op: Operation):
         self.op = op
         self.instances: Dict[int, Value] = {}
-
-
-#: Zero-cost operations that are pure wiring in hardware.
-_FREE_OPS = ("comb.extract", "comb.concat", "comb.replicate")
 
 
 class _ModuleBuilder:
@@ -139,7 +135,7 @@ class _ModuleBuilder:
                     dict(op.attributes),
                 )
                 self.record(op.result, new.result, stage, is_constant=True)
-            elif op.name in _FREE_OPS:
+            elif op.name in comb.WIRING_OPS:
                 # Pure wiring: re-materialize per consuming stage so only
                 # the source operands are registered across boundaries.
                 self.recipes[op.result] = _Recipe(op)

@@ -10,21 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.dialects import comb
 from repro.dialects.hw import HWModule
 from repro.ir.core import IRError, Operation, Value
-
-_BINARY_SV = {
-    "comb.add": "+", "comb.sub": "-", "comb.mul": "*",
-    "comb.divu": "/", "comb.modu": "%",
-    "comb.and": "&", "comb.or": "|", "comb.xor": "^",
-    "comb.shl": "<<", "comb.shru": ">>",
-}
-
-_ICMP_SV = {
-    "eq": "==", "ne": "!=",
-    "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
-    "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
-}
 
 
 def _sanitize(name: str) -> str:
@@ -54,23 +42,24 @@ class _VerilogPrinter:
         name = op.name
         operands = [self.name_of(o) for o in op.operands]
         width = op.results[0].width if op.results else 0
-        if name in _BINARY_SV:
-            return f"{operands[0]} {_BINARY_SV[name]} {operands[1]}"
-        if name == "comb.divs":
-            return f"$signed({operands[0]}) / $signed({operands[1]})"
-        if name == "comb.mods":
-            return f"$signed({operands[0]}) % $signed({operands[1]})"
+        if name in comb.INFIX:
+            return f"{operands[0]} {comb.INFIX[name]} {operands[1]}"
+        if name in comb.DIVMOD_OPS:
+            return _divmod(name, *operands)
+        if name == "comb.shl":
+            return f"{operands[0]} << {operands[1]}"
+        if name == "comb.shru":
+            return f"{operands[0]} >> {operands[1]}"
         if name == "comb.shrs":
             return f"$signed({operands[0]}) >>> {operands[1]}"
         if name == "comb.not":
             return f"~{operands[0]}"
         if name == "comb.icmp":
-            pred = op.attr("predicate")
-            sv_op = _ICMP_SV[pred]
-            if pred.startswith("s"):
-                return (f"$signed({operands[0]}) {sv_op} "
+            pred = comb.ICMP[op.attr("predicate")]
+            if pred.signed:
+                return (f"$signed({operands[0]}) {pred.symbol} "
                         f"$signed({operands[1]})")
-            return f"{operands[0]} {sv_op} {operands[1]}"
+            return f"{operands[0]} {pred.symbol} {operands[1]}"
         if name == "comb.mux":
             return f"{operands[0]} ? {operands[1]} : {operands[2]}"
         if name == "comb.extract":
@@ -149,7 +138,11 @@ class _VerilogPrinter:
                 )
                 result = self.name_of(op.results[0])
                 index = self.name_of(op.operands[0])
-                self.assigns.append(f"  assign {result} = {rom_name}[{index}];")
+                read = f"{rom_name}[{index}]"
+                if 1 << op.operands[0].width > len(values):
+                    # Out-of-range reads are 0 in the netlist, x in SV.
+                    read = f"{index} < {len(values)} ? {read} : '0"
+                self.assigns.append(f"  assign {result} = {read};")
                 continue
             result = self.name_of(op.results[0])
             self.assigns.append(f"  assign {result} = {self.expr(op)};")
@@ -163,6 +156,19 @@ class _VerilogPrinter:
         lines.extend(self.registers)
         lines.append("endmodule")
         return "\n".join(lines) + "\n"
+
+
+def _divmod(name: str, a: str, b: str) -> str:
+    """Division and remainder with the netlist's zero-divisor results
+    (x/0 is all-ones, x%0 is x); SystemVerilog would yield x.  The signed
+    quotient is wrapped in ``$unsigned`` so that it stays self-determined:
+    an unsigned arm would otherwise turn the division unsigned."""
+    signed = name in ("comb.divs", "comb.mods")
+    symbol = "/" if name in ("comb.divu", "comb.divs") else "%"
+    on_zero = "'1" if symbol == "/" else a
+    quotient = (f"$unsigned($signed({a}) {symbol} $signed({b}))" if signed
+                else f"{a} {symbol} {b}")
+    return f"{b} == 0 ? {on_zero} : {quotient}"
 
 
 def _width_decl(width: int) -> str:

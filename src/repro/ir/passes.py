@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.dialects import comb
 from repro.ir.core import Graph, Operation, Value
 
 
@@ -65,7 +66,7 @@ def _simplify_algebraic(op: Operation) -> Optional[Value]:
 def _rewrite_constant_shift(graph: Graph, op: Operation) -> bool:
     """Shifts by a constant amount are wiring, not shifters: rewrite them to
     extract/concat so neither area nor delay is attributed to them."""
-    if op.name not in ("comb.shru", "comb.shrs", "comb.shl"):
+    if op.name not in comb.SHIFT_OPS:
         return False
     amount = _constant_value(op.operands[1])
     if amount is None or amount == 0:

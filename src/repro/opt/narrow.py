@@ -43,27 +43,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.analysis.absint import AbsVal, RangeFacts, analyze_graph
+from repro.dialects import comb
 from repro.ir.core import Graph, Operation, Value
 from repro.ir.passes import _constant_value, _make_constant
-from repro.opt.passes import _is_pure, _mask, _replace, _rewire
-
-#: Operations whose second operand is a shift amount; a proven-zero amount
-#: makes them the identity on the first operand.
-_SHIFT_OPS = ("comb.shl", "comb.shru", "comb.shrs")
-
-#: icmp predicate mirrored under operand swap (a pred b == b mirror(pred) a).
-_ICMP_MIRROR = {
-    "eq": "eq", "ne": "ne",
-    "ult": "ugt", "ugt": "ult", "ule": "uge", "uge": "ule",
-    "slt": "sgt", "sgt": "slt", "sle": "sge", "sge": "sle",
-}
-
-#: icmp predicate under logical negation (!(a pred b) == a invert(pred) b).
-_ICMP_INVERT = {
-    "eq": "ne", "ne": "eq",
-    "ult": "uge", "uge": "ult", "ule": "ugt", "ugt": "ule",
-    "slt": "sge", "sge": "slt", "sle": "sgt", "sgt": "sle",
-}
+from repro.opt.passes import _is_pure, _replace, _rewire
+from repro.utils.bits import mask
 
 
 def _same_sign(a: Value, b: Value) -> bool:
@@ -94,8 +78,8 @@ def _drop_and_mask(op: Operation, facts: RangeFacts) -> bool:
     width = op.result.width
     for keep_index in (0, 1):
         kept, other = op.operands[keep_index], op.operands[1 - keep_index]
-        possibly_set = ~facts.get(kept).zeros & _mask(width)
-        if possibly_set & ~facts.get(other).ones & _mask(width):
+        possibly_set = ~facts.get(kept).zeros & mask(width)
+        if possibly_set & ~facts.get(other).ones & mask(width):
             continue
         if _replace_identity(op, kept):
             return True
@@ -178,11 +162,11 @@ def _cond_value_under(value: Value, cond: Value,
         x, y = owner.operands
         q = owner.attr("predicate")
         if x is b and y is a:
-            q = _ICMP_MIRROR[q]
+            q = comb.ICMP[q].swapped
         elif not (x is a and y is b):
             return None
         p = cond_owner.attr("predicate")
-        fact = p if assumed else _ICMP_INVERT[p]
+        fact = p if assumed else comb.ICMP[p].negated
         if q in _IMPLIES_TRUE[fact]:
             return 1
         if q in _IMPLIES_FALSE[fact]:
@@ -269,7 +253,7 @@ def range_narrow_pass(graph: Graph) -> Tuple[int, int]:
         elif op.name == "comb.mux":
             fired = _fold_known_mux(op, facts) \
                 or _correlate_mux_arms(graph, op)
-        elif op.name in _SHIFT_OPS:
+        elif op.name in comb.SHIFT_OPS:
             fired = _drop_zero_shift(op, facts)
         if fired:
             rewritten += 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.dialects import comb
 from repro.ir.core import Graph, Operation, Value
 from repro.ir.passes import (
     _constant_value,
@@ -27,30 +28,11 @@ from repro.ir.passes import (
     dedupe_constants,
 )
 from repro.opt.share import mux_push
+from repro.utils.bits import mask
 
 #: Commutative comb operations whose operands are sorted into a canonical
 #: order (constants last) so CSE can see through operand permutations.
 COMMUTATIVE_OPS = ("comb.add", "comb.mul", "comb.and", "comb.or", "comb.xor")
-
-#: icmp predicate mirrored under operand swap (a pred b == b mirror(pred) a).
-_ICMP_MIRROR = {
-    "eq": "eq", "ne": "ne",
-    "ult": "ugt", "ugt": "ult", "ule": "uge", "uge": "ule",
-    "slt": "sgt", "sgt": "slt", "sle": "sge", "sge": "sle",
-}
-
-#: icmp predicate under logical negation (!(a pred b) == a invert(pred) b).
-_ICMP_INVERT = {
-    "eq": "ne", "ne": "eq",
-    "ult": "uge", "uge": "ult", "ule": "ugt", "ugt": "ule",
-    "slt": "sge", "sge": "slt", "sle": "sgt", "sgt": "sle",
-}
-
-#: icmp x pred x for the reflexive predicates.
-_ICMP_REFLEXIVE = {
-    "eq": 1, "ule": 1, "uge": 1, "sle": 1, "sge": 1,
-    "ne": 0, "ult": 0, "ugt": 0, "slt": 0, "sgt": 0,
-}
 
 
 def _is_pure(op: Operation) -> bool:
@@ -90,10 +72,6 @@ def _rewire(op: Operation, index: int, value: Value) -> None:
     owner = old.owner
     if owner is not None and owner.parent is not None:
         _erase_dead_tree(owner)
-
-
-def _mask(width: int) -> int:
-    return (1 << width) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +190,7 @@ def _slice_value(graph: Graph, anchor: Operation, value: Value,
     const = _constant_value(value)
     if const is not None:
         return _make_constant(graph, anchor,
-                              (const >> rel_low) & _mask(piece_width),
+                              (const >> rel_low) & mask(piece_width),
                               piece_width)
     owner = value.owner
     assert owner is not None
@@ -439,7 +417,7 @@ def _fold_mux_not(graph: Graph, op: Operation) -> bool:
         return False
     if op.name == "comb.xor":
         for idx in (0, 1):
-            if _constant_value(op.operands[idx]) == _mask(op.result.width):
+            if _constant_value(op.operands[idx]) == mask(op.result.width):
                 other = op.operands[1 - idx]
                 inverted = Operation("comb.not", [other],
                                      [(op.result.width, None)])
@@ -492,21 +470,6 @@ _CANON_RULES: Dict[str, Tuple] = {
                      _as_rewrite(_narrow_through_extract)),
     "comb.concat": (_apply_algebraic, _as_rewrite(_fold_concat)),
 }
-
-
-def _try_canonicalize(graph: Graph, op: Operation) -> Optional[str]:
-    """Attempt one canonicalization rewrite on ``op``; returns "removed",
-    "rewritten", or None when the op is already in normal form."""
-    rules = _CANON_RULES.get(op.name)
-    if rules is None or op.parent is None or not _is_pure(op):
-        return None
-    if len(op.results) != 1:
-        return None
-    for rule in rules:
-        kind = rule(graph, op)
-        if kind is not None:
-            return kind
-    return None
 
 
 def canonicalize_pass(graph: Graph) -> Tuple[int, int]:
@@ -756,12 +719,14 @@ def _canonicalize_icmp(graph: Graph, op: Operation) -> bool:
     pred = op.attr("predicate")
     lhs, rhs = op.operands
     if lhs is rhs:
-        _replace(op, _make_constant(graph, op, _ICMP_REFLEXIVE[pred], 1))
+        # x P x holds exactly for the predicates that admit equality.
+        reflexive = comb.ICMP[pred].symbol in ("==", "<=", ">=")
+        _replace(op, _make_constant(graph, op, int(reflexive), 1))
         return True
     if _constant_value(lhs) is not None and _constant_value(rhs) is None:
         op.set_operand(0, rhs)
         op.set_operand(1, lhs)
-        op.attributes["predicate"] = _ICMP_MIRROR[pred]
+        op.attributes["predicate"] = comb.ICMP[pred].swapped
         return True
     rhs_const = _constant_value(rhs)
     if rhs_const is None:
@@ -777,7 +742,7 @@ def _canonicalize_icmp(graph: Graph, op: Operation) -> bool:
         if pred in ("ule", "ugt"):
             op.attributes["predicate"] = "eq" if pred == "ule" else "ne"
             return True
-    if rhs_const == _mask(width):
+    if rhs_const == mask(width):
         if pred == "ugt":
             _replace(op, _make_constant(graph, op, 0, 1))
             return True
@@ -798,7 +763,7 @@ def _invert_not_of_icmp(graph: Graph, op: Operation) -> bool:
         return False
     inverted = Operation(
         "comb.icmp", list(inner.operands), [(1, None)],
-        {"predicate": _ICMP_INVERT[inner.attr("predicate")]})
+        {"predicate": comb.ICMP[inner.attr("predicate")].negated})
     graph.block.insert_before(op, inverted)
     _replace(op, inverted.result)
     return True
@@ -818,9 +783,7 @@ def strength_pass(graph: Graph) -> Tuple[int, int]:
         if op.name == "comb.mul" and _reduce_mul(graph, op):
             rewritten += 1
             continue
-        if (op.name in ("comb.divu", "comb.divs", "comb.modu",
-                        "comb.mods")
-                and _shrink_divmod(graph, op)):
+        if op.name in comb.DIVMOD_OPS and _shrink_divmod(graph, op):
             rewritten += 1
             continue
         if op.name == "comb.icmp" and _canonicalize_icmp(graph, op):

@@ -25,7 +25,7 @@ import os
 import time
 from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.dialects import lil
+from repro.dialects import comb, lil
 from repro.ir.core import Graph, Operation
 from repro.scaiev.datasheet import INFINITY, VirtualDatasheet
 from repro.scheduling import ilp
@@ -51,9 +51,6 @@ DelayModel = Callable[[Operation], float]
 #: push them past their native window (Section 4.2).
 LIFTED_INTERFACES = ("WrRD", "RdMem", "WrMem")
 
-#: Operations that cost (essentially) no logic: wiring only.
-FREE_OPS = ("comb.constant", "comb.extract", "comb.concat", "comb.replicate")
-
 #: Clock-to-Q plus setup margin reserved out of every cycle (ns); matches
 #: the sequential overhead the evaluation's timing analysis charges.
 CLOCK_MARGIN_NS = 0.08
@@ -64,7 +61,7 @@ def uniform_delay_model(delay_ns: float = 1.25) -> DelayModel:
     non-combinational sub-interface operations (Section 4.2)."""
 
     def model(op: Operation) -> float:
-        if op.name in FREE_OPS or op.name == "lil.sink":
+        if op.name in comb.WIRING_OPS or op.name == "lil.sink":
             return 0.0
         return delay_ns
 

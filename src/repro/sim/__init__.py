@@ -5,11 +5,11 @@ the execution of handwritten assembler programs" (Section 5.3).  This
 package provides the equivalents:
 
 * :mod:`repro.sim.rtl_sim` — a cycle-driven simulator for generated hw
-  modules (the ISAX datapaths), with three engines: a reference
-  interpreter, a netlist-to-Python compiled engine
-  (:mod:`repro.sim.compile`), and a numpy lane-parallel batched engine
-  (:mod:`repro.sim.batch`, ``engine="interp"|"compiled"|"batched"|"auto"``;
-  see ``docs/simulation.md``),
+  modules (the ISAX datapaths) with two engines, a reference interpreter
+  and a netlist-to-Python compiled engine (:mod:`repro.sim.compile`,
+  ``engine="interp"|"compiled"|"auto"``), plus the numpy lane-parallel
+  batched engine for many lanes at once (:mod:`repro.sim.batch`; see
+  ``docs/simulation.md``),
 * :mod:`repro.sim.coredsl_interp` — a golden-model interpreter executing
   CoreDSL behaviors directly on an architectural state,
 * :mod:`repro.sim.riscv` — an RV32I assembler, a functional ISS, and

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dialects.hw import HWModule
-from repro.ir.core import IRError, Operation
+from repro.ir.core import IRError
 from repro.utils.bits import mask
 
 _U64 = np.uint64
@@ -181,13 +181,13 @@ def b_rom_take(table, idx):
 class BatchedSimulator:
     """Lane-parallel simulation of one hw module.
 
-    Batch API: :meth:`run_batch` simulates one full stimulus trace per
-    lane and returns per-lane output traces byte-identical to the scalar
-    engines; :meth:`run_const` drives constant per-lane inputs for a fixed
-    number of cycles (the cosim steady-state shape) and returns the final
-    outputs per lane.  The scalar ``step``/``run``/``reset``/``output``
-    API of :class:`~repro.sim.rtl_sim.RTLSimulator` is also provided,
-    implemented as a persistent single-lane batch (lane 0).
+    :meth:`run_batch` simulates one full stimulus trace per lane and
+    returns per-lane output traces byte-identical to the scalar engines;
+    :meth:`run_const` drives constant per-lane inputs for a fixed number
+    of cycles (the cosim steady-state shape) and returns the final outputs
+    per lane.  There is no single-lane ``step`` API: at one lane this
+    engine is no faster than the interpreter, so one-lane callers use
+    :class:`~repro.sim.rtl_sim.RTLSimulator`.
     """
 
     def __init__(self, module: HWModule):
@@ -240,14 +240,6 @@ class BatchedSimulator:
             tuple(int(col[lane]) for col in columns)
             for lane in range(self._n)
         ]
-
-    def register_state(self) -> Tuple[int, ...]:
-        """Lane-0 register tuple (scalar-API compatibility)."""
-        return self.register_states()[0]
-
-    def register_value(self, op: Operation) -> int:
-        index = self._compiled.register_ops.index(op)
-        return int(self.register_states()[0][index])
 
     # -- batch API ---------------------------------------------------------
     def _build_inputs(self, vectors: Sequence[Dict[str, int]]) -> Tuple:
@@ -378,25 +370,6 @@ class BatchedSimulator:
         self._last_outputs = outs
         return self.outputs_batch() if cycles else [
             {} for _ in range(n)]
-
-    # -- scalar (lane-0) API ----------------------------------------------
-    def step(self, inputs: Optional[Dict[str, int]] = None,
-             ) -> Dict[str, int]:
-        """Advance one cycle on a single lane (RTLSimulator-compatible)."""
-        if self._n != 1:
-            self.reset(1)
-        self.step_batch([inputs or {}])
-        return self.outputs_batch()[0]
-
-    def run(self, input_trace: List[Dict[str, int]],
-            ) -> List[Dict[str, int]]:
-        return [self.step(vector) for vector in input_trace]
-
-    def output(self, name: str) -> int:
-        if (self._last_outputs is None
-                or name not in self._compiled.output_names):
-            raise IRError(f"no sampled value for output '{name}'")
-        return self.outputs_batch()[0][name]
 
 
 __all__ = [

@@ -42,7 +42,12 @@ import threading
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.absint import RangeFacts, analyze_module, slice_source
+from repro.analysis.absint import (
+    RangeFacts,
+    analyze_module,
+    netlist_digest,
+    slice_source,
+)
 from repro.dialects import comb
 from repro.dialects.hw import HWModule
 from repro.ir.core import IRError, Operation
@@ -135,30 +140,9 @@ _CACHE_LOCK = threading.RLock()
 CODEGEN_COUNTS: Dict[str, int] = {"scalar": 0, "batched": 0, "schedules": 0}
 
 
-def _netlist_digest(module: HWModule) -> Tuple[str, ...]:
-    """Structural fingerprint of the netlist: op kinds, connectivity,
-    result widths and attributes (plus port shapes).  Cheap enough to
-    recompute per simulator construction; any in-place edit changes it."""
-    index: Dict[object, int] = {}
-    parts: List[str] = [
-        ",".join(f"{p.name}:{p.direction}:{p.width}" for p in module.ports)
-    ]
-    for op in module.body.operations:
-        operands = ",".join(
-            str(index.get(operand, -1)) for operand in op.operands)
-        for value in op.results:
-            index[value] = len(index)
-        attrs = repr(sorted(
-            (k, tuple(v) if isinstance(v, list) else v)
-            for k, v in op.attributes.items()))
-        widths = ",".join(str(r.width) for r in op.results)
-        parts.append(f"{op.name}({operands})->{widths}{attrs}")
-    return tuple(parts)
-
-
 def _cache_entry(module: HWModule) -> _ModuleCacheEntry:
     """The module's cache entry, (re)built when the netlist changed."""
-    digest = _netlist_digest(module)
+    digest = netlist_digest(module)
     with _CACHE_LOCK:
         entry = _MODULE_CACHE.get(module)
         if entry is None or entry.digest != digest:
@@ -188,31 +172,15 @@ def compile_cache_stats() -> Dict[str, int]:
         return dict(CODEGEN_COUNTS)
 
 
-# Signed comparisons on w-bit unsigned patterns: XORing each side with its
-# own operand's sign bit maps two's-complement order onto unsigned order,
-# so the generated code stays branch-free.  Division/modulo/arithmetic-
-# shift keep the shared helpers (they are rare in real netlists and not
-# worth inlining).
-_SIGNED_ICMP = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
-_UNSIGNED_ICMP = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
-                  "ugt": ">", "uge": ">="}
-
-
-def compile_module(module: HWModule,
-                   order: Optional[List[Operation]] = None) -> CompiledModule:
+def compile_module(module: HWModule) -> CompiledModule:
     """Code-generate and compile the per-cycle ``step`` for ``module``.
 
     Memoized per module (digest-guarded): repeat calls on an unchanged
     netlist return the same :class:`CompiledModule` without re-codegen.
-    ``order`` is the register-first topological schedule; when omitted (or
-    when it equals the memoized schedule) the cached one is used.  Raises
-    :class:`IRError` on operations without a generation rule.
+    Raises :class:`IRError` on operations without a generation rule.
     """
     with _CACHE_LOCK:
         entry = _cache_entry(module)
-        if order is not None and order != entry.order:
-            # Caller-supplied nonstandard schedule: compile fresh, uncached.
-            return _codegen_scalar(module, order)
         if entry.compiled is None:
             entry.compiled = _codegen_scalar(module, entry.order)
         return entry.compiled
@@ -287,6 +255,9 @@ def _expression(op: Operation, ref, env: Dict[str, object]) -> str:
     Invariant: every local holds its value masked to its width, so purely
     width-preserving operators (and/or/xor/mux/...) need no re-masking and
     the masks that remain are folded to literals at compile time.
+    Signed compares XOR each side with its own sign bit, which maps two's-
+    complement order onto unsigned order; division, modulo and the
+    arithmetic shift call the shared helpers.
     """
     kind = op.name
     width = op.result.width
@@ -295,14 +266,9 @@ def _expression(op: Operation, ref, env: Dict[str, object]) -> str:
     if kind == "comb.constant":
         return f"{op.attr('value') & mask(width):#x}"
     if kind in ("comb.add", "comb.sub", "comb.mul"):
-        sign = {"comb.add": "+", "comb.sub": "-", "comb.mul": "*"}[kind]
-        return f"({operands[0]} {sign} {operands[1]}) & {m}"
-    if kind == "comb.and":
-        return f"{operands[0]} & {operands[1]}"
-    if kind == "comb.or":
-        return f"{operands[0]} | {operands[1]}"
-    if kind == "comb.xor":
-        return f"{operands[0]} ^ {operands[1]}"
+        return f"({operands[0]} {comb.INFIX[kind]} {operands[1]}) & {m}"
+    if kind in comb.INFIX:                 # and/or/xor keep the width
+        return f"{operands[0]} {comb.INFIX[kind]} {operands[1]}"
     if kind == "comb.not":
         return f"{operands[0]} ^ {m}"
     if kind == "comb.divu":
@@ -321,10 +287,11 @@ def _expression(op: Operation, ref, env: Dict[str, object]) -> str:
         return (f"({operands[0]} >> {operands[1]} "
                 f"if {operands[1]} < {width} else 0)")
     if kind == "comb.icmp":
-        predicate = op.attr("predicate")
+        predicate = comb.ICMP[op.attr("predicate")]
+        symbol = predicate.symbol
         a, b = operands
-        if predicate in _UNSIGNED_ICMP:
-            return f"(1 if {a} {_UNSIGNED_ICMP[predicate]} {b} else 0)"
+        if not predicate.signed:
+            return f"(1 if {a} {symbol} {b} else 0)"
         # Per-operand sign bits: operand widths are equal on verified IR,
         # but ops are simulated before verification too (hand-built and
         # fuzz-reduced netlists), and borrowing operand 0's sign bit for
@@ -334,13 +301,12 @@ def _expression(op: Operation, ref, env: Dict[str, object]) -> str:
         sign_a = f"{1 << (wa - 1):#x}"
         sign_b = f"{1 << (wb - 1):#x}"
         if wa == wb:
-            return (f"(1 if ({a} ^ {sign_a}) {_SIGNED_ICMP[predicate]} "
+            return (f"(1 if ({a} ^ {sign_a}) {symbol} "
                     f"({b} ^ {sign_b}) else 0)")
         # The XOR bias only preserves order when both biases are equal;
         # across widths, compare the true signed values ((v^s)-s is the
         # two's-complement reading of the w-bit pattern v).
-        return (f"(1 if (({a} ^ {sign_a}) - {sign_a}) "
-                f"{_SIGNED_ICMP[predicate]} "
+        return (f"(1 if (({a} ^ {sign_a}) - {sign_a}) {symbol} "
                 f"(({b} ^ {sign_b}) - {sign_b}) else 0)")
     if kind == "comb.mux":
         return f"({operands[1]} if {operands[0]} else {operands[2]})"
@@ -397,9 +363,7 @@ def batch_kind(width: int) -> str:
     return "u" if width <= BATCH_NATIVE_WIDTH else "o"
 
 
-def compile_module_batch(
-        module: HWModule,
-        order: Optional[List[Operation]] = None) -> BatchCompiledModule:
+def compile_module_batch(module: HWModule) -> BatchCompiledModule:
     """Code-generate and compile the vectorized ``step_batch``.
 
     Memoized per module exactly like :func:`compile_module`.  Raises
@@ -407,8 +371,6 @@ def compile_module_batch(
     """
     with _CACHE_LOCK:
         entry = _cache_entry(module)
-        if order is not None and order != entry.order:
-            return _codegen_batch(module, order)
         if entry.batched is None:
             entry.batched = _codegen_batch(module, entry.order)
         return entry.batched
@@ -735,7 +697,7 @@ def _batch_expression(op: Operation, e: _BatchEmitter) -> None:
             return
 
     if kind in ("comb.add", "comb.sub", "comb.mul"):
-        sign = {"comb.add": "+", "comb.sub": "-", "comb.mul": "*"}[kind]
+        sign = comb.INFIX[kind]
         ba = _bound(e, op.operands[0])
         bb = _bound(e, op.operands[1])
         # Only + and * are monotone in non-negative operands, so only
@@ -771,7 +733,7 @@ def _batch_expression(op: Operation, e: _BatchEmitter) -> None:
         return
 
     if kind in ("comb.and", "comb.or", "comb.xor"):
-        sign = {"comb.and": "&", "comb.or": "|", "comb.xor": "^"}[kind]
+        sign = comb.INFIX[kind]
         if rk == "b":
             a = e.get(op.operands[0], kind="b")
             b = e.get(op.operands[1], kind="b")
@@ -839,16 +801,16 @@ def _batch_expression(op: Operation, e: _BatchEmitter) -> None:
         return
 
     if kind == "comb.icmp":
-        predicate = op.attr("predicate")
+        predicate = comb.ICMP[op.attr("predicate")]
+        symbol = predicate.symbol
         wa = op.operands[0].width
         wb = op.operands[1].width
         cmp_lane = ("o" if "o" in (batch_kind(wa), batch_kind(wb))
                     else "u")
         a = e.get(op.operands[0], kind=cmp_lane, clean=True)
         b = e.get(op.operands[1], kind=cmp_lane, clean=True)
-        if predicate in _UNSIGNED_ICMP:
-            e.define(op, "b", True,
-                     f"({a} {_UNSIGNED_ICMP[predicate]} {b})")
+        if not predicate.signed:
+            e.define(op, "b", True, f"({a} {symbol} {b})")
             return
         # Per-operand sign bits, exactly as in the scalar compiler: the
         # XOR bias maps signed onto unsigned order when the widths (and
@@ -858,8 +820,7 @@ def _batch_expression(op: Operation, e: _BatchEmitter) -> None:
                 sa = e.const(np.uint64(1 << (wa - 1)), "s")
                 sb = e.const(np.uint64(1 << (wb - 1)), "s")
                 e.define(op, "b", True,
-                         f"(({a} ^ {sa}) {_SIGNED_ICMP[predicate]} "
-                         f"({b} ^ {sb}))")
+                         f"(({a} ^ {sa}) {symbol} ({b} ^ {sb}))")
                 return
             # Unequal (pre-verification) widths: sign-extend each operand
             # to the wider width and re-bias there.  (v^s)-s wraps mod
@@ -871,8 +832,7 @@ def _batch_expression(op: Operation, e: _BatchEmitter) -> None:
             sa = e.const(np.uint64(1 << (wa - 1)), "s")
             sb = e.const(np.uint64(1 << (wb - 1)), "s")
             e.define(op, "b", True,
-                     f"(((({a} ^ {sa}) - {sa} + {bias}) & {wm}) "
-                     f"{_SIGNED_ICMP[predicate]} "
+                     f"(((({a} ^ {sa}) - {sa} + {bias}) & {wm}) {symbol} "
                      f"((({b} ^ {sb}) - {sb} + {bias}) & {wm}))")
             return
         # Object lanes hold arbitrary-precision ints: compare the true
@@ -880,8 +840,7 @@ def _batch_expression(op: Operation, e: _BatchEmitter) -> None:
         sa = e.const(1 << (wa - 1), "s")
         sb = e.const(1 << (wb - 1), "s")
         e.define(op, "b", True,
-                 f"((({a} ^ {sa}) - {sa}) {_SIGNED_ICMP[predicate]} "
-                 f"(({b} ^ {sb}) - {sb}))")
+                 f"((({a} ^ {sa}) - {sa}) {symbol} (({b} ^ {sb}) - {sb}))")
         return
 
     if kind == "comb.mux":
@@ -1033,9 +992,10 @@ def crosscheck_engines(module: HWModule, cycles: int = 32,
     Returns ``None`` when the output traces, register counts and final
     register states agree exactly, else a human-readable mismatch
     description.  This is the standing engine-equivalence oracle used by
-    the tests and the fuzz campaigns; include ``"batched"`` in ``engines``
-    for the three-way parity check (the batched arm additionally runs the
-    stimulus on two lanes at once, pinning down lane independence).
+    the tests and the fuzz campaigns; include ``"batched"`` after the
+    first (reference) engine for the three-way parity check (the batched
+    arm runs the stimulus on two lanes at once, pinning down lane
+    independence).
     """
     from repro.sim.rtl_sim import RTLSimulator
 

@@ -348,13 +348,14 @@ class VerificationReport:
 
 def _dump_failure_vcd(functionality: FunctionalityArtifact,
                       result: CosimResult, vcd_dir: str, artifact_name: str,
-                      core_name: str, seed: int, trial: int,
-                      sim_engine: str = "auto") -> str:
+                      core_name: str, seed: int, trial: int) -> str:
     """Trace the failing stimulus through the module and save a VCD next to
-    the report, so the waveform is not discarded with the trial."""
+    the report, so the waveform is not discarded with the trial.  Traces
+    are byte-identical across engines, so the default scalar engine
+    records every one."""
     from repro.sim.vcd import VCDTracer  # deferred: keeps cosim import-light
 
-    tracer = VCDTracer(functionality.module, engine=sim_engine)
+    tracer = VCDTracer(functionality.module)
     depth = functionality.schedule.makespan + 2
     for _ in range(depth):
         tracer.step(result.rtl_inputs)
@@ -404,9 +405,7 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
                 if vcd_dir is not None:
                     vcd_paths.append(_dump_failure_vcd(
                         functionality, result, vcd_dir, artifact.name,
-                        artifact.core_name, seed, total,
-                        sim_engine=sim_engine,
-                    ))
+                        artifact.core_name, seed, total))
     return VerificationReport(
         artifact=artifact.name,
         core=artifact.core_name,

@@ -8,24 +8,22 @@ reproduction's equivalent of running the emitted SystemVerilog through a
 commercial simulator, and it backs the co-simulation tests that compare the
 generated hardware against the CoreDSL golden interpreter.
 
-Three engines implement the cycle, selected with ``engine=``:
+Two engines implement the cycle, selected with ``engine=``:
 
 * ``"interp"`` — walks the netlist op by op through
   :func:`repro.dialects.comb.evaluate` (the original, reference engine),
 * ``"compiled"`` — a straight-line Python ``step`` function generated once
   per module by :mod:`repro.sim.compile` (typically >10x faster),
-* ``"batched"`` — the numpy lane-parallel engine
-  (:class:`repro.sim.batch.BatchedSimulator`) driven as a persistent
-  single-lane batch; use :class:`~repro.sim.batch.BatchedSimulator`
-  directly to exploit multi-stimulus batches,
 * ``"auto"`` (default) — the compiled engine, falling back to the
   interpreter if the module contains an op without a compilation rule.
 
-All engines share the register-first topological schedule (memoized per
-module by :func:`repro.sim.compile.cached_schedule`), the flat register
-state, and the public ``step``/``run``/``reset``/``output`` API, and are
-held to bit-identical behavior by the standing engine-equivalence
-differential oracle (:func:`repro.sim.compile.crosscheck_engines`).
+The numpy lane-parallel engine only runs many lanes at once; it is
+:class:`repro.sim.batch.BatchedSimulator`, not an ``RTLSimulator`` engine.
+Both engines share the register-first topological schedule (memoized per
+module by :func:`repro.sim.compile.cached_schedule`) and the flat register
+state, and are held to bit-identical behavior by the standing
+engine-equivalence differential oracle
+(:func:`repro.sim.compile.crosscheck_engines`).
 """
 
 from __future__ import annotations
@@ -42,7 +40,10 @@ class RTLSimulator:
     """Simulates one hw module cycle by cycle."""
 
     def __init__(self, module: HWModule, engine: str = "auto"):
-        resolve_engine(engine)
+        if resolve_engine(engine) == "batched":
+            raise IRError(
+                "RTLSimulator simulates one lane; the batched engine is "
+                "repro.sim.batch.BatchedSimulator")
         self.module = module
         self._order: List[Operation] = cached_schedule(module)
         self._reg_ops: List[Operation] = [
@@ -56,17 +57,11 @@ class RTLSimulator:
         self._last_outputs: Dict[str, int] = {}
         self.cycle = 0
         self._compiled = None
-        self._batched = None
-        if engine == "batched":
-            from repro.sim.batch import BatchedSimulator
-            self._batched = BatchedSimulator(module)
-            self.engine = "batched"
-            return
         if engine == "compiled":
-            compiled = compile_module(module, self._order)
+            compiled = compile_module(module)
         elif engine == "auto":
             try:
-                compiled = compile_module(module, self._order)
+                compiled = compile_module(module)
             except IRError:
                 compiled = None
         else:
@@ -118,16 +113,17 @@ class RTLSimulator:
         """Reset all pipeline registers to zero."""
         for index in range(len(self._reg_state)):
             self._reg_state[index] = 0
-        if self._batched is not None:
-            self._batched.reset(1)
         self.cycle = 0
         self._last_outputs = {}
 
-    def step(self, inputs: Optional[Dict[str, int]] = None) -> Dict[str, int]:
+    def step(self, inputs: Optional[Dict[str, int]] = None,
+             values: Optional[Dict[Value, int]] = None) -> Dict[str, int]:
         """Advance one clock cycle.
 
         ``inputs`` maps input-port names to values (missing ports read 0).
         Returns the output-port values observed *before* the clock edge.
+        ``values``, when given, receives every SSA value of the cycle; that
+        cycle then runs on the interpreter, the one engine that keeps them.
         """
         inputs = inputs or {}
         if not inputs.keys() <= self._input_names:
@@ -136,18 +132,17 @@ class RTLSimulator:
                 f"unknown input port(s) {unknown} on module "
                 f"'{self.module.name}'"
             )
-        if self._batched is not None:
-            outputs = self._batched.step(inputs)
-        elif self._compiled is not None:
+        if self._compiled is not None and values is None:
             outputs = self._compiled.step(inputs, self._reg_state)
         else:
-            outputs = self._interp_step(inputs)
+            outputs = self._interp_step(
+                inputs, {} if values is None else values)
         self.cycle += 1
         self._last_outputs = outputs
         return outputs
 
-    def _interp_step(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        values: Dict[Value, int] = {}
+    def _interp_step(self, inputs: Dict[str, int],
+                     values: Dict[Value, int]) -> Dict[str, int]:
         outputs: Dict[str, int] = {}
         regs = self._reg_state
         for op in self._order:
@@ -183,14 +178,10 @@ class RTLSimulator:
     def register_state(self) -> Tuple[int, ...]:
         """Current register values, in schedule order (pre-edge values of
         the upcoming cycle)."""
-        if self._batched is not None:
-            return self._batched.register_state()
         return tuple(self._reg_state)
 
     def register_value(self, op: Operation) -> int:
         """Current value of one ``seq.compreg`` operation."""
-        if self._batched is not None:
-            return self._batched.register_state()[self._reg_index[op]]
         return self._reg_state[self._reg_index[op]]
 
     @property

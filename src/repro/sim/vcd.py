@@ -17,6 +17,7 @@ import io
 from typing import Dict, List, Optional
 
 from repro.dialects.hw import HWModule
+from repro.hls.verilog import _sanitize
 from repro.sim.rtl_sim import RTLSimulator
 
 #: Printable identifier characters per the VCD grammar.
@@ -111,10 +112,6 @@ class VCDTracer:
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.dumps())
-
-
-def _sanitize(name: str) -> str:
-    return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
 
 
 def trace_instruction(artifact, name: str, inputs: Dict[str, int],

@@ -250,6 +250,31 @@ def test_random_netlists_facts_sound(module, seed):
     assert mismatch is None, mismatch
 
 
+def test_unsound_fact_reports_the_first_violation(monkeypatch):
+    """A planted unsound transfer is reported at the first violating op in
+    schedule order, with its cycle, module and concrete value."""
+    from repro.analysis import absint
+    from repro.sim.compile import random_stimulus
+
+    module = HWModule("planted")
+    a = module.add_input("a", 8)
+    b = module.add_input("b", 8)
+    xor = Operation("comb.xor", [a, b], [(8, None)])
+    module.body.append(xor)
+    total = Operation("comb.add", [xor.result, a], [(8, None)])
+    module.body.append(total)
+    module.add_output("r", total.result)
+    monkeypatch.setitem(absint._TRANSFER, "comb.xor",
+                        lambda op, val, width: AbsVal.const(width, 0))
+    cycle, vector = next(
+        (i, v) for i, v in enumerate(random_stimulus(module, 8, seed=3))
+        if v["a"] != v["b"])
+    assert check_range_soundness(module, cycles=8, seed=3) == (
+        f"cycle {cycle}: 'comb.xor' in module 'planted' produced "
+        f"{vector['a'] ^ vector['b']:#x}, outside its predicted "
+        f"{AbsVal.const(8, 0)!r}")
+
+
 @settings(deadline=None, max_examples=30,
           suppress_health_check=[HealthCheck.too_slow])
 @given(module=random_netlists())

@@ -105,6 +105,40 @@ class TestExpressions:
         assert "rom_T[i]" in text
 
 
+class TestNetlistSemantics:
+    """The netlist defines x/0, x%0 and ROM reads past the table (see
+    ``comb.evaluate``); IEEE 1800-2017 makes all three x (sections 11.4.2
+    and 7.4.6), so the printer spells the netlist's results out."""
+
+    @pytest.mark.parametrize("kind, expr", [
+        ("comb.divu", "b == 0 ? '1 : a / b"),
+        ("comb.modu", "b == 0 ? a : a % b"),
+        ("comb.divs", "b == 0 ? '1 : $unsigned($signed(a) / $signed(b))"),
+        ("comb.mods", "b == 0 ? a : $unsigned($signed(a) % $signed(b))"),
+    ])
+    def test_division_by_zero_is_guarded(self, kind, expr):
+        module = HWModule("m")
+        a = module.add_input("a", 8)
+        b = module.add_input("b", 8)
+        op = wire(module, kind, [a, b], [(8, None)])
+        module.add_output("o", op.result)
+        assert f"  assign w1 = {expr};" in emit_module(module)
+
+    def rom_text(self, entries):
+        module = HWModule("m")
+        index = module.add_input("i", 8)
+        rom = wire(module, "comb.rom", [index], [(8, None)],
+                   {"values": list(range(entries)), "name": "T"})
+        module.add_output("o", rom.result)
+        return emit_module(module)
+
+    def test_short_rom_reads_zero_past_the_table(self):
+        assert "  assign w1 = i < 4 ? rom_T[i] : '0;" in self.rom_text(4)
+
+    def test_rom_covering_every_index_is_unguarded(self):
+        assert "  assign w1 = rom_T[i];" in self.rom_text(256)
+
+
 class TestStructure:
     def test_width_one_ports_have_no_range(self):
         module = HWModule("m")

@@ -61,6 +61,27 @@ def test_failing_trial_dumps_vcd(tmp_path, monkeypatch):
         assert "$enddefinitions" in head
 
 
+def test_failing_batched_trial_dumps_vcd(tmp_path, monkeypatch):
+    """The batched engine runs lanes only, so a failing batched trial is
+    traced with the default scalar engine."""
+    from repro.sim.batch import BatchedSimulator
+
+    real_run_const = BatchedSimulator.run_const
+
+    def flipped(self, vectors, cycles):
+        return [{name: value ^ 1 for name, value in outputs.items()}
+                for outputs in real_run_const(self, vectors, cycles)]
+
+    monkeypatch.setattr(BatchedSimulator, "run_const", flipped)
+    artifact = compile_isax(XOR_ISAX, "VexRiscv")
+    report = verify_artifact(artifact, trials=3, seed=0,
+                             vcd_dir=str(tmp_path / "waves"),
+                             sim_engine="batched")
+    assert not report.passed
+    assert report.vcd_paths
+    assert all(os.path.isfile(path) for path in report.vcd_paths)
+
+
 def test_passing_run_dumps_no_vcd(tmp_path):
     artifact = compile_isax(XOR_ISAX, "VexRiscv")
     vcd_dir = str(tmp_path / "waves")

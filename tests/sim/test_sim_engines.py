@@ -82,7 +82,7 @@ def test_auto_uses_compiled_with_interp_fallback(monkeypatch):
     # A module with an op the compiler cannot handle falls back to interp.
     import repro.sim.rtl_sim as rtl_sim
 
-    def broken(module, order=None):
+    def broken(module):
         raise IRError("no compilation rule")
 
     monkeypatch.setattr(rtl_sim, "compile_module", broken)
@@ -96,6 +96,15 @@ def test_invalid_engine_rejected():
     module = artifact.artifact("dotp").module
     with pytest.raises(IRError):
         RTLSimulator(module, engine="verilator")
+
+
+def test_batched_engine_runs_lanes_only():
+    """The batched engine has no one-lane mode: RTLSimulator refuses it
+    and names the lane API instead."""
+    artifact = compile_isax(ALL_ISAXES["dotprod"], "VexRiscv")
+    module = artifact.artifact("dotp").module
+    with pytest.raises(IRError, match="BatchedSimulator"):
+        RTLSimulator(module, engine="batched")
 
 
 def test_compiled_source_is_straight_line():
@@ -117,8 +126,8 @@ def test_simengine_is_a_fuzz_oracle(monkeypatch):
     from repro.sim.compile import CompiledModule
     from repro.sim.compile import compile_module as real_compile
 
-    def miscompiled(module, order=None):
-        compiled = real_compile(module, order)
+    def miscompiled(module):
+        compiled = real_compile(module)
         real_step = compiled.step
 
         def bad_step(inputs, regs):
