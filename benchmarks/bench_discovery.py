@@ -48,14 +48,16 @@ from repro.discover.search import (  # noqa: E402
     discover,
     render_report,
 )
+from repro.service import ArtifactCache, BatchExecutor  # noqa: E402
 from repro.workloads import run_array_sum  # noqa: E402
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
-def _run_search(config: DiscoveryConfig) -> DiscoveryReport:
+def _run_search(config: DiscoveryConfig,
+                executor: BatchExecutor) -> DiscoveryReport:
     started = time.perf_counter()
-    report = discover(config)
+    report = discover(config, executor=executor)
     report.elapsed_s = time.perf_counter() - started
     return report
 
@@ -66,15 +68,17 @@ def run(kernel: str, n: int, budget: int, trials: int, workers: int,
         cache_dir = tempfile.mkdtemp(prefix="bench_discovery_cache_")
     config = DiscoveryConfig(
         kernel=kernel, params={"n": n}, core=core, budget=budget,
-        trials=trials, workers=workers, cache_dir=cache_dir)
+        trials=trials)
+    executor = BatchExecutor(workers=workers,
+                             cache=ArtifactCache(pathlib.Path(cache_dir)))
 
-    cold = _run_search(config)
+    cold = _run_search(config, executor)
     print(render_report(cold))
     assert cold.winner is not None, "cold search found no verified winner"
     assert cold.pricing_stats["cached"] == 0, \
         "a fresh cache dir must not serve hits"
 
-    warm = _run_search(config)
+    warm = _run_search(config, executor)
     assert warm.pricing_stats["executed"] == 0, \
         f"warm re-run executed {warm.pricing_stats['executed']} variants"
     assert warm.pricing_stats["cached"] == warm.pricing_stats["requested"], \

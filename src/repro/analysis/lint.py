@@ -153,12 +153,6 @@ def _flatten_exprs(roots: Iterable[ast.Expr]) -> List[ast.Expr]:
     return flat
 
 
-def iter_exprs(root: Optional[ast.Stmt]) -> Iterator[ast.Expr]:
-    """All expression nodes in a statement subtree, pre-order."""
-    for stmt in iter_stmts(root):
-        yield from _flatten_exprs(stmt_exprs(stmt))
-
-
 # ---------------------------------------------------------------------------
 # Rule framework
 # ---------------------------------------------------------------------------

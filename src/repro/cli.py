@@ -25,7 +25,7 @@ import argparse
 import os
 import pathlib
 import sys
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.fuzz.oracles import ALL_ORACLES, DEFAULT_ORACLES, ORACLE_ALIASES
 from repro.hls.longnail import compile_isax
@@ -480,6 +480,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     from repro.discover import (DiscoveryConfig, discover, render_report,
                                 write_report)
     from repro.discover.kernel import kernel_names
+    from repro.service import ArtifactCache, BatchExecutor
 
     if args.list_kernels:
         for name in kernel_names():
@@ -505,12 +506,17 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         promote_state=not args.no_state,
         try_fold=not args.no_fold,
         budget=args.budget,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        server_url=args.server,
-        priority=args.priority,
     )
-    report = discover(config)
+    if args.server is not None:
+        from repro.server.client import RemoteExecutor
+
+        executor: Union[BatchExecutor, RemoteExecutor] = RemoteExecutor(
+            args.server, priority=args.priority)
+    else:
+        cache = (ArtifactCache(pathlib.Path(args.cache_dir))
+                 if args.cache_dir else None)
+        executor = BatchExecutor(workers=args.workers, cache=cache)
+    report = discover(config, executor=executor)
     print(render_report(report))
     paths = write_report(report, pathlib.Path(args.out))
     print(f"# report: {paths['report']}")
@@ -569,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--workers", type=int, default=2,
                          help="worker processes (<=1: in-process serial)")
     batch_p.add_argument("--timeout", type=float, default=None,
-                         help="per-job timeout in seconds")
+                         help="per-job timeout in seconds (pooled runs, "
+                              "--workers > 1)")
     batch_p.add_argument("--retries", type=int, default=1,
                          help="retries per failed job (default 1)")
     batch_p.add_argument("--backoff", type=float, default=0.05,

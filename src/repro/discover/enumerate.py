@@ -37,7 +37,7 @@ import dataclasses
 import hashlib
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.discover.kernel import BINARY_OPS, Kernel, KNode, LEAF_OPS
+from repro.discover.kernel import BINARY_OPS, Kernel
 
 #: operations whose operand order does not matter for isomorphism
 _COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor"})
@@ -302,12 +302,6 @@ def enumerate_candidates(kernel: Kernel,
                   key=lambda c: (-c.size, c.digest))
 
 
-def select_node(kernel: Kernel, candidate: Candidate) -> KNode:
-    """The candidate's "root": deepest covered node (diagnostics only)."""
-    by_id = kernel.node_by_id
-    return by_id[max(candidate.nodes)]
-
-
 def describe(kernel: Kernel, candidate: Candidate) -> str:
     """Human-readable one-liner, e.g. ``load+add [in=0 out=0 state=ACC]``."""
     by_id = kernel.node_by_id
@@ -316,10 +310,6 @@ def describe(kernel: Kernel, candidate: Candidate) -> str:
     out = "rd" if candidate.output is not None else "-"
     return (f"{ops} [nodes={candidate.size} in={len(candidate.inputs)} "
             f"out={out} state={state} mem={len(candidate.loads)}]")
-
-
-def leaf_ops_of(kernel: Kernel) -> List[KNode]:
-    return [n for n in kernel.nodes if n.op in LEAF_OPS]
 
 
 __all__ = [

@@ -22,24 +22,28 @@ Candidate-level failures are part of the result record (``ok: false``
 with the failing gate), never runner exceptions — a candidate that dies
 in the toolchain is a data point, not a batch failure.
 
-:func:`price_candidates` fans the specs out through a
-:class:`~repro.service.executor.BatchExecutor` (workers + artifact
-cache: warm re-runs are pure cache hits) or, with ``server_url``,
-through a long-lived compile server via ``POST /v1/tasks``.
+:func:`price_candidates` fans the specs out through the executor it is
+given: a :class:`~repro.service.executor.BatchExecutor` (workers +
+artifact cache: warm re-runs are pure cache hits) or a
+:class:`~repro.server.client.RemoteExecutor` (a long-lived compile server
+via ``POST /v1/tasks``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 from repro.discover import codegen
 from repro.discover.emit import EmitError, emit_candidate
 from repro.discover.enumerate import (Candidate, canonical_digest,
                                       classify_io, describe)
 from repro.discover.kernel import Kernel, resolve_kernel, run_reference
-from repro.service.executor import BatchExecutor, JobOutcome, TaskSpec
+from repro.service.executor import BatchExecutor, TaskSpec
 from repro.service.jobs import digest
+
+if TYPE_CHECKING:
+    from repro.server.client import RemoteExecutor
 
 #: Runner reference for one candidate pricing task.
 DISCOVER_RUNNER = "repro.discover.pricing:run_pricing_payload"
@@ -243,9 +247,8 @@ def build_specs(requests: Sequence[PricingRequest],
 def price_candidates(
         requests: Sequence[PricingRequest],
         kernel_fingerprint: str,
-        executor: Optional[BatchExecutor] = None,
-        server_url: Optional[str] = None,
-        priority: str = "batch") -> Tuple[List[dict], dict]:
+        executor: Union[BatchExecutor, RemoteExecutor, None] = None,
+) -> Tuple[List[dict], dict]:
     """Fan all pricing requests out; returns ``(records, stats)``.
 
     Records keep request order.  A request that failed at the transport
@@ -254,11 +257,7 @@ def price_candidates(
     cache-served counts — the warm-re-run story of the benchmark.
     """
     specs = build_specs(requests, kernel_fingerprint)
-    if server_url is not None:
-        outcomes = _price_via_server(server_url, specs, priority)
-    else:
-        local = executor or BatchExecutor(workers=1)
-        outcomes = local.run_specs(specs)
+    outcomes = (executor or BatchExecutor(workers=1)).run_specs(specs)
 
     records: List[dict] = []
     cached = executed = failed = 0
@@ -294,44 +293,6 @@ def price_candidates(
         "failed": failed,
     }
     return records, stats
-
-
-def _price_via_server(url: str, specs: Sequence[TaskSpec],
-                      priority: str) -> List[JobOutcome]:
-    """Submit every spec to a running compile server concurrently and
-    adapt the job responses back into :class:`JobOutcome` shape."""
-    import asyncio
-
-    from repro.server.client import CompileServerClient
-
-    async def _sweep() -> List[dict]:
-        client = CompileServerClient(url)
-        return await asyncio.gather(*[
-            client.submit_task(
-                runner=spec.runner, payload=spec.payload, key=spec.key,
-                label=spec.label, priority=priority, wait=True,
-            )
-            for spec in specs
-        ], return_exceptions=True)
-
-    outcomes: List[JobOutcome] = []
-    for spec, job in zip(specs, asyncio.run(_sweep())):
-        if isinstance(job, BaseException):
-            outcomes.append(JobOutcome(
-                spec=spec, status="failed", cached=False, attempts=1,
-                seconds=0.0, error=f"{type(job).__name__}: {job}"))
-            continue
-        ok = job.get("state") == "ok"
-        outcomes.append(JobOutcome(
-            spec=spec,
-            status="ok" if ok else "failed",
-            cached=bool(job.get("cached")),
-            attempts=1,
-            seconds=float(job.get("seconds") or 0.0),
-            result=job.get("result") if ok else None,
-            error=None if ok else str(job.get("error")),
-        ))
-    return outcomes
 
 
 def run_discover_payload(payload: dict) -> dict:

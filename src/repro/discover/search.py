@@ -4,10 +4,12 @@
 discover`` CLI subcommand, the server's ``POST /v1/discover`` task and
 the ``benchmarks/bench_discovery.py`` artifact: it enumerates candidate
 instructions from a registered kernel, prices every (candidate,
-fold-variant) through the real toolchain via the service executor (or a
-compile server), keeps the verified survivors, and selects the Pareto
-front on *measured speedup vs. silicon area* — the same two axes the
-paper's Section 7 outlook names for automated design-space exploration.
+fold-variant) through the real toolchain on the executor it is given (a
+local :class:`~repro.service.executor.BatchExecutor` or a compile
+server's :class:`~repro.server.client.RemoteExecutor`), keeps the
+verified survivors, and selects the Pareto front on *measured speedup
+vs. silicon area* — the same two axes the paper's Section 7 outlook names
+for automated design-space exploration.
 
 The winner (highest speedup; area breaks ties) is written to disk as a
 ready-to-use ``.core_desc`` next to the JSON report.
@@ -18,18 +20,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.discover.enumerate import enumerate_candidates
 from repro.discover.kernel import resolve_kernel
 from repro.discover.pricing import PricingRequest, price_candidates
-from repro.service.cache import ArtifactCache
 from repro.service.executor import BatchExecutor
+
+if TYPE_CHECKING:
+    from repro.server.client import RemoteExecutor
 
 
 @dataclasses.dataclass
 class DiscoveryConfig:
-    """Everything one discovery search needs (JSON-able end to end)."""
+    """The inputs of one discovery search (JSON-able end to end).  Where
+    the candidates are priced is the caller's choice of executor."""
 
     kernel: str
     params: Dict[str, int] = dataclasses.field(default_factory=dict)
@@ -45,24 +50,18 @@ class DiscoveryConfig:
     try_fold: bool = True
     budget: int = 24                    # max priced variants
     enum_budget: int = 4000
-    workers: int = 1
-    cache_dir: Optional[str] = None
-    server_url: Optional[str] = None
-    priority: str = "batch"
 
     def to_payload(self) -> dict:
-        payload = dataclasses.asdict(self)
-        # a search running *on* a server must not recurse into another
-        payload.pop("server_url", None)
-        return payload
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "DiscoveryConfig":
+        """Config from a JSON payload; unknown keys (including the
+        execution settings older clients send) are ignored."""
         if "kernel" not in payload:
             raise ValueError("discover payload needs a 'kernel' name")
         known = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in payload.items()
-                  if k in known and k != "server_url"}
+        kwargs = {k: v for k, v in payload.items() if k in known}
         params = kwargs.get("params") or {}
         if not isinstance(params, dict):
             raise ValueError("'params' must be an object")
@@ -120,8 +119,10 @@ class DiscoveryReport:
 
 
 def discover(config: DiscoveryConfig,
-             executor: Optional[BatchExecutor] = None) -> DiscoveryReport:
-    """Run one full discovery search."""
+             executor: Union[BatchExecutor, RemoteExecutor, None] = None
+             ) -> DiscoveryReport:
+    """Run one full discovery search, pricing on ``executor`` (default:
+    in-process, uncached)."""
     import time
 
     start = time.perf_counter()
@@ -153,18 +154,8 @@ def discover(config: DiscoveryConfig,
             ))
     requests = requests[:max(0, config.budget)]
 
-    if executor is None and config.server_url is None:
-        cache = (ArtifactCache(pathlib.Path(config.cache_dir))
-                 if config.cache_dir else None)
-        executor = BatchExecutor(workers=config.workers, cache=cache)
-
-    records, stats = price_candidates(
-        requests,
-        kernel.fingerprint(),
-        executor=executor if config.server_url is None else None,
-        server_url=config.server_url,
-        priority=config.priority,
-    )
+    records, stats = price_candidates(requests, kernel.fingerprint(),
+                                      executor=executor)
 
     front = pareto_front(records)
     winner = front[0] if front else None

@@ -36,8 +36,3 @@ def area_breakdown(integration: IntegrationResult,
         breakdown[f"module:{name}"] = module_area(module, tech)
     breakdown["glue"] = glue_area(integration.glue, tech)
     return breakdown
-
-
-def total_extension_area(integration: IntegrationResult,
-                         tech: Optional[TechLibrary] = None) -> float:
-    return sum(area_breakdown(integration, tech).values())

@@ -17,24 +17,20 @@ Every candidate is compiled through the real flow and measured with the
 technology library; :func:`pareto_frontier` filters the non-dominated
 (area, latency) points a user would choose from.
 
-The sweep runs through the batch service
-(:class:`repro.service.executor.BatchExecutor`): one task per cycle-time
-candidate, fanned out over worker processes and served from the
-content-addressed artifact cache on repeat sweeps.  The default executor
-is in-process and uncached, so `explore()` behaves exactly as before for
-casual callers.
-
-With ``server_url`` (or ``python -m repro.eval.dse --server URL``) the
-sweep instead becomes a *client* of the long-lived compile server
-(:mod:`repro.server`): every candidate is a ``POST /v1/tasks`` submission
-sharing the server's warm caches and coalescing with identical concurrent
-sweeps — the "everything becomes a client" direction of the ROADMAP.
+The sweep is one task per cycle-time candidate, run on the executor the
+caller passes: a :class:`repro.service.executor.BatchExecutor` fans the
+candidates out over worker processes and serves repeat sweeps from the
+content-addressed artifact cache, and a
+:class:`repro.server.client.RemoteExecutor` (``python -m repro.eval.dse
+--server URL``) submits each candidate to a long-lived compile server,
+sharing its warm caches and coalescing with identical concurrent sweeps.
+The default executor is in-process and uncached.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.eval.area import module_area
 from repro.eval.tech import TechLibrary
@@ -44,6 +40,9 @@ from repro.scaiev.cores import core_datasheet
 from repro.scaiev.datasheet import VirtualDatasheet
 from repro.service.executor import BatchExecutor, TaskSpec
 from repro.service.jobs import digest
+
+if TYPE_CHECKING:
+    from repro.server.client import RemoteExecutor
 
 #: Runner reference for one DSE cycle-time candidate.
 DSE_RUNNER = "repro.eval.dse:_evaluate_candidate"
@@ -134,28 +133,21 @@ def explore(source: str,
             initiation_intervals: Sequence[int] = (1, 2, 4),
             instruction: Optional[str] = None,
             tech: Optional[TechLibrary] = None,
-            executor: Optional[BatchExecutor] = None,
-            engine: str = "auto",
-            server_url: Optional[str] = None,
-            priority: str = "batch") -> List[DesignPoint]:
+            executor: Union[BatchExecutor, RemoteExecutor, None] = None,
+            engine: str = "auto") -> List[DesignPoint]:
     """Sweep the design space of one ISAX instruction on one core.
 
     ``cycle_scales`` multiply the core's native cycle time (a scale > 1
     means the ISAX internally runs at a divided clock / relaxed constraint,
     trading latency for area).
 
-    Pass an ``executor`` (with workers and/or an artifact cache) to fan the
-    candidates out in parallel and reuse results across sweeps.  A custom
-    ``tech`` library cannot be shipped to workers, so it forces in-process
-    evaluation on the default executor.  ``engine`` selects the scheduler
-    engine per candidate; the in-process default additionally shares the
-    cross-sweep schedule cache, so candidates whose chain-breaker sets
-    coincide are never re-solved.
-
-    ``server_url`` routes every candidate through a running compile
-    server instead (see :mod:`repro.server`): concurrent sweeps coalesce
-    on identical candidates and repeat sweeps are served from the
-    server's warm cache tier.  ``priority`` is the server queue level.
+    Pass an ``executor`` (with workers and/or an artifact cache, or a
+    :class:`~repro.server.client.RemoteExecutor`) to fan the candidates out
+    in parallel and reuse results across sweeps.  A custom ``tech`` library
+    cannot be shipped to workers, so it forces in-process evaluation.
+    ``engine`` selects the scheduler engine per candidate; the in-process
+    default additionally shares the cross-sweep schedule cache, so
+    candidates whose chain-breaker sets coincide are never re-solved.
     """
     datasheet = core_datasheet(core) if isinstance(core, str) else core
     datasheet_yaml = datasheet.to_yaml()
@@ -189,11 +181,7 @@ def explore(source: str,
             label=f"dse@{cycle:g}ns",
         ))
 
-    if server_url is not None:
-        return _explore_via_server(server_url, specs, priority=priority)
-
-    executor = executor or BatchExecutor(workers=1)
-    outcomes = executor.run_specs(specs)
+    outcomes = (executor or BatchExecutor(workers=1)).run_specs(specs)
     points = []
     for outcome in outcomes:
         if not outcome.ok:
@@ -205,44 +193,13 @@ def explore(source: str,
     return points
 
 
-def _explore_via_server(url: str, specs: Sequence[TaskSpec],
-                        priority: str = "batch") -> List[DesignPoint]:
-    """Submit every candidate to a running compile server concurrently and
-    assemble the DesignPoints from the job results (input order kept)."""
-    import asyncio
-
-    from repro.server.client import CompileServerClient
-
-    async def _sweep() -> List[dict]:
-        client = CompileServerClient(url)
-        return await asyncio.gather(*[
-            client.submit_task(
-                runner=spec.runner, payload=spec.payload, key=spec.key,
-                label=spec.label, priority=priority, wait=True,
-            )
-            for spec in specs
-        ])
-
-    points: List[DesignPoint] = []
-    for spec, job in zip(specs, asyncio.run(_sweep())):
-        if job.get("state") != "ok":
-            raise RuntimeError(
-                f"DSE candidate {spec.label} failed on the server: "
-                f"{job.get('error')}"
-            )
-        points.extend(DesignPoint(**entry)
-                      for entry in job["result"]["points"])
-    return points
-
-
 def explore_discovered(kernel: str,
                        params: Optional[dict] = None,
                        core: str = "VexRiscv",
                        budget: int = 8,
                        trials: int = 3,
-                       executor: Optional[BatchExecutor] = None,
-                       server_url: Optional[str] = None,
-                       priority: str = "batch",
+                       executor: Union[BatchExecutor, RemoteExecutor,
+                                       None] = None,
                        **explore_kwargs):
     """Mine an ISAX from a registered kernel, then sweep its design space.
 
@@ -251,14 +208,13 @@ def explore_discovered(kernel: str,
     instructions for *kernel* (see ``repro-longnail discover``), and the
     winning CoreDSL goes straight into :func:`explore` for the cycle-time
     x II sweep.  Returns ``(discovery_report, design_points)``; both
-    stages share the executor / compile server.
+    stages run on ``executor``.
     """
     from repro.discover.search import DiscoveryConfig, discover
 
     config = DiscoveryConfig(
         kernel=kernel, params={k: int(v) for k, v in (params or {}).items()},
-        core=core, budget=budget, trials=trials,
-        server_url=server_url, priority=priority)
+        core=core, budget=budget, trials=trials)
     report = discover(config, executor=executor)
     if report.winner is None or not report.winner.get("source"):
         raise ValueError(
@@ -267,10 +223,8 @@ def explore_discovered(kernel: str,
     # carries the mined subgraph and hence all the area/latency trade-off.
     step = next((name for name in report.winner.get("instructions", [])
                  if name.endswith("_step")), None)
-    points = explore(
-        report.winner["source"], core=core, instruction=step,
-        executor=executor, server_url=server_url, priority=priority,
-        **explore_kwargs)
+    points = explore(report.winner["source"], core=core, instruction=step,
+                     executor=executor, **explore_kwargs)
     return report, points
 
 
@@ -327,8 +281,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="max priced variants for --discover-kernel")
     args = parser.parse_args(argv)
 
-    executor = None
-    if args.server is None and args.workers > 1:
+    if args.server is not None:
+        from repro.server.client import RemoteExecutor
+
+        executor: Union[BatchExecutor, RemoteExecutor] = RemoteExecutor(
+            args.server, priority=args.priority)
+    else:
         executor = BatchExecutor(workers=args.workers)
     sweep_kwargs = dict(
         core=args.core,
@@ -336,8 +294,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         initiation_intervals=args.ii or (1, 2, 4),
         engine=args.engine,
         executor=executor,
-        server_url=args.server,
-        priority=args.priority,
     )
     if args.discover_kernel is not None:
         params = {}

@@ -74,18 +74,6 @@ class VoidType(Type):
         return "void"
 
 
-@dataclasses.dataclass(frozen=True)
-class ArrayType(Type):
-    """Array of integers, used for architectural state (register files, ROMs,
-    address spaces).  Not a first-class value type in behaviors."""
-
-    element: IntType
-    size: int
-
-    def __str__(self) -> str:
-        return f"{self.element}[{self.size}]"
-
-
 def signed(width: int) -> IntType:
     return IntType(width, True)
 

@@ -37,7 +37,7 @@ class FuzzConfig:
     trials: int = 8                          # cosim trials per core
     cosim_seed: int = 0
     sim_engine: str = "auto"                 # RTL sim engine for the oracles
-    workers: int = 1                         # <=1 => inline, no process pool
+    workers: int = 1                         # <=1 => no process pool
     out_dir: str = "fuzz-out"
     reduce: bool = True
     max_reduce_steps: int = 500

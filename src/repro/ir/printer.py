@@ -67,18 +67,6 @@ def print_operation(op: Operation) -> str:
     return "\n".join(lines)
 
 
-def print_op_histogram(graph: Graph) -> str:
-    """Stable one-op-per-line histogram (``name count``), sorted by name.
-
-    The format is deliberately boring so benchmark/test diffs of graphs
-    before and after optimization stay readable and byte-stable.
-    """
-    counts = graph.op_counts()
-    lines = [f"{name} {count}" for name, count in counts.items()]
-    lines.append(f"total {sum(counts.values())}")
-    return "\n".join(lines)
-
-
 def print_graph(graph: Graph) -> str:
     namer = _Namer()
     lines = [f"graph \"{graph.name}\""

@@ -40,11 +40,6 @@ class ArbitrationPlan:
                 return mux
         raise KeyError(f"no users of sub-interface '{interface}'")
 
-    @property
-    def total_mux_bits(self) -> int:
-        """Sum over muxes of (ways - 1) * width: 2:1-mux-equivalents."""
-        return sum((m.ways - 1) * m.width for m in self.muxes)
-
 
 #: Payload widths of the write-side interfaces that need arbitration.
 _WRITE_WIDTHS = {

@@ -36,13 +36,6 @@ class SubInterface:
     per_stage: bool = False
     is_write: bool = False
 
-    def resolve_width(self, symbol, aw: int = 1, dw: int = 32) -> int:
-        if symbol == "AW":
-            return aw
-        if symbol == "DW":
-            return dw
-        return int(symbol)
-
 
 def standard_interfaces(xlen: int = 32) -> Dict[str, SubInterface]:
     """The sub-interface operations for an ``xlen``-bit host core (Table 1)."""

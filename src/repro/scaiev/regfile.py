@@ -10,19 +10,10 @@ timing simulator.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional
 
 from repro.scaiev.config import IsaxConfig, RegisterRequest
 from repro.utils.bits import to_unsigned
-
-
-@dataclasses.dataclass
-class PortUsage:
-    """How many functionalities read/write one custom register."""
-
-    readers: int = 0
-    writers: int = 0
 
 
 class CustomRegisterFile:
@@ -68,24 +59,3 @@ class CustomRegisterFile:
 def build_register_files(config: IsaxConfig) -> Dict[str, CustomRegisterFile]:
     """Instantiate storage for every register the ISAX requests."""
     return {req.name: CustomRegisterFile(req) for req in config.registers}
-
-
-def port_usage(config: IsaxConfig) -> Dict[str, PortUsage]:
-    """Count read/write users per custom register across functionalities;
-    drives mux sizing in the area model."""
-    usage: Dict[str, PortUsage] = {r.name: PortUsage() for r in config.registers}
-    for func in config.functionalities:
-        seen_read = set()
-        seen_write = set()
-        for entry in func.schedule:
-            name = entry.interface
-            if name.startswith("Rd") and name[2:] in usage:
-                if name[2:] not in seen_read:
-                    usage[name[2:]].readers += 1
-                    seen_read.add(name[2:])
-            if name.startswith("Wr") and name.endswith(".data"):
-                reg = name[2:-len(".data")]
-                if reg in usage and reg not in seen_write:
-                    usage[reg].writers += 1
-                    seen_write.add(reg)
-    return usage

@@ -117,17 +117,3 @@ def compute_start_times_in_cycle(problem: ChainingProblem) -> None:
                   == problem.start_time[op]):
                 start = max(start, pred_lot.outgoing_delay)
         problem.start_time_in_cycle[op] = start
-
-
-def critical_path_per_step(problem: ChainingProblem) -> Dict[int, float]:
-    """Longest combinational path (ns) in each time step of a solved
-    problem; used by the evaluation's static timing analysis."""
-    depth: Dict[int, float] = {}
-    for op in problem.operations:
-        lot = problem.linked_operator_type(op)
-        step = problem.start_time[op]
-        finish = problem.start_time_in_cycle[op] + (
-            lot.outgoing_delay if lot.latency == 0 else lot.incoming_delay
-        )
-        depth[step] = max(depth.get(step, 0.0), finish)
-    return depth

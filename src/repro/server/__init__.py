@@ -13,14 +13,19 @@ them with an HTTP/JSON API:
   (``POST /v1/compile``, ``POST /v1/tasks``, ``GET /v1/jobs/{id}`` +
   NDJSON ``/events`` stream, ``/v1/metrics``, ``/v1/healthz``,
   ``POST /v1/drain``),
-* :mod:`repro.server.client` — async client used by the DSE sweep and the
-  load-generator benchmark.
+* :mod:`repro.server.client` — async client used by the load-generator
+  benchmark, and :class:`~repro.server.client.RemoteExecutor`, which runs
+  a job list on a server for the ``discover`` and DSE command lines.
 
 CLI entry point: ``repro-longnail serve``.  Docs:
 ``docs/compile_server.md``.
 """
 
-from repro.server.client import CompileServerClient, CompileServerError
+from repro.server.client import (
+    CompileServerClient,
+    CompileServerError,
+    RemoteExecutor,
+)
 from repro.server.core import (
     PRIORITIES,
     CompileServer,
@@ -48,6 +53,7 @@ __all__ = [
     "JobRecord",
     "PRIORITIES",
     "QueueFullError",
+    "RemoteExecutor",
     "ServerCounters",
     "ServerRejection",
     "UnknownJobError",

@@ -17,6 +17,12 @@ Usage::
     print(job["state"], job["result"]["verilog"][:40])
     async for event in client.events(job["job_id"]):
         print(event)
+
+:class:`RemoteExecutor` runs a list of
+:class:`repro.service.executor.TaskSpec` on a server, the way
+:class:`repro.service.executor.BatchExecutor` runs one in-process::
+
+    outcomes = RemoteExecutor("http://127.0.0.1:8080").run_specs(specs)
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ from __future__ import annotations
 import asyncio
 import json
 import urllib.parse
-from typing import Any, AsyncIterator, Dict, Optional, Sequence, Tuple
+from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple
+
+from repro.server.core import job_outcome
+from repro.service.executor import JobOutcome, TaskSpec
 
 
 class CompileServerError(Exception):
@@ -244,4 +253,36 @@ class CompileServerClient:
             f"{timeout_s:g}s: {last_error}")
 
 
-__all__ = ["CompileServerClient", "CompileServerError"]
+class RemoteExecutor:
+    """Runs a job list on a running compile server (``POST /v1/tasks``),
+    one outcome per spec in input order, like
+    :meth:`repro.service.executor.BatchExecutor.run_specs`."""
+
+    def __init__(self, url: str, priority: str = "batch") -> None:
+        self.url = url
+        self.priority = priority
+
+    def run_specs(self, specs: Sequence[TaskSpec]) -> List[JobOutcome]:
+        async def _submit_all() -> list:
+            client = CompileServerClient(self.url)
+            return await asyncio.gather(*[
+                client.submit_task(
+                    runner=spec.runner, payload=spec.payload, key=spec.key,
+                    label=spec.label, priority=self.priority, wait=True)
+                for spec in specs
+            ], return_exceptions=True)
+
+        outcomes: List[JobOutcome] = []
+        for spec, job in zip(specs, asyncio.run(_submit_all())):
+            if isinstance(job, BaseException):
+                # Transport failure (refused, 429, 503, timeout): the job
+                # never reached a terminal state on the server.
+                outcomes.append(JobOutcome(
+                    spec=spec, status="failed", cached=False, attempts=1,
+                    seconds=0.0, error=f"{type(job).__name__}: {job}"))
+            else:
+                outcomes.append(job_outcome(spec, job))
+        return outcomes
+
+
+__all__ = ["CompileServerClient", "CompileServerError", "RemoteExecutor"]

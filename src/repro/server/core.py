@@ -1,12 +1,13 @@
 """Scheduling core of the long-lived compile server.
 
-This is the transport-agnostic layer between the HTTP front-end
-(:mod:`repro.server.http`) and the batch machinery in
-:mod:`repro.service`: a single asyncio event loop owns every queue and
-counter, worker coroutines fan job execution out to a persistent thread or
-process pool, and results flow back through the same content-addressed
-caches the ``batch`` CLI uses — so a warm server answers in memory-lookup
-time and its artifacts are byte-identical to a cold CLI run.
+This is the transport-agnostic engine behind every job list: the HTTP
+front-end (:mod:`repro.server.http`) drives a long-lived instance, and
+:meth:`repro.service.executor.BatchExecutor.run_specs` a short in-process
+session.  A single asyncio event loop owns every queue and counter, worker
+coroutines fan job execution out to a thread or process pool, and results
+flow back through the same content-addressed caches the ``batch`` CLI
+uses — so a warm server answers in memory-lookup time and its artifacts
+are byte-identical to a cold CLI run.
 
 The pieces, in request order:
 
@@ -23,6 +24,8 @@ The pieces, in request order:
   (HTTP 429 upstream) instead of buffering unboundedly,
 * **retry with deterministic backoff** — failed executions retry after
   :func:`repro.service.executor.retry_backoff_s`,
+* **crash recovery** — a dead process-pool worker or a timed-out job
+  replaces the process pool, and the job fails or retries like any other,
 * **graceful drain** — :meth:`CompileServer.drain` stops intake
   (:class:`DrainingError`, HTTP 503 upstream) and waits for every accepted
   job to reach a terminal state; SIGTERM in the CLI triggers it,
@@ -36,13 +39,16 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextvars
 import dataclasses
 import time
 from collections import OrderedDict, deque
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.service.executor import (
     COMPILE_RUNNER,
+    JobOutcome,
     TaskSpec,
     _pool_call,
     retry_backoff_s,
@@ -225,6 +231,27 @@ class JobRecord:
         return doc
 
 
+def job_outcome(spec: TaskSpec, job: dict) -> JobOutcome:
+    """The :class:`JobOutcome` of one terminal job document
+    (:meth:`JobRecord.to_dict`, in-process or received over HTTP).  Its
+    time is the run time of a job that ran, else the time until it was
+    served (a cache lookup, or the wait on a coalesced primary)."""
+    ok = job.get("state") == "ok"
+    seconds = job.get("run_s")
+    if seconds is None:
+        seconds = job.get("total_s")
+    return JobOutcome(
+        spec=spec,
+        status="ok" if ok else "failed",
+        cached=job.get("cached") is not None,
+        attempts=int(job.get("attempts") or 0),
+        seconds=float(seconds or 0.0),
+        result=job.get("result") if ok else None,
+        error=None if ok else str(job.get("error")),
+        backoff_seconds=float(job.get("backoff_seconds") or 0.0),
+    )
+
+
 def _percentiles(samples: List[float]) -> dict:
     """Nearest-rank percentile summary over latency samples (milliseconds)."""
     if not samples:
@@ -305,13 +332,7 @@ class CompileServer:
     async def start(self) -> "CompileServer":
         if self._started:
             return self
-        if self.backend == "process":
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers)
-        else:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="compile-server")
+        self._pool = self._new_pool()
         self._worker_tasks = [
             asyncio.get_running_loop().create_task(self._worker())
             for _ in range(self.workers)
@@ -319,6 +340,13 @@ class CompileServer:
         self._started = True
         self._start_mono = time.monotonic()
         return self
+
+    def _new_pool(self) -> concurrent.futures.Executor:
+        if self.backend == "process":
+            return concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.workers)
+        return concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="compile-server")
 
     @property
     def draining(self) -> bool:
@@ -509,12 +537,28 @@ class CompileServer:
 
     async def _call_backend(self, spec: TaskSpec) -> dict:
         loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._pool, _pool_call, spec.runner, spec.payload)
-        if self.timeout_s is not None:
+        pool = self._pool
+        try:
+            if self.backend == "thread":
+                # The job sees the caller's context variables, as it
+                # would running inline.
+                future = loop.run_in_executor(
+                    pool, contextvars.copy_context().run,
+                    _pool_call, spec.runner, spec.payload)
+            else:
+                future = loop.run_in_executor(
+                    pool, _pool_call, spec.runner, spec.payload)
             wrapped = await asyncio.wait_for(future, timeout=self.timeout_s)
-        else:
-            wrapped = await future
+        except (BrokenProcessPool, asyncio.TimeoutError):
+            # A dead worker breaks its whole pool, and a timed-out job
+            # keeps its worker busy: give later jobs a fresh pool, once
+            # per broken one.  The old pool's other jobs run to the end.
+            # A thread cannot be replaced, so the thread pool stays.
+            if self.backend == "process" and pool is self._pool \
+                    and pool is not None:
+                self._pool = self._new_pool()
+                pool.shutdown(wait=False)
+            raise
         return wrapped["value"]
 
     async def _execute(self, record: JobRecord) -> None:
@@ -610,26 +654,15 @@ class CompileServer:
         ))
 
     def _note_metrics(self, record: JobRecord) -> None:
-        """Fold a finished executed job into the rolling BatchMetrics
-        window (compile jobs carry per-phase timings; others show up with
-        empty phases)."""
+        """Fold a finished job into the rolling BatchMetrics window."""
         payload = record.spec.payload if isinstance(record.spec.payload,
                                                     dict) else {}
         result = record.result if isinstance(record.result, dict) else {}
-        self._recent_metrics.append(JobMetrics(
-            job_id=record.job_id,
-            isax=str(payload.get("isax", "")),
-            core=str(payload.get("core", "")) or str(result.get("core", "")),
-            status=record.state,
-            cached=record.cached is not None,
-            attempts=record.attempts,
-            seconds=record.total_s or 0.0,
-            phases=result.get("phases", {}),
-            ilp=result.get("ilp", []),
-            lint=result.get("lint_counts", {}),
-            optimizer=result.get("optimizer", {}),
-            error=record.error,
-        ))
+        self._recent_metrics.append(JobMetrics.from_result(
+            record.job_id, str(payload.get("isax", "")),
+            str(payload.get("core", "")) or str(result.get("core", "")),
+            record.state, record.cached is not None, record.attempts,
+            record.total_s or 0.0, result, record.error))
 
     def metrics(self) -> dict:
         """One JSON document: the familiar batch-metrics layout over the
@@ -700,4 +733,5 @@ __all__ = [
     "ServerRejection",
     "TaskSpec",
     "UnknownJobError",
+    "job_outcome",
 ]

@@ -192,9 +192,6 @@ class ShardedArtifactCache:
             raise ValueError(f"cache key too short: {key!r}")
         return self.shards[int(key[:8], 16) % len(self.shards)]
 
-    def shard_index(self, key: str) -> int:
-        return self.shards.index(self.shard_for(key))
-
     def get(self, key: str) -> Optional[dict]:
         return self.shard_for(key).get(key)
 

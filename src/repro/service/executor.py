@@ -1,25 +1,31 @@
-"""Parallel (ISAX x core) fan-out over a process pool.
+"""Run a job list, in input order, on the compile-server core.
 
 The executor takes a list of :class:`TaskSpec` — a picklable unit of work
 naming a module-level *runner* function plus a JSON-able payload — and
 returns one :class:`JobOutcome` per spec **in input order**, regardless of
 completion order, so grid sweeps stay deterministic.
 
-Features:
+:meth:`BatchExecutor.run_specs` is a short in-process session of
+:class:`repro.server.core.CompileServer`, the one engine behind every job
+list, so the batch CLI, fuzz campaigns, discovery pricing, the DSE sweep
+and ``repro serve`` share one implementation of:
 
 * **artifact cache short-circuit** — specs carrying a content digest are
   served from :class:`repro.service.cache.ArtifactCache` without touching
-  a worker,
-* **per-job timeout** — a job blocking longer than ``timeout_s`` is marked
-  failed and the pool is torn down (a stuck solver cannot wedge the whole
-  batch),
+  a worker; duplicate keys in one list share one execution,
+* **per-job timeout** (pooled runs) — a job blocking longer than
+  ``timeout_s`` is marked failed and the process pool is replaced, as it
+  is when a worker dies (a stuck solver cannot wedge the whole batch),
 * **retry-once-on-failure** (configurable ``retries``) — transient
-  failures get a fresh round in a fresh pool, separated by exponential
-  backoff with deterministic jitter (:func:`retry_backoff_s`) so a flaky
-  shared resource is not hammered in lock-step,
-* ``workers <= 1`` degrades to in-process serial execution through the
-  *same* code path, which is what the unit tests and the default
-  :func:`repro.eval.dse.explore` use.
+  failures retry after exponential backoff with deterministic jitter
+  (:func:`retry_backoff_s`) so a flaky shared resource is not hammered in
+  lock-step,
+* ``workers <= 1`` runs the jobs one at a time on a worker thread, which
+  is what the unit tests and the default :func:`repro.eval.dse.explore`
+  use; more workers run them in a process pool.
+
+:class:`repro.server.client.RemoteExecutor` runs the same job lists on a
+running compile server.
 
 The compile runner (:func:`run_compile_payload`) executes one
 :class:`repro.service.jobs.CompileJob` through the full Longnail flow with
@@ -28,13 +34,12 @@ per-phase instrumentation and returns a JSON-able artifact record.
 
 from __future__ import annotations
 
-import concurrent.futures
+import asyncio
 import dataclasses
 import hashlib
 import importlib
 import time
-import traceback
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.hls.longnail import compile_isax
 from repro.service.cache import ArtifactCache
@@ -109,7 +114,8 @@ def _pool_call(runner: str, payload: dict) -> dict:
 
 
 class BatchExecutor:
-    """Fans a job list out over ``concurrent.futures`` worker processes."""
+    """Runs a job list on an in-process compile server, on one worker
+    thread or over ``workers`` worker processes."""
 
     def __init__(self, workers: int = 1,
                  cache: Optional[ArtifactCache] = None,
@@ -130,140 +136,40 @@ class BatchExecutor:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
 
-    def _backoff_token(self, spec: TaskSpec, index: int) -> str:
-        return spec.key or spec.label or f"{spec.runner}#{index}"
-
-    # -- generic spec execution --------------------------------------------
     def run_specs(self, specs: Sequence[TaskSpec]) -> List[JobOutcome]:
-        outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
-        pending: List[int] = []
-        for index, spec in enumerate(specs):
-            if self.cache is not None and spec.key:
-                lookup_start = time.perf_counter()
-                record = self.cache.get(spec.key)
-                if record is not None:
-                    outcomes[index] = JobOutcome(
-                        spec=spec, status="ok", cached=True, attempts=0,
-                        seconds=time.perf_counter() - lookup_start,
-                        result=record,
-                    )
-                    continue
-            pending.append(index)
+        """Run every spec in one in-process compile-server session;
+        returns one outcome per spec, in input order."""
+        if not specs:
+            return []
+        return asyncio.run(self._session(specs))
 
-        attempts: Dict[int, int] = {i: 0 for i in pending}
-        errors: Dict[int, str] = {}
-        timings: Dict[int, float] = {i: 0.0 for i in pending}
-        backoffs: Dict[int, float] = {i: 0.0 for i in pending}
-        remaining = pending
-        while remaining and min(attempts[i] for i in remaining) <= self.retries:
-            if any(attempts[i] > 0 for i in remaining):
-                # Retry round: per-job exponential backoff (deterministic
-                # jitter); the rounds are batched so one sleep covers the
-                # longest delay of the round.
-                delays = {
-                    i: retry_backoff_s(
-                        self._backoff_token(specs[i], i), attempts[i],
-                        self.backoff_base_s, self.backoff_cap_s,
-                    )
-                    for i in remaining
-                }
-                for i, delay in delays.items():
-                    backoffs[i] += delay
-                pause = max(delays.values())
-                if pause > 0:
-                    time.sleep(pause)
-            round_results = self._run_round(
-                [(i, specs[i]) for i in remaining]
-            )
-            still_failing: List[int] = []
-            for index in remaining:
-                ok, value, seconds = round_results[index]
-                attempts[index] += 1
-                timings[index] += seconds
-                if ok:
-                    outcomes[index] = JobOutcome(
-                        spec=specs[index], status="ok", cached=False,
-                        attempts=attempts[index], seconds=timings[index],
-                        result=value, backoff_seconds=backoffs[index],
-                    )
-                    if self.cache is not None and specs[index].key:
-                        self.cache.put(specs[index].key, value)
-                else:
-                    errors[index] = value
-                    if attempts[index] <= self.retries:
-                        still_failing.append(index)
-                    else:
-                        outcomes[index] = JobOutcome(
-                            spec=specs[index], status="failed", cached=False,
-                            attempts=attempts[index], seconds=timings[index],
-                            error=value, backoff_seconds=backoffs[index],
-                        )
-            remaining = still_failing
-        return [outcome for outcome in outcomes if outcome is not None]
+    async def _session(self, specs: Sequence[TaskSpec]) -> List[JobOutcome]:
+        # Imported here: the server core imports this module.  The server
+        # is built inside the running loop because on Python 3.9 its queue
+        # binds to the thread's current loop.
+        from repro.server.core import CompileServer, job_outcome
 
-    def _run_round(self, items: List[Tuple[int, TaskSpec]]
-                   ) -> Dict[int, Tuple[bool, Any, float]]:
-        if self.workers <= 1 or len(items) == 1:
-            return self._run_round_inline(items)
-        return self._run_round_pool(items)
-
-    def _run_round_inline(self, items: List[Tuple[int, TaskSpec]]
-                          ) -> Dict[int, Tuple[bool, Any, float]]:
-        results: Dict[int, Tuple[bool, Any, float]] = {}
-        for index, spec in items:
-            start = time.perf_counter()
-            try:
-                value = _resolve_runner(spec.runner)(spec.payload)
-                results[index] = (True, value,
-                                  time.perf_counter() - start)
-            except Exception as err:  # noqa: BLE001 — reported per job
-                results[index] = (
-                    False,
-                    f"{type(err).__name__}: {err}\n"
-                    + traceback.format_exc(limit=4),
-                    time.perf_counter() - start,
-                )
-        return results
-
-    def _run_round_pool(self, items: List[Tuple[int, TaskSpec]]
-                        ) -> Dict[int, Tuple[bool, Any, float]]:
-        results: Dict[int, Tuple[bool, Any, float]] = {}
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, len(items))
+        pooled = self.workers > 1
+        server = CompileServer(
+            workers=min(self.workers, len(specs)) if pooled else 1,
+            backend="process" if pooled else "thread",
+            max_queue_depth=len(specs),
+            retries=self.retries,
+            backoff_base_s=self.backoff_base_s,
+            backoff_cap_s=self.backoff_cap_s,
+            # An in-process job cannot be interrupted.
+            timeout_s=self.timeout_s if pooled else None,
+            disk_cache=self.cache,
         )
-        timed_out = False
+        await server.start()
         try:
-            futures = {
-                index: pool.submit(_pool_call, spec.runner, spec.payload)
-                for index, spec in items
-            }
-            # Iterating in submission order keeps the result list
-            # deterministic; `timeout_s` bounds the *additional* wait per
-            # job (later jobs have been running concurrently meanwhile).
-            for index, spec in items:
-                wait_start = time.perf_counter()
-                try:
-                    wrapped = futures[index].result(timeout=self.timeout_s)
-                    results[index] = (True, wrapped["value"],
-                                      wrapped["seconds"])
-                except concurrent.futures.TimeoutError:
-                    timed_out = True
-                    results[index] = (
-                        False,
-                        f"timed out after {self.timeout_s:g}s",
-                        time.perf_counter() - wait_start,
-                    )
-                except Exception as err:  # noqa: BLE001 — reported per job
-                    results[index] = (
-                        False,
-                        f"{type(err).__name__}: {err}",
-                        time.perf_counter() - wait_start,
-                    )
+            records = [await server.submit(spec) for spec in specs]
+            for record in records:
+                await record.wait()
         finally:
-            # After a timeout the stuck worker still holds the job; drop
-            # the whole pool rather than reuse a clogged one.
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
-        return results
+            await server.close(drain=False)
+        return [job_outcome(record.spec, record.to_dict(include_result=True))
+                for record in records]
 
     # -- compile-grid convenience ------------------------------------------
     def run_compile_jobs(self, jobs: Sequence[CompileJob]
@@ -281,21 +187,10 @@ class BatchExecutor:
                          if self.cache is not None else None),
         )
         for job, outcome in zip(jobs, outcomes):
-            record = outcome.result or {}
-            metrics.add(JobMetrics(
-                job_id=job.job_id,
-                isax=job.isax,
-                core=job.core_label,
-                status=outcome.status,
-                cached=outcome.cached,
-                attempts=outcome.attempts,
-                seconds=outcome.seconds,
-                phases=record.get("phases", {}),
-                ilp=record.get("ilp", []),
-                lint=record.get("lint_counts", {}),
-                optimizer=record.get("optimizer", {}),
-                error=outcome.error,
-            ))
+            metrics.add(JobMetrics.from_result(
+                job.job_id, job.isax, job.core_label, outcome.status,
+                outcome.cached, outcome.attempts, outcome.seconds,
+                outcome.result, outcome.error))
         return outcomes, metrics
 
 

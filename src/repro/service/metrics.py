@@ -51,6 +51,25 @@ class JobMetrics:
     optimizer: Dict[str, object] = dataclasses.field(default_factory=dict)
     error: Optional[str] = None
 
+    @classmethod
+    def from_result(cls, job_id: str, isax: str, core: str, status: str,
+                    cached: bool, attempts: int, seconds: float,
+                    result: Optional[dict],
+                    error: Optional[str]) -> "JobMetrics":
+        """Metrics of one finished job; phases, scheduler, lint and
+        optimizer stats come from its result record (compile jobs carry
+        them, other runners leave them empty)."""
+        record = result if isinstance(result, dict) else {}
+        return cls(
+            job_id=job_id, isax=isax, core=core, status=status,
+            cached=cached, attempts=attempts, seconds=seconds,
+            phases=record.get("phases", {}),
+            ilp=record.get("ilp", []),
+            lint=record.get("lint_counts", {}),
+            optimizer=record.get("optimizer", {}),
+            error=error,
+        )
+
     def to_dict(self) -> dict:
         doc = {
             "job_id": self.job_id,

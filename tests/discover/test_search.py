@@ -12,14 +12,22 @@ from repro.discover.search import (
     render_report,
     write_report,
 )
+from repro.service import ArtifactCache, BatchExecutor
+
+#: Execution settings older clients put in a discover payload.
+TRANSPORT_KEYS = ("server_url", "priority", "workers", "cache_dir")
+
+
+def _cached(path):
+    return BatchExecutor(workers=1, cache=ArtifactCache(path))
 
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("cache")
     config = DiscoveryConfig(kernel="array_sum", params={"n": 16},
-                             budget=6, trials=2, cache_dir=str(cache))
-    return discover(config)
+                             budget=6, trials=2)
+    return discover(config,
+                    executor=_cached(tmp_path_factory.mktemp("cache")))
 
 
 class TestDominance:
@@ -69,9 +77,8 @@ class TestDiscoverEndToEnd:
 
     def test_budget_caps_variants(self, tmp_path):
         config = DiscoveryConfig(kernel="array_sum", params={"n": 16},
-                                 budget=2, trials=2,
-                                 cache_dir=str(tmp_path))
-        capped = discover(config)
+                                 budget=2, trials=2)
+        capped = discover(config, executor=_cached(tmp_path))
         assert capped.variants_priced == 2
 
     def test_report_roundtrips_to_json(self, report):
@@ -101,12 +108,15 @@ class TestConfigPayload:
         assert clone == config
 
     def test_server_url_never_ships(self):
-        config = DiscoveryConfig(kernel="array_sum",
-                                 server_url="http://example:1")
+        """Where a search is priced is not part of the search: old
+        clients' execution settings are ignored and never sent on."""
+        config = DiscoveryConfig(kernel="array_sum")
         payload = config.to_payload()
-        assert "server_url" not in payload
-        assert DiscoveryConfig.from_payload(
-            dict(payload, server_url="http://evil:1")).server_url is None
+        assert not set(TRANSPORT_KEYS) & set(payload)
+        old_client = dict(payload, server_url="http://evil:1",
+                          priority="interactive", workers=8,
+                          cache_dir="/nonexistent")
+        assert DiscoveryConfig.from_payload(old_client) == config
 
     def test_kernel_required(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """``POST /v1/discover`` and the allow-listed pricing runner."""
 
 import asyncio
+import dataclasses
 
 from repro.discover.pricing import DISCOVER_RUNNER, DISCOVER_SEARCH_RUNNER
 from repro.server import (
@@ -8,6 +9,7 @@ from repro.server import (
     CompileServerApp,
     CompileServerClient,
     CompileServerError,
+    RemoteExecutor,
 )
 from repro.server.http import DEFAULT_ALLOWED_RUNNERS
 
@@ -55,6 +57,40 @@ def test_discover_route_end_to_end_and_warm_cache():
     run_http(body, workers=2)
 
 
+def test_discover_route_ignores_client_execution_settings(tmp_path):
+    """A client cannot make the server write to a path it names or size
+    a process pool."""
+    client_dir = tmp_path / "client-chosen"
+
+    async def body(client):
+        job = await client.discover("array_sum", params={"n": 16},
+                                    budget=2, trials=2, workers=8,
+                                    cache_dir=str(client_dir))
+        assert job["state"] == "ok"
+        assert "cache_dir" not in job["result"]["config"]
+        assert "workers" not in job["result"]["config"]
+
+    run_http(body, workers=1)
+    assert not client_dir.exists()
+
+
+def test_discover_route_key_ignores_priority():
+    """The same search at another priority is the same job: the second
+    request is served from the memory tier."""
+    async def body(client):
+        first = await client.discover("array_sum", params={"n": 16},
+                                      budget=2, trials=2,
+                                      priority="interactive")
+        assert first["state"] == "ok" and first["cached"] is None
+        second = await client.discover("array_sum", params={"n": 16},
+                                       budget=2, trials=2,
+                                       priority="batch")
+        assert second["state"] == "ok"
+        assert second["cached"] == "memory"
+
+    run_http(body, workers=1)
+
+
 def test_discover_route_validates_payload():
     async def body(client):
         # unknown kernel name: submission is accepted, the job fails
@@ -76,7 +112,7 @@ def test_pricing_runner_via_tasks_route():
     async def body(client):
         from repro.discover.enumerate import enumerate_candidates
         from repro.discover.kernel import resolve_kernel
-        from repro.discover.pricing import PricingRequest
+        from repro.discover.pricing import PricingRequest, price_candidates
 
         kernel = resolve_kernel("array_sum", n=16)
         candidate = enumerate_candidates(kernel)[0]
@@ -90,5 +126,18 @@ def test_pricing_runner_via_tasks_route():
         assert job["state"] == "ok"
         assert job["result"]["ok"] is True
         assert job["result"]["speedup"] > 1.0
+
+        # The same pricing through RemoteExecutor: the request above is a
+        # memory hit, a new variant executes and reports its run time.
+        folded = dataclasses.replace(request, fold=True)
+        remote = RemoteExecutor(f"http://{client.host}:{client.port}")
+        records, stats = await asyncio.get_running_loop().run_in_executor(
+            None, price_candidates, [request, folded],
+            kernel.fingerprint(), remote)
+        assert (stats["cached"], stats["executed"]) == (1, 1)
+        assert records[0]["cached"]
+        assert records[0]["speedup"] == job["result"]["speedup"]
+        assert not records[1]["cached"]
+        assert records[1]["seconds"] > 0
 
     run_http(body, workers=1)

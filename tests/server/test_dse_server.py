@@ -1,12 +1,13 @@
-"""The DSE sweep as a compile-server client: ``explore(server_url=...)``
-must return exactly the points the local executor path computes."""
+"""The DSE sweep as a compile-server client: ``explore`` on a
+``RemoteExecutor`` must return exactly the points the local executor
+path computes."""
 
 import asyncio
 import threading
 
 from repro.eval.dse import explore
 from repro.isaxes import ALL_ISAXES
-from repro.server import CompileServer, CompileServerApp
+from repro.server import CompileServer, CompileServerApp, RemoteExecutor
 
 
 def test_explore_via_server_matches_local_sweep():
@@ -33,9 +34,9 @@ def test_explore_via_server_matches_local_sweep():
     assert started.wait(10), "server thread never came up"
     try:
         kwargs = dict(cycle_scales=(1.0, 2.0), initiation_intervals=(1, 2))
+        remote = RemoteExecutor(holder["url"], priority="interactive")
         via_server = explore(ALL_ISAXES["dotprod"], core="VexRiscv",
-                             server_url=holder["url"],
-                             priority="interactive", **kwargs)
+                             executor=remote, **kwargs)
         local = explore(ALL_ISAXES["dotprod"], core="VexRiscv", **kwargs)
         assert via_server == local
         assert len(via_server) == 4          # 2 cycle scales x 2 IIs
@@ -44,3 +45,5 @@ def test_explore_via_server_matches_local_sweep():
             holder["app"].close(drain=False), loop).result(10)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(10)
+        assert not thread.is_alive()
+        loop.close()

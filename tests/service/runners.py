@@ -1,8 +1,13 @@
 """Module-level task runners for executor tests (must be importable by
 worker processes, hence not defined inside test functions)."""
 
+import contextvars
+import os
 import pathlib
 import time
+
+#: Set by a test around an executor call; read back by ``caller``.
+CALLER = contextvars.ContextVar("caller", default=None)
 
 
 def echo(payload: dict) -> dict:
@@ -16,6 +21,15 @@ def sleepy(payload: dict) -> dict:
 
 def boom(payload: dict) -> dict:
     raise RuntimeError(payload.get("message", "boom"))
+
+
+def caller(payload: dict) -> dict:
+    return {"caller": CALLER.get()}
+
+
+def die(payload: dict) -> dict:
+    """Kill the process running the job, as a crashed worker would."""
+    os._exit(1)
 
 
 def flaky(payload: dict) -> dict:
