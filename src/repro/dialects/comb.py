@@ -277,16 +277,21 @@ def _fold(op: Operation, operand_values: List[Optional[int]]) -> Optional[int]:
 
 register_op(OpDef("comb.constant", verifier=_verify_constant,
                   folder=lambda op, vals: op.attr("value") & mask(op.result.width)))
-for _name in _BINARY_EVAL:
-    register_op(OpDef(_name, verifier=_verify_binary, folder=_fold))
-register_op(OpDef("comb.not", verifier=_verify_same_width, folder=_fold))
-register_op(OpDef("comb.icmp", verifier=_verify_icmp, folder=_fold))
-register_op(OpDef("comb.mux", verifier=_verify_mux, folder=_fold))
-register_op(OpDef("comb.extract", verifier=_verify_extract, folder=_fold))
-register_op(OpDef("comb.concat", verifier=_verify_concat, folder=_fold))
-register_op(OpDef("comb.replicate", verifier=_verify_replicate, folder=_fold))
-#: ROM lookup: constant registers internalized into the ISAX module
-#: (paper Section 4.5); 'values' attribute holds the table.
-register_op(OpDef("comb.rom", folder=_fold))
+_VERIFIERS: Dict[str, Optional[Callable[[Operation], None]]] = {
+    **dict.fromkeys(_BINARY_EVAL, _verify_binary),
+    "comb.not": _verify_same_width,
+    "comb.icmp": _verify_icmp,
+    "comb.mux": _verify_mux,
+    "comb.extract": _verify_extract,
+    "comb.concat": _verify_concat,
+    "comb.replicate": _verify_replicate,
+    # ROM lookup: constant registers internalized into the ISAX module
+    # (paper Section 4.5); 'values' attribute holds the table.
+    "comb.rom": None,
+}
+for _name, _verifier in _VERIFIERS.items():
+    register_op(OpDef(_name, verifier=_verifier, folder=_fold))
 
 BINARY_OPS = tuple(_BINARY_EVAL)
+#: Every op whose constant folder evaluates it: all but ``comb.constant``.
+FOLDED_OPS = tuple(_VERIFIERS)

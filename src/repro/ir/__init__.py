@@ -3,7 +3,8 @@
 Longnail is built on MLIR/CIRCT (paper Section 4); this package provides the
 corresponding infrastructure for the reproduction: SSA values, operations
 with attributes and nested regions, blocks, a builder, a generic textual
-printer, and a pass manager with canonicalization (constant folding + DCE).
+printer, one worklist rewrite driver (:mod:`repro.ir.rewrite`), and
+lowering's ``-O0`` cleanup on it (constant folding, dedup and DCE).
 
 Dialects (:mod:`repro.dialects`) register operation definitions (result
 count, verifier, folder) against the global registry defined here.

@@ -13,7 +13,8 @@ means *signless* (the ``comb``/``lil``/``hw`` dialects, like CIRCT's), while
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Set, Tuple)
 
 
 class IRError(Exception):
@@ -141,6 +142,8 @@ class Operation:
         old.uses.discard((self, index))
         self.operands[index] = value
         value.uses.add((self, index))
+        if self.parent is not None and self.parent.listener is not None:
+            self.parent.listener((self,))
 
     # -- results ----------------------------------------------------------------
     @property
@@ -163,10 +166,16 @@ class Operation:
             raise IRError(f"cannot erase '{self.name}': results still in use")
         for idx, operand in enumerate(self.operands):
             operand.uses.discard((self, idx))
-        self.operands = []
-        if self.parent is not None:
-            self.parent.operations.remove(self)
+        block = self.parent
+        if block is not None:
+            block.operations.remove(self)
             self.parent = None
+            if block.listener is not None:
+                # Every operand lost a use, which may let a single-use
+                # rule fire on one of its remaining users.
+                block.listener([use_op for operand in self.operands
+                                for use_op, _ in operand.uses])
+        self.operands = []
 
     def verify(self) -> None:
         if self.opdef.verifier is not None:
@@ -192,6 +201,9 @@ class Block:
         ]
         self.operations: List[Operation] = []
         self.parent: Optional[Region] = None
+        #: Set while :func:`repro.ir.rewrite.apply_rules` drains: called
+        #: with the ops an edit of this block may have made rewritable.
+        self.listener: Optional[Callable[[Iterable[Operation]], None]] = None
 
     def append(self, operation: Operation) -> Operation:
         operation.parent = self
@@ -202,6 +214,8 @@ class Block:
         idx = self.operations.index(anchor)
         operation.parent = self
         self.operations.insert(idx, operation)
+        if self.listener is not None:
+            self.listener((operation,))
         return operation
 
     def __iter__(self) -> Iterator["Operation"]:
@@ -288,18 +302,18 @@ class Graph:
         return dict(sorted(counts.items()))
 
     def remove_dead_code(self) -> int:
-        """Erase side-effect-free operations without uses; returns count."""
+        """Erase side-effect-free operations without uses; returns count.
+
+        Block order is def-before-use (IV001), so one reverse sweep visits
+        every user before the owners of its operands and removes whole
+        dead trees."""
         removed = 0
-        changed = True
-        while changed:
-            changed = False
-            for op in list(self.operations):
-                if op.opdef.has_side_effects or op.opdef.is_terminator:
-                    continue
-                if not op.has_uses:
-                    op.erase()
-                    removed += 1
-                    changed = True
+        for op in reversed(list(self.operations)):
+            if op.opdef.has_side_effects or op.opdef.is_terminator \
+                    or op.has_uses:
+                continue
+            op.erase()
+            removed += 1
         return removed
 
     def __repr__(self) -> str:

@@ -1,8 +1,11 @@
-"""IR passes: canonicalization (constant folding + DCE) on flat graphs.
+"""IR passes: lowering's ``-O0`` cleanup (folding, constant dedup, DCE).
 
 MLIR's "usual canonicalization patterns" (paper Section 4.5) are represented
-here by iterated constant folding through the dialect-registered folders,
-algebraic simplifications on ``comb`` operations, and dead-code elimination.
+here by one rule per ``comb`` operation, applied on the worklist driver of
+:mod:`repro.ir.rewrite`: algebraic identities, constant shifts as wiring,
+then the dialect-registered folder.  Constant dedup and dead-code
+elimination follow.  The optimizer (:mod:`repro.opt.passes`) reuses the
+rule helpers.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from typing import Dict, Optional
 
 from repro.dialects import comb
 from repro.ir.core import Graph, Operation, Value
+from repro.ir.rewrite import apply_rules
 
 
 def _constant_value(value: Value) -> Optional[int]:
@@ -120,42 +124,25 @@ def _rewrite_constant_shift(graph: Graph, op: Operation) -> bool:
     return True
 
 
-def fold_constants(graph: Graph) -> int:
-    """Fold operations whose operands are all constants; returns the number
-    of operations replaced."""
-    folded = 0
-    changed = True
-    while changed:
-        changed = False
-        for op in list(graph.operations):
-            if op.name == "comb.constant" or not op.results:
-                continue
-            if len(op.results) != 1:
-                continue
-            simplified = _simplify_algebraic(op) if op.name.startswith("comb.") else None
-            if simplified is not None:
-                op.result.replace_all_uses_with(simplified)
-                op.erase()
-                folded += 1
-                changed = True
-                continue
-            if op.name.startswith("comb.") and _rewrite_constant_shift(graph, op):
-                folded += 1
-                changed = True
-                continue
-            folder = op.opdef.folder
-            if folder is None or op.opdef.has_side_effects:
-                continue
-            operand_values = [_constant_value(v) for v in op.operands]
-            result = folder(op, operand_values)
-            if result is None:
-                continue
-            constant = _make_constant(graph, op, result, op.result.width)
-            op.result.replace_all_uses_with(constant)
-            op.erase()
-            folded += 1
-            changed = True
-    return folded
+def _fold(graph: Graph, op: Operation) -> bool:
+    """The ``-O0`` rule: an algebraic identity, else a constant shift as
+    wiring, else the dialect folder."""
+    replacement = _simplify_algebraic(op)
+    if replacement is None:
+        if _rewrite_constant_shift(graph, op):
+            return True
+        folder = op.opdef.folder
+        assert folder is not None
+        result = folder(op, [_constant_value(v) for v in op.operands])
+        if result is None:
+            return False
+        replacement = _make_constant(graph, op, result, op.result.width)
+    op.result.replace_all_uses_with(replacement)
+    op.erase()
+    return True
+
+
+_CLEANUP_RULES = {name: (_fold,) for name in comb.FOLDED_OPS}
 
 
 def dedupe_constants(graph: Graph) -> int:
@@ -177,10 +164,16 @@ def dedupe_constants(graph: Graph) -> int:
 
 
 def canonicalize(graph: Graph) -> None:
-    """Run folding, constant dedup and DCE to a fixed point."""
-    while True:
-        changed = fold_constants(graph)
-        changed += dedupe_constants(graph)
-        changed += graph.remove_dead_code()
-        if not changed:
-            return
+    """Fold to a fixed point, merge equal constants, then erase dead code.
+
+    A replaced op is erased alone, and its dead feeders wait for the one
+    DCE at the end.  :func:`dedupe_constants` keeps the first constant in
+    block order, dead ones included, and the SystemVerilog printer numbers
+    wires in topological order, which starts from block order: erasing dead
+    feeders earlier would rename wires.  A merge can enable a fold
+    (``mux(c, k, k)``), so folding and dedup repeat until dedup merges
+    nothing."""
+    apply_rules(graph, _CLEANUP_RULES)
+    while dedupe_constants(graph):
+        apply_rules(graph, _CLEANUP_RULES)
+    graph.remove_dead_code()

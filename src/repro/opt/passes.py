@@ -15,8 +15,7 @@ The pass order and -O level presets live in :mod:`repro.opt.pipeline`.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dialects import comb
 from repro.ir.core import Graph, Operation, Value
@@ -27,6 +26,7 @@ from repro.ir.passes import (
     _simplify_algebraic,
     dedupe_constants,
 )
+from repro.ir.rewrite import Rule, apply_rules
 from repro.opt.share import mux_push
 from repro.utils.bits import mask
 
@@ -78,9 +78,10 @@ def _rewire(op: Operation, index: int, value: Value) -> None:
 # canonicalize: operand ordering, algebraic identities, wiring folds
 # ---------------------------------------------------------------------------
 
-def _order_commutative(graph: Graph) -> int:
+def _order_commutative(graph: Graph) -> List[Operation]:
     """Sort operands of commutative ops: non-constants by block position,
-    constants last ordered by value.  Deterministic and idempotent."""
+    constants last ordered by value; returns the ops it swapped.
+    Deterministic and idempotent."""
     position = {op: i for i, op in enumerate(graph.operations)}
 
     def key(value: Value) -> Tuple[int, int]:
@@ -90,7 +91,7 @@ def _order_commutative(graph: Graph) -> int:
         owner = value.owner
         return (0, position.get(owner, -1) if owner is not None else -1)
 
-    swapped = 0
+    swapped = []
     for op in graph.operations:
         if op.name not in COMMUTATIVE_OPS or len(op.operands) != 2:
             continue
@@ -98,7 +99,7 @@ def _order_commutative(graph: Graph) -> int:
         if key(lhs) > key(rhs):
             op.set_operand(0, rhs)
             op.set_operand(1, lhs)
-            swapped += 1
+            swapped.append(op)
     return swapped
 
 
@@ -427,155 +428,85 @@ def _fold_mux_not(graph: Graph, op: Operation) -> bool:
     return False
 
 
-def _apply_algebraic(graph: Graph, op: Operation) -> Optional[str]:
+def _algebraic(graph: Graph, op: Operation) -> bool:
+    """:func:`_simplify_algebraic` as a rule, erasing dead feeders."""
     simplified = _simplify_algebraic(op)
     if simplified is None:
-        return None
+        return False
     _replace(op, simplified)
-    return "removed"
-
-
-def _apply_self_inverse(graph: Graph, op: Operation) -> Optional[str]:
-    return "removed" if _simplify_self_inverse(graph, op) else None
-
-
-def _as_rewrite(
-        helper: Callable[[Graph, Operation], bool],
-) -> Callable[[Graph, Operation], Optional[str]]:
-    def rule(graph: Graph, op: Operation) -> Optional[str]:
-        return "rewritten" if helper(graph, op) else None
-    return rule
+    return True
 
 
 #: Per-op-name canonicalization rules, tried in order.  Dispatching by
 #: name keeps the hot path linear: an op only pays for the helpers that
 #: can possibly apply to it, and the bulk of a lowered graph (constants,
 #: wiring extracts/concats, interface ops) skips almost everything.
-_CANON_RULES: Dict[str, Tuple] = {
-    "comb.add": (_apply_algebraic, _as_rewrite(_fold_disjoint_bits)),
-    "comb.sub": (_apply_algebraic, _apply_self_inverse),
-    "comb.or": (_apply_algebraic, _as_rewrite(_fold_disjoint_bits)),
-    "comb.xor": (_apply_algebraic, _apply_self_inverse,
-                 _as_rewrite(_fold_disjoint_bits),
-                 _as_rewrite(_fold_mux_not)),
-    "comb.mul": (_apply_algebraic, _apply_self_inverse),
-    "comb.and": (_apply_algebraic, _apply_self_inverse),
-    "comb.shl": (_apply_algebraic, _as_rewrite(_rewrite_constant_shift)),
-    "comb.shru": (_apply_algebraic, _as_rewrite(_rewrite_constant_shift)),
-    "comb.shrs": (_as_rewrite(_rewrite_constant_shift),),
-    "comb.mux": (_apply_algebraic, _as_rewrite(_fold_mux_not)),
-    "comb.not": (_as_rewrite(_fold_mux_not),),
-    "comb.extract": (_apply_algebraic, _as_rewrite(_fold_extract),
-                     _as_rewrite(_split_extract_of_concat),
-                     _as_rewrite(_narrow_through_extract)),
-    "comb.concat": (_apply_algebraic, _as_rewrite(_fold_concat)),
+_CANON_RULES: Dict[str, Tuple[Rule, ...]] = {
+    "comb.add": (_algebraic, _fold_disjoint_bits),
+    "comb.sub": (_algebraic, _simplify_self_inverse),
+    "comb.or": (_algebraic, _fold_disjoint_bits),
+    "comb.xor": (_algebraic, _simplify_self_inverse, _fold_disjoint_bits,
+                 _fold_mux_not),
+    "comb.mul": (_algebraic, _simplify_self_inverse),
+    "comb.and": (_algebraic, _simplify_self_inverse),
+    "comb.shl": (_algebraic, _rewrite_constant_shift),
+    "comb.shru": (_algebraic, _rewrite_constant_shift),
+    "comb.shrs": (_rewrite_constant_shift,),
+    "comb.mux": (_algebraic, _fold_mux_not),
+    "comb.not": (_fold_mux_not,),
+    "comb.extract": (_algebraic, _fold_extract, _split_extract_of_concat,
+                     _narrow_through_extract),
+    "comb.concat": (_algebraic, _fold_concat),
 }
 
 
 def canonicalize_pass(graph: Graph) -> Tuple[int, int]:
-    """Commutative-operand ordering plus algebraic and wiring folds.
+    """Commutative-operand ordering plus algebraic and wiring folds, on the
+    rewrite driver (:mod:`repro.ir.rewrite`).
 
-    Worklist-driven: every rule-bearing op is visited once, and a
-    successful rewrite re-enqueues only its neighborhood (users of the
-    rewritten result and remaining users of its former operands, whose
-    use counts changed) — not the whole graph.  The local re-enqueue is
-    deliberately incomplete (eager dead-tree erasure drops use counts
-    deep inside dead feeders, and rules do not enqueue the ops they
-    create), so the driver reseeds and drains until a whole iteration
-    is quiet: the pass returns at its own fixpoint, which the pass
-    manager's dirty tracking relies on.  The fixpoint matches a
-    sweep-until-quiet driver, reached in O(changes) local visits plus
-    one quiet confirmation drain instead of O(changes x graph) sweeps.
+    Rewrites move ops, and the ordering key is block position, so the
+    ordering runs again after each drain; the ops it swapped seed the next
+    drain.  ``removed`` is the net size delta: rules erase whole dead
+    feeder trees, and some removals mint a replacement constant.
     """
     before = len(graph.operations)
-    rewritten = 0
+    swapped = _order_commutative(graph)
+    rewritten = len(swapped) + apply_rules(graph, _CANON_RULES)
     while True:
-        swaps = _order_commutative(graph)
-        iter_removed, iter_rewritten = _drain_canonicalize(graph)
-        # Every fired rule modified or replaced an op; ``removed`` is the
-        # net size delta (rules erase whole dead feeder trees eagerly,
-        # and some removals mint a replacement constant, so per-rule
-        # counts would be dishonest in both directions).
-        rewritten += swaps + iter_removed + iter_rewritten
-        if swaps == 0 and iter_removed == 0 and iter_rewritten == 0:
+        swapped = _order_commutative(graph)
+        if not swapped:
             return max(0, before - len(graph.operations)), rewritten
-
-
-def _drain_canonicalize(graph: Graph) -> Tuple[int, int]:
-    """One seed-and-drain iteration of the canonicalize worklist."""
-    removed = 0
-    rewritten = 0
-    rules_for = _CANON_RULES.get
-    pending = deque(op for op in graph.operations if op.name in _CANON_RULES)
-    queued = set(pending)
-    while pending:
-        op = pending.popleft()
-        queued.discard(op)
-        rules = rules_for(op.name)
-        if rules is None or op.parent is None or not _is_pure(op) \
-                or len(op.results) != 1:
-            continue
-        # Snapshot the neighborhood before rewriting: a replacement moves
-        # the result's uses and an erasure drops operand uses, and both
-        # kinds of neighbor may fold differently afterwards.
-        users_before = [use_op for use_op, _ in op.result.uses]
-        operands_before = list(op.operands)
-        kind = None
-        for rule in rules:
-            kind = rule(graph, op)
-            if kind is not None:
-                break
-        if kind is None:
-            continue
-        if kind == "removed":
-            removed += 1
-        else:
-            rewritten += 1
-        touched = users_before
-        for value in operands_before:
-            touched.extend(use_op for use_op, _ in value.uses)
-        if op.parent is not None:
-            touched.append(op)
-        for target in touched:
-            if target.parent is not None and target not in queued \
-                    and target.name in _CANON_RULES:
-                queued.add(target)
-                pending.append(target)
-    return removed, rewritten
+        rewritten += len(swapped) + apply_rules(graph, _CANON_RULES, swapped)
 
 
 # ---------------------------------------------------------------------------
 # propagate: constant folding through registered folders + constant dedup
 # ---------------------------------------------------------------------------
 
+def _fold(graph: Graph, op: Operation) -> bool:
+    """The dialect folder as a rule, erasing dead feeders."""
+    folder = op.opdef.folder
+    assert folder is not None
+    result = folder(op, [_constant_value(v) for v in op.operands])
+    if result is None:
+        return False
+    _replace(op, _make_constant(graph, op, result, op.result.width))
+    return True
+
+
+_FOLD_RULES = {name: (_fold,) for name in comb.FOLDED_OPS}
+
+
 def propagate_pass(graph: Graph) -> Tuple[int, int]:
     """Fold pure ops whose operands are all constants, then merge identical
     constants (the copy-propagation half: every use of an equal constant
     flows to one defining op)."""
     before = len(graph.operations)
-    rewritten = 0
-    # Block order is topological (defs precede uses; rewrites insert
-    # before their anchor), so one in-order sweep folds whole chains:
-    # a folded op is a constant by the time its users are visited.
-    for op in list(graph.operations):
-        if op.name == "comb.constant" or not _is_pure(op):
-            continue
-        if len(op.results) != 1:
-            continue
-        folder = op.opdef.folder
-        if folder is None:
-            continue
-        operand_values = [_constant_value(v) for v in op.operands]
-        result = folder(op, operand_values)
-        if result is None:
-            continue
-        _replace(op, _make_constant(graph, op, result, op.result.width))
-        rewritten += 1
+    rewritten = apply_rules(graph, _FOLD_RULES)
     dedupe_constants(graph)
     # Erased net of replacements: folds eagerly drop their now-dead
     # feeder constants, so the graph-size delta is the honest count.
-    removed = max(0, before - len(graph.operations))
-    return removed, rewritten
+    return max(0, before - len(graph.operations)), rewritten
 
 
 # ---------------------------------------------------------------------------
@@ -769,29 +700,17 @@ def _invert_not_of_icmp(graph: Graph, op: Operation) -> bool:
     return True
 
 
+_STRENGTH_RULES: Dict[str, Tuple[Rule, ...]] = {
+    "comb.mul": (_reduce_mul,),
+    **{name: (_shrink_divmod,) for name in comb.DIVMOD_OPS},
+    "comb.icmp": (_canonicalize_icmp,),
+    "comb.not": (_invert_not_of_icmp,),
+}
+
+
 def strength_pass(graph: Graph) -> Tuple[int, int]:
     """Strength reduction and compare canonicalization."""
-    # Single in-order sweep: every rule rewrites the visited op in terms
-    # of its (earlier) operands, and the only cross-op enabling chain —
-    # icmp predicate canonicalization feeding ``not``-inversion — runs
-    # def-before-use, so no rewrite exposes work behind the sweep cursor.
-    removed = 0
-    rewritten = 0
-    for op in list(graph.operations):
-        if op.parent is None or not _is_pure(op):
-            continue
-        if op.name == "comb.mul" and _reduce_mul(graph, op):
-            rewritten += 1
-            continue
-        if op.name in comb.DIVMOD_OPS and _shrink_divmod(graph, op):
-            rewritten += 1
-            continue
-        if op.name == "comb.icmp" and _canonicalize_icmp(graph, op):
-            rewritten += 1
-            continue
-        if op.name == "comb.not" and _invert_not_of_icmp(graph, op):
-            rewritten += 1
-    return removed, rewritten
+    return 0, apply_rules(graph, _STRENGTH_RULES)
 
 
 # ---------------------------------------------------------------------------

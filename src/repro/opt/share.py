@@ -27,6 +27,7 @@ import hashlib
 from typing import Any, Dict, List, Tuple
 
 from repro.ir.core import Graph, Operation
+from repro.ir.rewrite import apply_rules
 
 #: Operator kinds expensive enough that steering muxes are profitable.
 #: Wiring/bitwise ops are cheaper than the muxes sharing them would need.
@@ -56,62 +57,48 @@ def _only_use_is(value_op: Operation, user: Operation) -> bool:
     return len(uses) >= 1 and all(use_op is user for use_op, _ in uses)
 
 
-def mux_push(graph: Graph) -> Tuple[int, int]:
+def _push_mux(graph: Graph, op: Operation) -> bool:
     """Rewrite ``mux(c, f(..), f(..))`` to ``f(mux(c, ..), ..)`` when both
-    arms are single-use instances of the same expensive operator shape.
+    arms are single-use instances of the same expensive operator shape."""
+    cond, t_val, f_val = op.operands
+    t_op, f_op = t_val.owner, f_val.owner
+    if (t_op is None or f_op is None or t_op is f_op
+            or not (_is_shareable(t_op) and _is_shareable(f_op))
+            or t_op.name != f_op.name
+            or _attrs_key(t_op) != _attrs_key(f_op)
+            or len(t_op.operands) != len(f_op.operands)
+            or any(a.width != b.width
+                   for a, b in zip(t_op.operands, f_op.operands))
+            or not (_only_use_is(t_op, op) and _only_use_is(f_op, op))
+            or cond.owner is t_op or cond.owner is f_op):
+        return False
+    shared_operands = []
+    for a, b in zip(t_op.operands, f_op.operands):
+        if a is b:
+            shared_operands.append(a)
+        else:
+            steer = Operation("comb.mux", [cond, a, b], [(a.width, None)])
+            graph.block.insert_before(op, steer)
+            shared_operands.append(steer.result)
+    shared = Operation(
+        t_op.name, shared_operands, [(op.result.width, op.result.signed)],
+        dict(t_op.attributes))
+    graph.block.insert_before(op, shared)
+    op.result.replace_all_uses_with(shared.result)
+    op.erase()
+    t_op.erase()
+    f_op.erase()
+    return True
+
+
+def mux_push(graph: Graph) -> Tuple[int, int]:
+    """Push every mux whose arms can share one unit (see :func:`_push_mux`).
 
     Returns ``(removed, rewritten)``: both arm units and the outer mux are
     erased, one shared unit plus per-operand steering muxes are created.
     """
-    removed = 0
-    rewritten = 0
-    changed = True
-    while changed:
-        changed = False
-        for op in list(graph.operations):
-            if op.parent is None or op.name != "comb.mux":
-                continue
-            cond, t_val, f_val = op.operands
-            t_op, f_op = t_val.owner, f_val.owner
-            if t_op is None or f_op is None or t_op is f_op:
-                continue
-            if not (_is_shareable(t_op) and _is_shareable(f_op)):
-                continue
-            if t_op.name != f_op.name:
-                continue
-            if _attrs_key(t_op) != _attrs_key(f_op):
-                continue
-            if len(t_op.operands) != len(f_op.operands):
-                continue
-            if any(a.width != b.width
-                   for a, b in zip(t_op.operands, f_op.operands)):
-                continue
-            if not (_only_use_is(t_op, op) and _only_use_is(f_op, op)):
-                continue
-            if cond.owner is t_op or cond.owner is f_op:
-                continue
-            shared_operands = []
-            for a, b in zip(t_op.operands, f_op.operands):
-                if a is b:
-                    shared_operands.append(a)
-                else:
-                    steer = Operation("comb.mux", [cond, a, b],
-                                      [(a.width, None)])
-                    graph.block.insert_before(op, steer)
-                    shared_operands.append(steer.result)
-            shared = Operation(
-                t_op.name, shared_operands,
-                [(op.result.width, op.result.signed)],
-                dict(t_op.attributes))
-            graph.block.insert_before(op, shared)
-            op.result.replace_all_uses_with(shared.result)
-            op.erase()
-            t_op.erase()
-            f_op.erase()
-            removed += 2
-            rewritten += 1
-            changed = True
-    return removed, rewritten
+    pushed = apply_rules(graph, {"comb.mux": (_push_mux,)})
+    return 2 * pushed, pushed
 
 
 # ---------------------------------------------------------------------------

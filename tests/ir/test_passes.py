@@ -8,7 +8,7 @@ import repro.dialects  # noqa: F401
 from repro.dialects import comb
 from repro.ir.builder import Builder
 from repro.ir.core import Graph, Operation
-from repro.ir.passes import canonicalize, dedupe_constants, fold_constants
+from repro.ir.passes import canonicalize, dedupe_constants
 from repro.utils.bits import to_signed, to_unsigned
 
 
@@ -96,6 +96,36 @@ class TestFolding:
         removed = dedupe_constants(graph)
         assert removed == 1
         assert add.operands[0] is add.operands[1]
+
+    def test_first_equal_constant_survives_even_if_it_died(self):
+        # add(2, 3) folds to 5 and dies with the mux; the later add(1, 4)
+        # folds to 5 too.  Dedup runs before DCE and keeps the first 5, so
+        # the survivor stays ahead of the marker (wire names follow block
+        # order).  Erasing the dead 5 with the mux would keep the later 5.
+        graph, builder = make_graph()
+        dead = builder.create("comb.add", [builder.constant(2, 32),
+                                           builder.constant(3, 32)],
+                              [(32, None)])
+        other = builder.create("lil.read_rs1", [], [(32, None)]).result
+        mux = builder.create("comb.mux", [builder.constant(0, 1),
+                                          dead.result, other], [(32, None)])
+        marker = builder.create("lil.read_rs2", [], [(32, None)])
+        mixed = builder.create("comb.xor", [marker.result, mux.result],
+                               [(32, None)])
+        live = builder.create("comb.add", [builder.constant(1, 32),
+                                           builder.constant(4, 32)],
+                              [(32, None)])
+        out = builder.create("comb.add", [mixed.result, live.result],
+                             [(32, None)])
+        builder.create("lil.write_rd", [out.result, builder.constant(1, 1)],
+                       [])
+        canonicalize(graph)
+        fives = [op for op in graph.operations if op.name == "comb.constant"
+                 and op.attr("value") == 5]
+        assert len(fives) == 1
+        assert out.operands[1] is fives[0].result
+        assert graph.operations.index(fives[0]) \
+            < graph.operations.index(marker)
 
     def test_interface_ops_never_folded(self):
         graph, builder = make_graph()
