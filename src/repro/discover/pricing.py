@@ -11,10 +11,10 @@ then walks the full Longnail flow:
    IR verifier, and the interpreter-vs-RTL cosim oracle — so only
    born-verified candidates reach the Pareto front;
 3. **price** it: schedule length from the fastpath scheduler, µm² and
-   frequency from the Table 4 area/integration model
-   (:func:`repro.eval.asic.evaluate_combination`), and *measured* cycle
-   savings by running the rewritten kernel loop against the software
-   baseline on the cycle-accurate core model;
+   frequency of that same compiled artifact from the Table 4
+   area/integration model (:func:`repro.eval.asic.measure_artifacts`),
+   and *measured* cycle savings by running the rewritten kernel loop
+   against the software baseline on the cycle-accurate core model;
 4. check the rewritten program still computes the kernel's reference
    result bit-for-bit.
 
@@ -53,8 +53,10 @@ DISCOVER_SEARCH_RUNNER = "repro.discover.pricing:run_discover_payload"
 
 #: Part of every pricing cache key; bump when the record shape or the
 #: evaluation pipeline changes.  ``discover-2``: cosim gate runs on the
-#: batched simulation engine (lane-per-trial) by default.
-_DISCOVER_CACHE_VERSION = "discover-2"
+#: batched simulation engine (lane-per-trial) by default.  ``discover-3``:
+#: area and frequency measure the priced ``-O2`` artifact, not an ``-O0``
+#: recompile.
+_DISCOVER_CACHE_VERSION = "discover-3"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,7 +127,7 @@ def _failure(record: dict, gate: str, detail: str) -> dict:
 def run_pricing_payload(payload: dict) -> dict:
     """Executor runner: price one candidate variant, JSON in / JSON out."""
     from repro.analysis.verifier import verify_artifact_ir
-    from repro.eval.asic import evaluate_combination
+    from repro.eval.asic import measure_artifacts
     from repro.hls.longnail import compile_isax
     from repro.sim.compile import resolve_engine
     from repro.sim.cosim import verify_artifact
@@ -194,7 +196,7 @@ def run_pricing_payload(payload: dict) -> dict:
         f.schedule.makespan for f in artifact.functionalities.values())
 
     try:
-        asic = evaluate_combination(core, [emitted.source])
+        asic = measure_artifacts(artifact.datasheet, [artifact])
     except Exception as err:
         return _failure(record, "area", f"{type(err).__name__}: {err}")
     record["area_um2"] = asic.extension_area_um2

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.dialects.hw import HWModule
 from repro.eval.tech import TechLibrary
-from repro.scaiev.integrate import GlueItem, IntegrationResult
+from repro.scaiev.integrate import GlueItem
 
 
 def module_area(module: HWModule, tech: Optional[TechLibrary] = None) -> float:
@@ -26,13 +26,3 @@ def glue_area(items: Iterable[GlueItem],
         total += per_bit * item.bits
     return total * tech.routing_factor
 
-
-def area_breakdown(integration: IntegrationResult,
-                   tech: Optional[TechLibrary] = None) -> Dict[str, float]:
-    """Per-component area of one integrated core extension."""
-    tech = tech or TechLibrary()
-    breakdown: Dict[str, float] = {}
-    for name, module in integration.modules.items():
-        breakdown[f"module:{name}"] = module_area(module, tech)
-    breakdown["glue"] = glue_area(integration.glue, tech)
-    return breakdown

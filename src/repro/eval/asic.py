@@ -5,7 +5,8 @@ synthesis + place-and-route run for one core x ISAX(es) configuration
 (Section 5.3): it compiles each ISAX with Longnail against the core's
 virtual datasheet, integrates them with SCAIE-V, and reports the area and
 frequency overheads relative to the unmodified core — the quantities of
-Table 4.
+Table 4.  ``measure_artifacts`` is its second half, for ISAXes that are
+already compiled.
 
 The timing-closure effect the paper discusses for sqrt on ORCA/Piccolo is
 modeled explicitly: when an ISAX module's internal critical path exceeds the
@@ -92,6 +93,21 @@ def evaluate_combination(
         compile_isax(source, datasheet, delay_model=delay_model, engine=engine)
         for source in sources
     ]
+    return measure_artifacts(datasheet, artifacts, isax_names=isax_names,
+                             hazard_handling=hazard_handling, tech=tech)
+
+
+def measure_artifacts(
+    datasheet: VirtualDatasheet,
+    artifacts: List[IsaxArtifact],
+    isax_names: Optional[Sequence[str]] = None,
+    hazard_handling: bool = True,
+    tech: Optional[TechLibrary] = None,
+) -> AsicResult:
+    """Integrate already-compiled ISAXes with SCAIE-V and measure them:
+    the synthesis half of :func:`evaluate_combination`, for callers that
+    must price exactly the hardware they compiled."""
+    tech = tech or TechLibrary()
     integration = integrate(
         datasheet,
         [(artifact.config, None) for artifact in artifacts],

@@ -3,12 +3,14 @@
 The oracles, run per core (paper Sections 4.4 and 5.3 provide the first
 two as fixed-corpus spot checks; here they become programmable):
 
-* **schedule** — compile with the LP-free fastpath *and* the MILP engine
-  and assert both reach the same weighted objective (start times plus
-  width-weighted pipeline-register lifetimes) on every functionality.
-  Alternative optima make raw start-time vectors incomparable, so the
-  objective — the quantity both engines minimize — is the equality that
-  must hold.
+* **schedule** — re-solve each functionality's scheduling problem from
+  the fastpath compile with the Figure 7 MILP
+  (:func:`repro.scheduling.ilp.solve_milp`) and assert both reach the
+  same weighted objective (start times plus width-weighted
+  pipeline-register lifetimes).  Alternative optima make raw start-time
+  vectors incomparable, so the objective — the quantity both engines
+  minimize — is the equality that must hold.  A MILP that cannot solve
+  a problem the fast path solved fails this oracle too.
 * **cosim** — run :func:`repro.sim.cosim.verify_artifact`, executing the
   CoreDSL interpreter against the generated SystemVerilog netlist on
   random stimulus.
@@ -64,6 +66,7 @@ from repro.analysis.verifier import verify_artifact_ir
 from repro.frontend.elaboration import elaborate
 from repro.hls.longnail import compile_isax
 from repro.scheduling import ilp
+from repro.scheduling.problem import ScheduleError
 from repro.sim.compile import crosscheck_engines
 from repro.sim.cosim import verify_artifact
 
@@ -284,22 +287,27 @@ def run_oracles(source: str,
         try:
             fast = compile_isax(source, core, engine="fastpath",
                                 schedule_cache=False)
-            milp = (compile_isax(source, core, engine="milp",
-                                 schedule_cache=False)
-                    if "schedule" in selected else None)
         except Exception as exc:  # lowering legality, infeasible schedule
             failures.append(OracleFailure(
                 kind="compile", core=core,
                 detail=f"{type(exc).__name__}: {exc}"))
             continue
 
-        # Oracle 1: engine-independent schedule quality.
-        if milp is not None:
-            for name, f_fast in fast.functionalities.items():
+        # Oracle 1: the MILP re-solve of each fastpath problem reaches the
+        # fast path's objective.
+        if "schedule" in selected:
+            for name, functionality in fast.functionalities.items():
                 functionalities += 1
-                f_milp = milp.functionalities[name]
-                w_fast = ilp.weighted_objective_value(f_fast.schedule.problem)
-                w_milp = ilp.weighted_objective_value(f_milp.schedule.problem)
+                problem = functionality.schedule.problem
+                w_fast = ilp.weighted_objective_value(problem)
+                try:
+                    w_milp = ilp.weighted_objective_of(
+                        problem, ilp.solve_milp(problem))
+                except ScheduleError as exc:
+                    failures.append(OracleFailure(
+                        kind="schedule", core=core,
+                        detail=f"{name}: milp re-solve failed: {exc}"))
+                    continue
                 if abs(w_fast - w_milp) > 1e-6:
                     failures.append(OracleFailure(
                         kind="schedule", core=core,

@@ -233,10 +233,6 @@ def compile_isax(
     scheduler = LongnailScheduler(
         datasheet, delay_model=delay_model, cycle_time_ns=cycle_time_ns,
         engine=engine, schedule_cache=schedule_cache,
-        # Optimized graphs may hash to the same delay-insensitive
-        # fingerprint as their unoptimized siblings only by accident; the
-        # salt keeps cached schedules from crossing -O configurations.
-        fingerprint_salt=opt_options.fingerprint() if opt_pipeline else "",
     )
 
     functionalities: Dict[str, FunctionalityArtifact] = {}

@@ -232,12 +232,6 @@ class Region:
             block.parent = self
         self.parent_op: Optional[Operation] = None
 
-    def add_block(self, block: Optional[Block] = None) -> Block:
-        block = block or Block()
-        block.parent = self
-        self.blocks.append(block)
-        return block
-
     @property
     def entry(self) -> Block:
         if not self.blocks:
@@ -289,17 +283,6 @@ class Graph:
         for op in ops:
             visit(op)
         return order
-
-    def op_counts(self) -> Dict[str, int]:
-        """Histogram of operation names, sorted by name for stable output.
-
-        Used by the optimizer benchmark and tests to diff graphs before and
-        after a pass pipeline without depending on SSA value identity.
-        """
-        counts: Dict[str, int] = {}
-        for op in self.operations:
-            counts[op.name] = counts.get(op.name, 0) + 1
-        return dict(sorted(counts.items()))
 
     def remove_dead_code(self) -> int:
         """Erase side-effect-free operations without uses; returns count.

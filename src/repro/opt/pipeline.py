@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.analysis.verifier import require_valid, verify_graph
 from repro.ir.core import Graph
@@ -66,6 +66,10 @@ LEVEL_PIPELINES = {
     2: PASS_ORDER,
 }
 
+#: Upper bound on pipeline rounds per graph; the pass manager stops
+#: earlier once a round changes nothing.
+MAX_ROUNDS = 4
+
 
 @dataclasses.dataclass(frozen=True)
 class OptOptions:
@@ -74,7 +78,6 @@ class OptOptions:
     level: int = 0
     enable: Tuple[str, ...] = ()
     disable: Tuple[str, ...] = ()
-    max_rounds: int = 4
 
     def __post_init__(self) -> None:
         if self.level not in LEVEL_PIPELINES:
@@ -82,8 +85,6 @@ class OptOptions:
         for name in (*self.enable, *self.disable):
             if name not in PASS_ORDER:
                 raise ValueError(f"unknown optimizer pass: {name!r}")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
     @classmethod
     def coerce(cls, value: Union["OptOptions", int, None]) -> "OptOptions":
@@ -190,7 +191,7 @@ class PassManager:
             level=self.options.level, pipeline=self.options.pipeline())
 
     def run(self, graph: Graph) -> OptimizerReport:
-        """Optimize one graph in place (up to ``max_rounds`` rounds)."""
+        """Optimize one graph in place (up to ``MAX_ROUNDS`` rounds)."""
         pipeline = self.options.pipeline()
         if not pipeline:
             return self.report
@@ -206,7 +207,7 @@ class PassManager:
         # full confirmation sweep each.
         version = 0
         ran_at: Dict[str, int] = {}
-        for _round in range(self.options.max_rounds):
+        for _round in range(MAX_ROUNDS):
             changed = 0
             for name in pipeline:
                 if ran_at.get(name) == version:

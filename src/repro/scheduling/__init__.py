@@ -10,12 +10,15 @@ engines for the Figure 7 formulation:
   the Figure 7 constraint matrix is an integral difference-constraint
   network,
 * ``milp`` — the literal Figure 7 ILP via ``scipy.optimize.milp``
-  (HiGHS), kept as the verification oracle (``REPRO_SCHED_VERIFY=1``),
+  (HiGHS), kept as the verification oracle: the fuzz ``schedule`` oracle
+  and the tests re-solve fast-path problems with it,
 * ``asap`` — the heuristic longest-path baseline for the ablations.
 
-Problems are decomposed into weakly connected components
-(:func:`repro.scheduling.scheduler.decompose`) and solved through a
-cross-sweep schedule cache (:mod:`repro.scheduling.cache`).
+:func:`repro.scheduling.scheduler.solve_problem` is the one engine
+dispatcher.  The exact engines solve each weakly connected component
+(:func:`repro.scheduling.scheduler.decompose`); only the fast path goes
+through the cross-sweep schedule cache (:mod:`repro.scheduling.cache`),
+so the MILP never returns a cached fast-path answer.
 """
 
 from repro.scheduling.problem import (

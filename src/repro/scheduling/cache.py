@@ -16,12 +16,14 @@ were built for different cycle times.
 hit/miss accounting.  A process-wide instance backs every
 :class:`repro.scheduling.scheduler.LongnailScheduler` by default, so grid
 sweeps within one process (the batch executor's in-process mode, the DSE
-default path, and each pool worker) share solved components.  Set
-``REPRO_SCHED_CACHE=0`` to disable the default instance.
+default path, and each pool worker) share solved components; pass
+``schedule_cache=False`` to disable caching for one call.
 
-Only the exact engines (``fastpath``/``milp``) use the cache: both solve
-to the same objective, and the fast path's canonical earliest-optimal
-solutions make entries deterministic.
+Only the ``fastpath`` engine reads and fills the cache.  Every entry is
+therefore the fast path's canonical componentwise-earliest optimum, a
+function of the fingerprinted inputs alone, so a hit returns what a cold
+solve would — whichever ``-O`` level built the graph.  The ``milp``
+oracle always solves, so it never sees a fast-path answer.
 """
 
 from __future__ import annotations
@@ -35,14 +37,8 @@ from repro.scheduling.fastpath import scaled_weight
 from repro.scheduling.problem import INFINITY, LongnailProblem
 
 
-def schedule_fingerprint(problem: LongnailProblem, salt: str = "") -> str:
-    """Canonical digest of everything the exact solution depends on.
-
-    ``salt`` partitions the cache namespace: callers whose problems embed
-    configuration that the structural fingerprint cannot see (the -O
-    optimizer pipeline rewrites graphs *before* scheduling) pass their
-    config fingerprint so entries never cross configurations.
-    """
+def schedule_fingerprint(problem: LongnailProblem) -> str:
+    """Canonical digest of everything the exact solution depends on."""
     index: Dict[Hashable, int] = {
         op: i for i, op in enumerate(problem.operations)
     }
@@ -57,7 +53,7 @@ def schedule_fingerprint(problem: LongnailProblem, salt: str = "") -> str:
         (index[d.source], index[d.target], 1 if d.is_chain_breaker else 0)
         for d in problem.dependences
     )
-    blob = repr((op_parts, dep_parts, salt)).encode("utf-8")
+    blob = repr((op_parts, dep_parts)).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 

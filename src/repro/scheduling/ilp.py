@@ -15,28 +15,23 @@ in the ISAX module):
 The paper solves this with Cbc via OR-Tools; we use ``scipy.optimize.milp``
 (HiGHS).  Because the constraint matrix is a network (difference-constraint)
 matrix, the LP relaxation is integral, so any exact solver produces the same
-optimum.  A pure-Python ASAP longest-path engine is provided as a fallback
-and as the heuristic baseline for the scheduler ablation bench.
+optimum.  A pure-Python ASAP longest-path engine is provided as the
+heuristic baseline for the scheduler ablation bench.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import lil_matrix
+
 from repro.scheduling.problem import (
     INFINITY,
     LongnailProblem,
     ScheduleError,
 )
-
-try:
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import lil_matrix
-
-    HAVE_MILP = True
-except ImportError:  # pragma: no cover - scipy is an install requirement
-    HAVE_MILP = False
 
 
 def _lifetime_weight(source: Hashable) -> float:
@@ -88,8 +83,6 @@ def solve_asap(problem: LongnailProblem) -> Dict[Hashable, int]:
 
 def solve_milp(problem: LongnailProblem) -> Dict[Hashable, int]:
     """Exact engine: the Figure 7 ILP via scipy's HiGHS-based MILP solver."""
-    if not HAVE_MILP:  # pragma: no cover
-        raise ScheduleError("scipy.optimize.milp is unavailable")
     ops = problem.operations
     deps = problem.dependences
     n, m = len(ops), len(deps)
@@ -177,23 +170,3 @@ def weighted_objective_value(problem: LongnailProblem) -> float:
     problem's current solution."""
     return weighted_objective_of(problem, problem.start_time)
 
-
-def solve(problem: LongnailProblem, engine: str = "auto") -> str:
-    """Solve the problem in place; returns the engine actually used.
-
-    ``auto`` prefers the LP-free exact fast path
-    (:func:`repro.scheduling.fastpath.solve_fastpath`); ``milp`` keeps the
-    Figure 7 formulation as a verification oracle and reference engine.
-    """
-    if engine == "auto":
-        engine = "fastpath"
-    if engine == "fastpath":
-        from repro.scheduling.fastpath import solve_fastpath  # deferred: cycle
-        problem.start_time = solve_fastpath(problem)
-    elif engine == "milp":
-        problem.start_time = solve_milp(problem)
-    elif engine == "asap":
-        problem.start_time = solve_asap(problem)
-    else:
-        raise ScheduleError(f"unknown scheduler engine {engine!r}")
-    return engine

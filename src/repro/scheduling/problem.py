@@ -219,6 +219,3 @@ class LongnailProblem(ChainingProblem):
             (self.start_time[op] + self.latency(op) for op in self.operations),
             default=0,
         )
-
-    def predecessors(self, operation: Hashable) -> List[Hashable]:
-        return [d.source for d in self.dependences if d.target is operation]

@@ -21,9 +21,8 @@ Building the problem:
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Union
 
 from repro.dialects import comb, lil
 from repro.ir.core import Graph, Operation
@@ -87,7 +86,6 @@ class SolveStats:
     cache_hits: int = 0         # components served from the schedule cache
     cache_misses: int = 0
     solve_seconds: float = 0.0
-    verified: bool = False      # REPRO_SCHED_VERIFY cross-check ran
 
     def to_dict(self) -> dict:
         return {
@@ -98,7 +96,6 @@ class SolveStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "solve_seconds": round(self.solve_seconds, 6),
-            "verified": self.verified,
         }
 
 
@@ -302,47 +299,29 @@ def decompose(problem: LongnailProblem) -> List[LongnailProblem]:
     return subs
 
 
-def _verify_against_oracle(sub: LongnailProblem,
-                           start_time: Dict[Hashable, int]) -> bool:
-    """REPRO_SCHED_VERIFY=1: cross-check a fast-path (or cached) component
-    solution against the MILP objective; raises on any gap."""
-    if not ilp.HAVE_MILP:  # pragma: no cover - scipy is baked in
-        return False
-    oracle = ilp.solve_milp(sub)
-    got = ilp.weighted_objective_of(sub, start_time)
-    want = ilp.weighted_objective_of(sub, oracle)
-    if abs(got - want) > 1e-6:
-        raise ScheduleError(
-            f"fast-path schedule is not optimal: weighted objective "
-            f"{got:.6f}, MILP oracle found {want:.6f}"
-        )
-    return True
-
-
 def _resolve_cache(cache: Union[ScheduleCache, None, bool]
                    ) -> Optional[ScheduleCache]:
     if cache is False:
         return None
     if cache is None:
-        if os.environ.get("REPRO_SCHED_CACHE", "1") == "0":
-            return None
         return global_schedule_cache()
     return cache
 
 
 def solve_problem(problem: LongnailProblem, engine: str = "auto",
-                  cache: Union[ScheduleCache, None, bool] = None,
-                  fingerprint_salt: str = ""
+                  cache: Union[ScheduleCache, None, bool] = None
                   ) -> SolveStats:
-    """Solve a LongnailProblem in place through the full fast-path stack:
-    component decomposition, the cross-sweep schedule cache, the selected
-    engine, and (with ``REPRO_SCHED_VERIFY=1``) the MILP oracle.
+    """Solve a LongnailProblem in place; the scheduler's one engine
+    dispatcher.
 
-    ``engine="auto"`` prefers the LP-free exact fast path; ``"milp"`` runs
-    the Figure 7 formulation per component; ``"asap"`` keeps the heuristic
-    baseline (neither decomposed nor cached — it is already linear-time).
-    ``cache`` may be a :class:`ScheduleCache`, ``None`` (the process-wide
-    default, unless ``REPRO_SCHED_CACHE=0``) or ``False`` (disabled).
+    ``engine="auto"`` (``"fastpath"``) runs the LP-free exact fast path
+    per weakly connected component through the cross-sweep schedule
+    cache; ``"milp"`` runs the Figure 7 formulation per component with
+    HiGHS and never touches the cache, so it stays an independent oracle;
+    ``"asap"`` keeps the heuristic baseline (neither decomposed nor
+    cached — it is already linear-time).  ``cache`` may be a
+    :class:`ScheduleCache`, ``None`` (the process-wide default) or
+    ``False`` (disabled).
     """
     begin = time.perf_counter()
     resolved = "fastpath" if engine == "auto" else engine
@@ -357,35 +336,30 @@ def solve_problem(problem: LongnailProblem, engine: str = "auto",
         components=len(components),
     )
     if resolved == "asap":
-        ilp.solve(problem, "asap")
+        problem.start_time = ilp.solve_asap(problem)
         stats.solve_seconds = time.perf_counter() - begin
         return stats
 
-    verify = os.environ.get("REPRO_SCHED_VERIFY", "") == "1"
-    live_cache = _resolve_cache(cache)
     merged: Dict[Hashable, int] = {}
-    for sub in components:
-        key = None
-        if live_cache is not None:
-            key = schedule_fingerprint(sub, salt=fingerprint_salt)
+    if resolved == "milp":
+        for sub in components:
+            merged.update(ilp.solve_milp(sub))
+    else:
+        live_cache = _resolve_cache(cache)
+        for sub in components:
+            if live_cache is None:
+                merged.update(solve_fastpath(sub))
+                continue
+            key = schedule_fingerprint(sub)
             hit = live_cache.get(key)
             if hit is not None:
-                start_time = dict(zip(sub.operations, hit))
                 stats.cache_hits += 1
-                if verify:
-                    stats.verified |= _verify_against_oracle(sub, start_time)
-                merged.update(start_time)
+                merged.update(zip(sub.operations, hit))
                 continue
             stats.cache_misses += 1
-        if resolved == "milp":
-            start_time = ilp.solve_milp(sub)
-        else:
             start_time = solve_fastpath(sub)
-            if verify:
-                stats.verified |= _verify_against_oracle(sub, start_time)
-        if key is not None:
             live_cache.put(key, [start_time[op] for op in sub.operations])
-        merged.update(start_time)
+            merged.update(start_time)
     problem.start_time = merged
     stats.solve_seconds = time.perf_counter() - begin
     return stats
@@ -398,16 +372,12 @@ class LongnailScheduler:
                  delay_model: Optional[DelayModel] = None,
                  cycle_time_ns: Optional[float] = None,
                  engine: str = "auto",
-                 schedule_cache: Union[ScheduleCache, None, bool] = None,
-                 fingerprint_salt: str = ""):
+                 schedule_cache: Union[ScheduleCache, None, bool] = None):
         self.datasheet = datasheet
         self.delay_model = delay_model or default_delay_model()
         self.cycle_time_ns = cycle_time_ns or datasheet.cycle_time_ns
         self.engine = engine
         self.schedule_cache = schedule_cache
-        #: Extra cache-key component (e.g. the optimizer config) so cached
-        #: schedules never leak across compile configurations.
-        self.fingerprint_salt = fingerprint_salt
 
     def schedule(self, graph: Graph) -> ScheduleResult:
         problem = build_problem(
@@ -415,8 +385,7 @@ class LongnailScheduler:
         )
         try:
             stats = solve_problem(problem, self.engine,
-                                  cache=self.schedule_cache,
-                                  fingerprint_salt=self.fingerprint_salt)
+                                  cache=self.schedule_cache)
         except ScheduleError as err:
             if graph.attributes.get("kind") == lil.KIND_ALWAYS:
                 raise ScheduleError(

@@ -238,7 +238,6 @@ def run_compile_payload(payload: dict) -> dict:
                 "schedule_cache_hits": schedule.stats.cache_hits,
                 "schedule_cache_misses": schedule.stats.cache_misses,
                 "solve_seconds": round(schedule.stats.solve_seconds, 6),
-                "verified": schedule.stats.verified,
             })
         ilp_stats.append(entry)
 

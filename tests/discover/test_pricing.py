@@ -10,6 +10,8 @@ from repro.discover.pricing import (
     price_candidates,
     run_pricing_payload,
 )
+from repro.eval.asic import evaluate_combination, measure_artifacts
+from repro.hls.longnail import compile_isax
 from repro.service.cache import ArtifactCache
 from repro.service.executor import BatchExecutor
 
@@ -43,6 +45,18 @@ class TestRunnerRecord:
             assert key in record, key
         assert record["speedup"] > 1.0
         assert record["lint_warnings"] == 0
+
+    def test_area_measures_the_priced_artifact(self, full_cover):
+        """Area and frequency describe the -O2 compile that the gates and
+        cycle counts used, not an -O0 recompile of the source."""
+        record = run_pricing_payload(_request(full_cover).payload())
+        assert record["ok"] is True
+        artifact = compile_isax(record["source"], "VexRiscv", opt=2)
+        measured = measure_artifacts(artifact.datasheet, [artifact])
+        assert record["area_um2"] == measured.extension_area_um2
+        assert record["freq_mhz"] == measured.freq_mhz
+        unoptimized = evaluate_combination("VexRiscv", [record["source"]])
+        assert record["area_um2"] != unoptimized.extension_area_um2
 
     def test_fold_variant_beats_plain(self, full_cover):
         plain = run_pricing_payload(_request(full_cover).payload())

@@ -6,6 +6,7 @@ import pytest
 from repro.dialects import comb
 from repro.fuzz import generate_program, run_oracles
 from repro.fuzz import oracles as oracles_module
+from repro.scheduling.problem import ScheduleError
 from repro.utils.diagnostics import CoreDSLError
 
 XOR_ISAX = '''import "RV32I.core_desc"
@@ -66,6 +67,19 @@ def test_schedule_oracle_catches_suboptimal_engine(monkeypatch):
     source = generate_program(3).source
     report = run_oracles(source, cores=("VexRiscv",), trials=1)
     assert any(f.kind == "schedule" for f in report.failures)
+
+
+def test_schedule_oracle_reports_a_failed_milp_resolve(monkeypatch):
+    """A MILP re-solve that raises is a schedule failure for each
+    functionality, not a compile failure, and run_oracles returns."""
+    def failing(problem):
+        raise ScheduleError("ILP solver failed: planted")
+
+    monkeypatch.setattr(oracles_module.ilp, "solve_milp", failing)
+    report = run_oracles(XOR_ISAX, cores=("VexRiscv",), trials=1)
+    assert report.kinds == ("schedule",)
+    assert len(report.failures) == report.functionalities == 1
+    assert "planted" in report.failures[0].detail
 
 
 def test_determinism_oracle_catches_unstable_emission(monkeypatch):

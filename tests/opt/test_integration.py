@@ -8,8 +8,7 @@ import pytest
 from repro.hls.longnail import compile_isax
 from repro.isaxes import isax_source
 from repro.opt.pipeline import OptOptions
-from repro.scheduling.cache import schedule_fingerprint
-from repro.scheduling.problem import LongnailProblem
+from repro.scheduling.cache import ScheduleCache
 from repro.server import CompileServer, CompileServerApp, CompileServerClient
 from repro.server.client import CompileServerError
 from repro.service.executor import run_compile_payload
@@ -74,18 +73,20 @@ class TestCacheKeys:
             job_grid(["autoinc"], ["VexRiscv"], opt_passes=("inliner",))
 
 
-class TestScheduleFingerprintSalt:
-    def test_salt_changes_fingerprint(self):
-        artifact = compile_isax(isax_source("autoinc"), "VexRiscv",
-                                schedule_cache=False)
-        problem = next(iter(artifact.functionalities.values())) \
-            .schedule.problem
-        assert isinstance(problem, LongnailProblem)
-        plain = schedule_fingerprint(problem)
-        salted = schedule_fingerprint(problem, salt="O2")
-        other = schedule_fingerprint(problem, salt="O1")
-        assert len({plain, salted, other}) == 3
-        assert schedule_fingerprint(problem, salt="O2") == salted
+class TestCrossLevelScheduleCache:
+    def test_hits_match_cold_compiles(self):
+        """One schedule cache serves every -O level: entries are reused
+        across levels and never change the emitted hardware."""
+        cache = ScheduleCache()
+        source = isax_source("autoinc")
+        for level in (0, 2, 1):
+            shared = compile_isax(source, "VexRiscv", schedule_cache=cache,
+                                  opt=level)
+            cold = compile_isax(source, "VexRiscv", schedule_cache=False,
+                                opt=level)
+            assert shared.verilog == cold.verilog
+            assert shared.config_yaml == cold.config_yaml
+        assert cache.hits > 0
 
 
 class TestCompileIsaxOpt:

@@ -136,7 +136,7 @@ class TestPassManager:
 
     def test_fixpoint_terminates(self):
         graph = _graph_with_redundancy()
-        report = PassManager(OptOptions(level=2, max_rounds=4)).run(graph)
+        report = PassManager(OptOptions(level=2)).run(graph)
         # Rounds stop once a full sweep changes nothing.
         assert report.passes["cse"].runs <= 4
 

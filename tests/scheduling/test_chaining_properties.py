@@ -60,7 +60,7 @@ def test_chain_breaking_bounds_step_delay(case):
     problem.check()
     for src, dst in compute_chain_breakers(problem, cycle_time):
         problem.add_dependence(src, dst, is_chain_breaker=True)
-    ilp.solve(problem, "asap")
+    problem.start_time = ilp.solve_asap(problem)
     compute_start_times_in_cycle(problem)
     problem.verify()
     assert max_step_delay(problem) <= cycle_time + 1e-9
@@ -73,7 +73,7 @@ def test_milp_also_respects_breakers(case):
     problem.check()
     for src, dst in compute_chain_breakers(problem, cycle_time):
         problem.add_dependence(src, dst, is_chain_breaker=True)
-    ilp.solve(problem, "milp")
+    problem.start_time = ilp.solve_milp(problem)
     compute_start_times_in_cycle(problem)
     problem.verify()
 

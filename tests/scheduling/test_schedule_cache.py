@@ -14,7 +14,6 @@ from repro.scheduling import (
     ScheduleCache,
     build_problem,
     decompose,
-    global_schedule_cache,
     schedule_fingerprint,
     solve_problem,
 )
@@ -111,13 +110,6 @@ class TestScheduleCache:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             ScheduleCache(max_entries=0)
-
-    def test_global_cache_disabled_by_env(self, monkeypatch):
-        problem, _ = chain_problem("abc")
-        monkeypatch.setenv("REPRO_SCHED_CACHE", "0")
-        before = global_schedule_cache().stats()
-        solve_problem(problem, "auto")
-        assert global_schedule_cache().stats() == before
 
 
 class TestDecompose:

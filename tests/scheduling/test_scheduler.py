@@ -14,6 +14,7 @@ from repro.scheduling import (
     OperatorType,
     ScheduleError,
     compute_chain_breakers,
+    solve_problem,
     uniform_delay_model,
 )
 from repro.scheduling import ilp
@@ -126,7 +127,7 @@ class TestEngines:
 
     def test_unknown_engine(self):
         with pytest.raises(ScheduleError):
-            ilp.solve(LongnailProblem(), engine="quantum")
+            solve_problem(LongnailProblem(), engine="quantum")
 
     def test_empty_problem(self):
         problem = LongnailProblem()
@@ -184,7 +185,7 @@ class TestChainBreaking:
         problem = self.chain_problem(10, 1.0, 2.5)
         for src, dst in compute_chain_breakers(problem, 2.5):
             problem.add_dependence(src, dst, is_chain_breaker=True)
-        ilp.solve(problem, "milp")
+        problem.start_time = ilp.solve_milp(problem)
         compute_start_times_in_cycle(problem)
         problem.verify()
         spread = max(problem.start_time.values())
