@@ -24,6 +24,7 @@ smoke cost cap is looser — sub-millisecond compiles put timer noise in
 the denominator; the full-grid 5 % cap is the real budget.
 """
 
+import copy
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from repro.analysis.absint import (
     analysis_seconds,
     clear_facts_cache,
 )
+from repro.frontend import elaborate
 from repro.hls import compile_isax
 from repro.isaxes import ALL_ISAXES
 from repro.opt.pipeline import OptOptions
@@ -55,14 +57,18 @@ MAX_ANALYSIS_SHARE = 0.15 if SMOKE else 0.05
 
 
 def bench_cell(isax, core):
-    """Compile one cell twice: -O2 without range-narrow, then full -O2."""
+    """Compile one cell twice: -O2 without range-narrow, then full -O2.
+
+    Both compiles start from a copy of the elaborated ISA, a new
+    front-end memo key, so every cell runs the optimizer from scratch."""
+    isa = copy.copy(elaborate(ALL_ISAXES[isax]))
     ablated = compile_isax(
-        ALL_ISAXES[isax], core, engine=ENGINE, schedule_cache=False,
+        isa, core, engine=ENGINE, schedule_cache=False,
         opt=OptOptions(level=2, disable=("range-narrow",)))
 
     begin = time.perf_counter()
-    full = compile_isax(ALL_ISAXES[isax], core, engine=ENGINE,
-                        schedule_cache=False, opt=2)
+    full = compile_isax(isa, core, engine=ENGINE, schedule_cache=False,
+                        opt=2)
     o2_seconds = time.perf_counter() - begin
 
     ab_report, full_report = ablated.optimizer, full.optimizer

@@ -497,10 +497,14 @@ def elaborate(
         return _elaborate_uncached(
             source, top, extra_sources, import_dirs, filename
         )
-    digest = hashlib.sha256(source.encode("utf-8"))
-    for name in sorted(extra_sources or {}):
-        digest.update(name.encode("utf-8"))
-        digest.update((extra_sources or {})[name].encode("utf-8"))
+    fields = [source]
+    for name, text in sorted((extra_sources or {}).items()):
+        fields += [name, text]
+    # Length-prefix each field, so that no two inputs share a key.
+    digest = hashlib.sha256()
+    for field in fields:
+        data = field.encode("utf-8")
+        digest.update(b"%d:" % len(data) + data)
     key = (digest.hexdigest(), top or "", filename)
     cached = _ELABORATION_CACHE.get(key)
     if cached is not None:

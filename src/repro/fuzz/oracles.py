@@ -14,9 +14,13 @@ two as fixed-corpus spot checks; here they become programmable):
 * **cosim** — run :func:`repro.sim.cosim.verify_artifact`, executing the
   CoreDSL interpreter against the generated SystemVerilog netlist on
   random stimulus.
-* **determinism** — compile the same source twice and require byte-identical
-  SystemVerilog and config YAML (any iteration-order leak in lowering,
-  scheduling or hwgen shows up here first).
+* **determinism** — compile the program a second time from a
+  ``copy.copy`` of its elaborated ISA, which lints, lowers and optimizes
+  from scratch instead of reusing the shared front end, and require
+  SystemVerilog and config YAML byte-identical to the first compile on
+  every core (any iteration-order leak in lowering, scheduling or hwgen
+  shows up here first).  Its failures are listed after the other
+  oracles'.
 * **batchsim** — the interpreting, compiled and numpy lane-parallel RTL
   engines (:mod:`repro.sim.compile`, :mod:`repro.sim.batch`) must produce
   identical output traces, register counts and final register state on
@@ -59,6 +63,7 @@ reported as ``kind="compile"`` failures.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -72,6 +77,7 @@ from repro.sim.cosim import verify_artifact
 
 if TYPE_CHECKING:                              # imports used only in hints
     from repro.dialects.hw import HWModule
+    from repro.hls.longnail import IsaxArtifact
     from repro.ir.core import Value
 
 #: Cores every program is checked against by default (the paper's four
@@ -278,11 +284,12 @@ def run_oracles(source: str,
     selected = _resolve_oracles(oracles)
     # Elaborate once, standalone: separates "program is invalid" (raises)
     # from "toolchain failed on a valid program" (compile failure below).
-    elaborate(source)
+    isa = elaborate(source)
 
     failures: List[OracleFailure] = []
     vcd_paths: List[str] = []
     functionalities = 0
+    compiled: Dict[str, "IsaxArtifact"] = {}
     for core in cores:
         try:
             fast = compile_isax(source, core, engine="fastpath",
@@ -292,6 +299,7 @@ def run_oracles(source: str,
                 kind="compile", core=core,
                 detail=f"{type(exc).__name__}: {exc}"))
             continue
+        compiled[core] = fast
 
         # Oracle 1: the MILP re-solve of each fastpath problem reaches the
         # fast path's objective.
@@ -373,21 +381,7 @@ def run_oracles(source: str,
                         kind="rangesound", core=core,
                         detail=f"{name}: {mismatch}"))
 
-        # Oracle 5: byte-identical artifacts across two runs.
-        if "determinism" in selected:
-            again = compile_isax(source, core, engine="fastpath",
-                                 schedule_cache=False)
-            if again.verilog != fast.verilog:
-                failures.append(OracleFailure(
-                    kind="determinism", core=core,
-                    detail="SystemVerilog differs between two "
-                           "identical runs"))
-            if again.config_yaml != fast.config_yaml:
-                failures.append(OracleFailure(
-                    kind="determinism", core=core,
-                    detail="config YAML differs between two identical runs"))
-
-        # Oracle 6 (opt-in): the -O2 optimizer preserves the architectural
+        # Oracle 5 (opt-in): the -O2 optimizer preserves the architectural
         # trace bit-for-bit.
         if "optequiv" in selected:
             from repro.opt.equiv import compare_artifacts
@@ -408,12 +402,30 @@ def run_oracles(source: str,
                     failures.append(OracleFailure(
                         kind="optequiv", core=core, detail=mismatch))
 
-        # Oracle 7 (opt-in): ISAX discovery smoke — mined candidates from
+        # Oracle 6 (opt-in): ISAX discovery smoke — mined candidates from
         # a seeded random kernel must clear the toolchain gates.
         if "discover" in selected:
             failures.extend(_discover_oracle(
                 source, core, trials=trials, cosim_seed=cosim_seed,
                 sim_engine=sim_engine))
+
+    # Oracle 7: byte-identical artifacts from a second, independent run.
+    # A copy of the ISA is a new front-end memo key, so it lints, lowers
+    # and optimizes from scratch once and is compared on every core.
+    if "determinism" in selected and compiled:
+        fresh = copy.copy(isa)
+        for core, fast in compiled.items():
+            again = compile_isax(fresh, core, engine="fastpath",
+                                 schedule_cache=False)
+            if again.verilog != fast.verilog:
+                failures.append(OracleFailure(
+                    kind="determinism", core=core,
+                    detail="SystemVerilog differs between two "
+                           "identical runs"))
+            if again.config_yaml != fast.config_yaml:
+                failures.append(OracleFailure(
+                    kind="determinism", core=core,
+                    detail="config YAML differs between two identical runs"))
 
     return OracleReport(cores=cores, failures=failures,
                         functionalities=functionalities, trials=trials,

@@ -10,6 +10,10 @@ one host core:
    (Section 3.2 / 4.3),
 4. generate the pipelined hardware modules and SystemVerilog (Section 4.5),
 5. emit the SCAIE-V configuration file (Section 4.6).
+
+The lints, the lowering of step 2 and the CDFG optimizer never read the
+core, so their result is memoized per elaborated ISA and shared by every
+core compiled from it; only steps 3-5 run per core.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
+import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis.lint import run_lints
@@ -54,7 +59,9 @@ from repro.utils.diagnostics import Diagnostic
 
 #: Called with ``(phase, seconds)`` every time the driver finishes a chunk of
 #: work in one of the :data:`PHASES`; a phase may be reported several times
-#: (once per functionality) and observers are expected to accumulate.
+#: (once per functionality) and observers are expected to accumulate.  Only
+#: time actually spent is reported: a compile that reuses a memoized front
+#: end reports no ``lint``, ``lower``, ``opt`` or front-end ``verify`` time.
 PhaseHook = Callable[[str, float], None]
 
 #: The compilation phases, in flow order (paper Figure 9 left-to-right).
@@ -176,6 +183,60 @@ def _schedule_entries(graph: Graph, schedule: ScheduleResult,
     return entries
 
 
+@dataclasses.dataclass
+class _FrontEnd:
+    """The core-independent half of a compile: lint findings, the lowered
+    and optimized lil graphs and the optimizer report.  It holds no
+    reference to its ISA, so its memo entry dies with the ISA."""
+
+    #: ``(name, kind, graph)`` triples, instructions first, then always-blocks.
+    graphs: List[Tuple[str, str, Graph]]
+    diagnostics: List[Diagnostic]
+    optimizer: Optional[OptimizerReport]
+
+
+#: The front ends of the latest ISA only: ``isa -> {(opt options, lint,
+#: verify): front end}``.  Weakly keyed on the :class:`ElaboratedISA` the
+#: elaboration memo returns once per source, so an entry dies with its
+#: ISA.  No lock: two threads that miss together each build and use their
+#: own front end.
+_FRONT_ENDS: "weakref.WeakKeyDictionary[ElaboratedISA, Dict[tuple, _FrontEnd]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _verified(stage: str, check: Callable[[], List[Diagnostic]],
+              verify: bool, hook: Optional[PhaseHook]) -> None:
+    if not verify:
+        return
+    with _timed("verify", hook):
+        require_valid(stage, check())
+
+
+def _front_end(isa: ElaboratedISA, options: OptOptions, lint: bool,
+               verify: bool, phase_hook: Optional[PhaseHook]) -> _FrontEnd:
+    """Lint, lower and optimize ``isa``; nothing here reads the core."""
+    diagnostics: List[Diagnostic] = []
+    if lint:
+        with _timed("lint", phase_hook):
+            diagnostics = run_lints(isa)
+    with _timed("lower", phase_hook):
+        lowered = lower_isa(isa)
+    graphs: List[Tuple[str, str, Graph]] = []
+    for kind, containers in (("instruction", lowered.instructions),
+                             ("always", lowered.always_blocks)):
+        for name, container in containers.items():
+            with _timed("lower", phase_hook):
+                graph = convert_to_lil(isa, container)
+            _verified(f"lower:{name}", lambda: verify_graph(graph), verify,
+                      phase_hook)
+            graphs.append((name, kind, graph))
+    optimizer: Optional[OptimizerReport] = None
+    if options.pipeline():
+        with _timed("opt", phase_hook):
+            optimizer = optimize_graphs(graphs, options, verify=verify)
+    return _FrontEnd(graphs, diagnostics, optimizer)
+
+
 def compile_isax(
     source: Union[str, ElaboratedISA],
     core: Union[str, VirtualDatasheet] = "VexRiscv",
@@ -193,7 +254,7 @@ def compile_isax(
     """Compile a CoreDSL description (text or elaborated ISA) for a core.
 
     ``phase_hook`` (if given) receives ``(phase, seconds)`` wall-time
-    samples for the parse/lower/schedule/hwgen phases; the batch service
+    samples for the :data:`PHASES`; the batch service
     (:mod:`repro.service`) uses it for per-phase instrumentation.
     ``schedule_cache`` is forwarded to the scheduler: a
     :class:`repro.scheduling.ScheduleCache`, ``None`` (the process-wide
@@ -211,6 +272,18 @@ def compile_isax(
     (-O0, no optimization — byte-identical to the historical flow).  The
     per-pass accounting lands on ``artifact.optimizer``; with the verifier
     enabled, every pass application is IV-checked individually.
+
+    Lint, lowering and the optimizer never read the core (paper Figure
+    9), so compiles of the same :class:`ElaboratedISA` object with the
+    same ``opt``, ``lint`` and resolved ``verify_ir`` share one front end:
+    the same lil ``Graph`` objects, ``diagnostics`` list and
+    ``optimizer`` report.  Source text reaches the same ISA object
+    through the elaboration memo.  Shared graphs are read-only once
+    compiled; only the latest ISA's front ends are kept.  On a shared
+    front end ``phase_hook`` gets no ``lint``, ``lower``, ``opt`` or
+    front-end ``verify`` samples, because no time was spent there.  To
+    lint, lower and optimize from scratch, compile ``copy.copy(isa)``,
+    which is a new memo key.
     """
     if isinstance(source, ElaboratedISA):
         isa = source
@@ -218,57 +291,36 @@ def compile_isax(
         with _timed("parse", phase_hook):
             isa = elaborate(source, top=top, extra_sources=extra_sources)
     datasheet = core_datasheet(core) if isinstance(core, str) else core
-
-    diagnostics: List[Diagnostic] = []
-    if lint:
-        with _timed("lint", phase_hook):
-            diagnostics = run_lints(isa)
     verify = ir_verify_enabled() if verify_ir is None else verify_ir
-
     opt_options = OptOptions.coerce(opt)
-    opt_pipeline = opt_options.pipeline()
 
-    with _timed("lower", phase_hook):
-        lowered = lower_isa(isa)
+    fronts = _FRONT_ENDS.get(isa)
+    if fronts is None:
+        _FRONT_ENDS.clear()
+        fronts = _FRONT_ENDS.setdefault(isa, {})
+    key = (opt_options, lint, verify)
+    front = fronts.get(key)
+    if front is None:
+        # Stored only once complete: a failed lowering leaves no entry,
+        # and no other thread sees a half-built graph.
+        front = _front_end(isa, opt_options, lint, verify, phase_hook)
+        fronts[key] = front
+
     scheduler = LongnailScheduler(
         datasheet, delay_model=delay_model, cycle_time_ns=cycle_time_ns,
         engine=engine, schedule_cache=schedule_cache,
     )
-
     functionalities: Dict[str, FunctionalityArtifact] = {}
     config_functionalities: List[Functionality] = []
-
-    def _verified(stage: str, check: Callable[[], List[Diagnostic]]) -> None:
-        if not verify:
-            return
-        with _timed("verify", phase_hook):
-            require_valid(stage, check())
-
-    converted: List[Tuple[str, str, Graph]] = []
-    for name, container in lowered.instructions.items():
-        with _timed("lower", phase_hook):
-            graph = convert_to_lil(isa, container)
-        _verified(f"lower:{name}", lambda: verify_graph(graph))
-        converted.append((name, "instruction", graph))
-    for name, container in lowered.always_blocks.items():
-        with _timed("lower", phase_hook):
-            graph = convert_to_lil(isa, container)
-        _verified(f"lower:{name}", lambda: verify_graph(graph))
-        converted.append((name, "always", graph))
-
-    optimizer_report: Optional[OptimizerReport] = None
-    if opt_pipeline:
-        with _timed("opt", phase_hook):
-            optimizer_report = optimize_graphs(
-                converted, opt_options, verify=verify)
-
-    for name, kind, graph in converted:
+    for name, kind, graph in front.graphs:
         with _timed("schedule", phase_hook):
             schedule = scheduler.schedule(graph)
-        _verified(f"schedule:{name}", lambda: verify_schedule(schedule))
+        _verified(f"schedule:{name}", lambda: verify_schedule(schedule),
+                  verify, phase_hook)
         with _timed("hwgen", phase_hook):
             module = generate_module(graph, schedule)
-        _verified(f"hwgen:{name}", lambda: verify_module(module))
+        _verified(f"hwgen:{name}", lambda: verify_module(module), verify,
+                  phase_hook)
         if kind == "instruction":
             functionality = Functionality(
                 kind="instruction",
@@ -304,8 +356,8 @@ def compile_isax(
         datasheet=datasheet,
         functionalities=functionalities,
         config=config,
-        diagnostics=diagnostics,
-        optimizer=optimizer_report,
+        diagnostics=front.diagnostics,
+        optimizer=front.optimizer,
     )
 
 

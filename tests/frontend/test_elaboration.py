@@ -320,3 +320,16 @@ class TestSpawnDetection:
         """
         isa = elaborate(text)
         assert isa.instructions["sqrt"].has_spawn
+
+
+class TestElaborationMemo:
+    def test_key_frames_each_field(self):
+        """Text moved between the source and an extra source's name and
+        content is a different input, not a memo hit."""
+        from repro.isaxes import ALL_ISAXES
+
+        autoinc = ALL_ISAXES["autoinc"]
+        extra = "InstructionSet Extra extends RV32I {\n}\n"
+        assert elaborate(autoinc + "\n//lib\n" + extra).name == "Extra"
+        isa = elaborate(autoinc + "\n//", extra_sources={"lib": "\n" + extra})
+        assert isa.name == "autoinc"

@@ -99,6 +99,48 @@ def test_determinism_oracle_catches_unstable_emission(monkeypatch):
     assert any(f.kind == "determinism" for f in report.failures)
 
 
+def test_determinism_oracle_catches_unstable_lowering(monkeypatch):
+    """The determinism re-run lowers from scratch: a lowering that names
+    each graph it builds differently must be reported."""
+    from repro.hls import longnail
+
+    counter = {"n": 0}
+    real_convert = longnail.convert_to_lil
+
+    def renaming(isa, container):
+        graph = real_convert(isa, container)
+        counter["n"] += 1
+        graph.name = f"{graph.name}_{counter['n']}"
+        return graph
+
+    monkeypatch.setattr(longnail, "convert_to_lil", renaming)
+    # A source of its own: no other test shares its ISA or front end.
+    report = run_oracles(XOR_ISAX + "// unstable lowering\n",
+                         cores=("VexRiscv", "ORCA"), trials=1)
+    assert {f.kind for f in report.failures} == {"determinism"}
+    assert {f.core for f in report.failures} == {"VexRiscv", "ORCA"}
+
+
+def test_oracles_lower_each_program_twice(monkeypatch):
+    """The per-core compiles share one front end and the determinism
+    re-run builds a second one: two lowerings for four cores."""
+    from repro.hls import longnail
+
+    calls = []
+    real_lower = longnail.lower_isa
+
+    def counting(isa):
+        calls.append(isa)
+        return real_lower(isa)
+
+    monkeypatch.setattr(longnail, "lower_isa", counting)
+    report = run_oracles(XOR_ISAX + "// lowered twice\n", trials=1)
+    assert report.ok, [str(f) for f in report.failures]
+    assert len(report.cores) == 4
+    assert len(calls) == 2
+    assert calls[0] is not calls[1]
+
+
 def test_oracles_run_on_every_requested_core():
     source = generate_program(5).source
     report = run_oracles(source, cores=("ORCA", "PicoRV32"), trials=1)
