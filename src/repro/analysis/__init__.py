@@ -11,7 +11,7 @@ via ``repro-longnail lint``.
 Both tiers, the ``range-narrow`` optimizer pass, and the simulators'
 lane-kind bound selection are backed by one abstract-interpretation
 engine (:mod:`repro.analysis.absint`): interval + known-bits dataflow
-over the CDFG, memoized per module on the netlist digest.
+over the CDFG, kept on each hardware module it analyses.
 """
 
 from repro.analysis.absint import (
@@ -23,7 +23,6 @@ from repro.analysis.absint import (
     analyze_graph,
     analyze_module,
     clear_facts_cache,
-    netlist_digest,
     slice_source,
 )
 from repro.analysis.lint import (
@@ -54,7 +53,6 @@ __all__ = [
     "analyze_graph",
     "analyze_module",
     "clear_facts_cache",
-    "netlist_digest",
     "slice_source",
     "LINT_RULES",
     "LintContext",

@@ -32,16 +32,14 @@ Soundness contract (fuzzed by the ``rangesound`` oracle and
 computed by any simulator engine, ``lo <= v <= hi``,
 ``v & zeros == 0`` and ``v & ones == ones``.
 
-:func:`analyze_module` memoizes its :class:`RangeFacts` per hardware
-module, keyed on the structural :func:`netlist_digest` — the same
-invalidation discipline the simulator's codegen cache uses.
+:func:`analyze_module` keeps its :class:`RangeFacts` on the hardware
+module (:meth:`~repro.dialects.hw.HWModule.derived`), so they die with the
+module and, as the first use freezes it, never go stale.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-import weakref
 from collections import deque
 from typing import (
     Callable,
@@ -815,41 +813,9 @@ def analyze_graph(graph: Graph,
 
 
 # ---------------------------------------------------------------------------
-# Per-module memoization (digest-guarded, like the simulator codegen)
+# Per-module memoization
 # ---------------------------------------------------------------------------
 
-def netlist_digest(module: HWModule) -> Tuple[str, ...]:
-    """Structural fingerprint of the netlist: op kinds, connectivity,
-    result widths and attributes (plus port shapes).  Cheap enough to
-    recompute per consumer; any in-place edit changes it."""
-    index: Dict[Value, int] = {}
-    parts: List[str] = [
-        ",".join(f"{p.name}:{p.direction}:{p.width}" for p in module.ports)
-    ]
-    for op in module.body.operations:
-        operands = ",".join(
-            str(index.get(operand, -1)) for operand in op.operands)
-        for value in op.results:
-            index[value] = len(index)
-        attrs = repr(sorted(
-            (k, tuple(v) if isinstance(v, list) else v)
-            for k, v in op.attributes.items()))
-        widths = ",".join(str(r.width) for r in op.results)
-        parts.append(f"{op.name}({operands})->{widths}{attrs}")
-    return tuple(parts)
-
-
-class _ModuleFactsEntry:
-    __slots__ = ("digest", "facts")
-
-    def __init__(self, digest: Tuple[str, ...], facts: RangeFacts):
-        self.digest = digest
-        self.facts = facts
-
-
-_FACTS_CACHE: "weakref.WeakKeyDictionary[HWModule, _ModuleFactsEntry]" = \
-    weakref.WeakKeyDictionary()
-_FACTS_LOCK = threading.RLock()
 #: Analysis invocation counters, exposed for tests and benchmarks.
 ABSINT_COUNTS: Dict[str, int] = {
     "analyses": 0, "cache_hits": 0, "graph_analyses": 0,
@@ -870,35 +836,32 @@ def analyze_module(module: HWModule) -> RangeFacts:
 
     Inputs and registers are ``top`` (their ranges are set by the
     environment), matching the assumptions the batch simulator's legacy
-    bound analysis made.  The cache is keyed by module identity and
-    guarded by :func:`netlist_digest`, so in-place netlist edits
-    invalidate the entry instead of resurrecting stale facts.
+    bound analysis made.  The facts are kept on the module by
+    :meth:`~repro.dialects.hw.HWModule.derived`, which freezes it.
     """
-    digest = netlist_digest(module)
-    with _FACTS_LOCK:
-        entry = _FACTS_CACHE.get(module)
-        if entry is not None and entry.digest == digest:
-            ABSINT_COUNTS["cache_hits"] += 1
-            return entry.facts
-        ABSINT_COUNTS["analyses"] += 1
-        facts = analyze_graph(module.body)
-        _FACTS_CACHE[module] = _ModuleFactsEntry(digest, facts)
-        return facts
+    analyses = ABSINT_COUNTS["analyses"]
+    facts = module.derived("absint.facts", lambda: _analyze_body(module))
+    if ABSINT_COUNTS["analyses"] == analyses:
+        ABSINT_COUNTS["cache_hits"] += 1
+    return facts
+
+
+def _analyze_body(module: HWModule) -> RangeFacts:
+    ABSINT_COUNTS["analyses"] += 1
+    return analyze_graph(module.body)
 
 
 def clear_facts_cache() -> None:
-    """Drop all memoized analyses and reset the counters (tests only)."""
-    with _FACTS_LOCK:
-        _FACTS_CACHE.clear()
-        for key in ABSINT_COUNTS:
-            ABSINT_COUNTS[key] = 0
-        _ANALYSIS_SECONDS[0] = 0.0
+    """Reset the counters and :func:`analysis_seconds` (tests and benchmarks);
+    the facts live on their modules, so nothing process-wide is dropped."""
+    for key in ABSINT_COUNTS:
+        ABSINT_COUNTS[key] = 0
+    _ANALYSIS_SECONDS[0] = 0.0
 
 
 def absint_cache_stats() -> Dict[str, int]:
     """Snapshot of the analysis counters (for tests/benchmarks)."""
-    with _FACTS_LOCK:
-        return dict(ABSINT_COUNTS)
+    return dict(ABSINT_COUNTS)
 
 
 def supported_ops() -> Iterable[str]:
@@ -916,7 +879,6 @@ __all__ = [
     "analyze_graph",
     "analyze_module",
     "clear_facts_cache",
-    "netlist_digest",
     "slice_source",
     "supported_ops",
 ]

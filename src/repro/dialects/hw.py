@@ -11,13 +11,14 @@ operations with:
   of Figure 5d).
 
 The RTL simulator (:mod:`repro.sim.rtl_sim`) and the SystemVerilog printer
-(:mod:`repro.hls.verilog`) both consume this representation.
+(:mod:`repro.hls.verilog`) both consume this representation.  What is
+derived from a module is kept on it by :meth:`HWModule.derived`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from repro.ir.core import Graph, IRError, OpDef, Operation, register_op
 
@@ -66,6 +67,9 @@ class Port:
             raise IRError(f"invalid port direction {self.direction!r}")
 
 
+T = TypeVar("T")
+
+
 class HWModule:
     """A hardware module: ports + a flat body graph of comb/seq operations."""
 
@@ -74,11 +78,26 @@ class HWModule:
         self.ports: List[Port] = []
         self.body = Graph(name)
         self.attributes: Dict[str, object] = {}
+        self._derived: Dict[str, Any] = {}
+
+    def derived(self, key: str, build: Callable[[], T]) -> T:
+        """``build()``, computed once per module and kept on it.
+
+        The first call freezes the body and the ports (see
+        :meth:`repro.ir.core.Graph.freeze`), so a later edit raises
+        instead of leaving a stale fact behind.  There is no lock: two
+        threads that first use one module at once may both build, their
+        results are equal, and the last store wins.
+        """
+        if key not in self._derived:
+            self.body.freeze()
+            self._derived[key] = build()
+        return self._derived[key]
 
     def add_input(self, name: str, width: int, stage: Optional[int] = None,
                   role: Optional[str] = None):
         """Declare an input port and return the SSA value reading it."""
-        self._check_unique(name)
+        self._check_new_port(name)
         self.ports.append(Port(name, "in", width, stage, role))
         op = Operation("hw.input", [], [(width, None)], {"name": name})
         self.body.append(op)
@@ -87,12 +106,14 @@ class HWModule:
     def add_output(self, name: str, value, stage: Optional[int] = None,
                    role: Optional[str] = None) -> None:
         """Declare an output port driven by ``value``."""
-        self._check_unique(name)
+        self._check_new_port(name)
         self.ports.append(Port(name, "out", value.width, stage, role))
         op = Operation("hw.output", [value], [], {"name": name})
         self.body.append(op)
 
-    def _check_unique(self, name: str) -> None:
+    def _check_new_port(self, name: str) -> None:
+        if self.body.block.frozen:
+            raise IRError(f"cannot add port '{name}': module is frozen")
         if any(p.name == name for p in self.ports):
             raise IRError(f"duplicate port '{name}' on module '{self.name}'")
 

@@ -13,12 +13,22 @@ means *signless* (the ``comb``/``lil``/``hw`` dialects, like CIRCT's), while
 from __future__ import annotations
 
 import dataclasses
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Set, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NoReturn,
+                    Optional, Set, Tuple)
 
 
 class IRError(Exception):
     """Raised on malformed IR (verifier failures, invalid rewrites)."""
+
+
+class _FrozenAttributes(Dict[str, Any]):
+    """The attributes of an operation in a frozen graph: a dict to every
+    reader; setting or deleting an item raises :class:`IRError`."""
+
+    def _refuse(self, *args: Any) -> NoReturn:
+        raise IRError("cannot edit an attribute of a frozen graph")
+
+    __setitem__ = __delitem__ = _refuse
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +143,22 @@ class Operation:
 
     # -- operand maintenance -----------------------------------------------
     def append_operand(self, value: Value) -> None:
+        if self.parent is not None and self.parent.frozen:
+            raise IRError(f"cannot edit '{self.name}': its graph is frozen")
         idx = len(self.operands)
         self.operands.append(value)
         value.uses.add((self, idx))
 
     def set_operand(self, index: int, value: Value) -> None:
+        block = self.parent
+        if block is not None and block.frozen:
+            raise IRError(f"cannot edit '{self.name}': its graph is frozen")
         old = self.operands[index]
         old.uses.discard((self, index))
         self.operands[index] = value
         value.uses.add((self, index))
-        if self.parent is not None and self.parent.listener is not None:
-            self.parent.listener((self,))
+        if block is not None and block.listener is not None:
+            block.listener((self,))
 
     # -- results ----------------------------------------------------------------
     @property
@@ -162,11 +177,13 @@ class Operation:
 
     # -- structural edits ----------------------------------------------------------
     def erase(self) -> None:
+        block = self.parent
+        if block is not None and block.frozen:
+            raise IRError(f"cannot erase '{self.name}': its graph is frozen")
         if self.has_uses:
             raise IRError(f"cannot erase '{self.name}': results still in use")
         for idx, operand in enumerate(self.operands):
             operand.uses.discard((self, idx))
-        block = self.parent
         if block is not None:
             block.operations.remove(self)
             self.parent = None
@@ -204,13 +221,20 @@ class Block:
         #: Set while :func:`repro.ir.rewrite.apply_rules` drains: called
         #: with the ops an edit of this block may have made rewritable.
         self.listener: Optional[Callable[[Iterable[Operation]], None]] = None
+        #: Set by :meth:`Graph.freeze`: every edit of the block or of one
+        #: of its operations raises.
+        self.frozen = False
 
     def append(self, operation: Operation) -> Operation:
+        if self.frozen:
+            raise IRError("cannot append to a frozen block")
         operation.parent = self
         self.operations.append(operation)
         return operation
 
     def insert_before(self, anchor: Operation, operation: Operation) -> Operation:
+        if self.frozen:
+            raise IRError("cannot insert into a frozen block")
         idx = self.operations.index(anchor)
         operation.parent = self
         self.operations.insert(idx, operation)
@@ -258,6 +282,20 @@ class Graph:
     def verify(self) -> None:
         for operation in self.operations:
             operation.verify()
+
+    def freeze(self) -> None:
+        """Make the graph read-only: appending or inserting an op, setting
+        or adding an operand, erasing an op and setting or deleting an
+        op's attribute raise :class:`IRError` from now on, before they
+        change anything.  List-valued attributes become tuples; the tuple
+        is a copy, so a list shared with another graph is left alone."""
+        if self.block.frozen:
+            return
+        self.block.frozen = True
+        for op in self.block.operations:
+            op.attributes = _FrozenAttributes(
+                (key, tuple(value) if isinstance(value, list) else value)
+                for key, value in op.attributes.items())
 
     def topological_order(self) -> List[Operation]:
         """Operations sorted so every def precedes its uses.  Raises on

@@ -12,8 +12,9 @@ level   pipeline
 
 Individual passes toggle via ``--opt-pass NAME`` / ``--no-opt-pass NAME``
 on the CLI or ``opt_passes`` on :class:`repro.service.jobs.CompileJob`; the
-resulting configuration is part of both the schedule-cache fingerprint and
-the artifact-cache content digest, so cached results never cross -O levels.
+resulting configuration is part of the artifact-cache content digest, so
+cached artifacts never cross -O levels; -O levels share schedule-cache
+entries, whose fingerprint covers every input of the fast path's optimum.
 
 Every pass reports a :class:`PassStats` record (runs, ops removed and
 rewritten, wall time) which is aggregated into an :class:`OptimizerReport`

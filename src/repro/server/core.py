@@ -425,7 +425,7 @@ class CompileServer:
         *only* two refusals; an accepted job always reaches a terminal
         state, observable via :meth:`JobRecord.wait`.
         """
-        if priority not in PRIORITIES:
+        if not isinstance(priority, str) or priority not in PRIORITIES:
             raise ValueError(
                 f"unknown priority {priority!r}; expected one of "
                 + ", ".join(PRIORITIES))

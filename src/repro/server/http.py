@@ -129,7 +129,10 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             break
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        raise HttpError(400, "malformed content-length")
     if length < 0 or length > _MAX_BODY_BYTES:
         raise HttpError(400, f"unacceptable content-length {length}")
     body = await reader.readexactly(length) if length else b""

@@ -21,13 +21,13 @@ A second code generator, :func:`compile_module_batch`, emits a vectorized
 once over numpy arrays (see :class:`~repro.sim.batch.BatchedSimulator` and
 ``docs/simulation.md`` for the lane layout).
 
-Both compilers are memoized per :class:`HWModule`: repeated simulator
+Both compilers and the schedule are kept on the :class:`HWModule` by
+:meth:`~repro.dialects.hw.HWModule.derived`: repeated simulator
 construction over the same netlist — the cosim memory-feedback fixpoint
 re-simulates each module up to 4x per trial, and ``verify_artifact`` runs
-dozens of trials — re-codegens nothing.  The cache is keyed by module
-identity *and* guarded by a structural digest, so in-place netlist edits
-(e.g. a test corrupting a ROM constant) invalidate the entry instead of
-resurrecting stale code.
+dozens of trials — re-codegens nothing.  The first use freezes the
+module, so an in-place netlist edit after it raises instead of running
+stale code, and the compiled code dies with its module.
 
 Semantics are bit-identical to the interpreter by construction (the same
 evaluation rules from :mod:`repro.dialects.comb` are either inlined or
@@ -38,16 +38,9 @@ engine-equivalence comparison as a reusable differential oracle.
 from __future__ import annotations
 
 import random
-import threading
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.absint import (
-    RangeFacts,
-    analyze_module,
-    netlist_digest,
-    slice_source,
-)
+from repro.analysis.absint import RangeFacts, analyze_module, slice_source
 from repro.dialects import comb
 from repro.dialects.hw import HWModule
 from repro.ir.core import IRError, Operation
@@ -72,11 +65,9 @@ def resolve_engine(engine: str) -> str:
 class CompiledModule:
     """One compiled module: the generated ``step`` plus its metadata."""
 
-    __slots__ = ("module", "source", "step", "register_ops")
+    __slots__ = ("source", "step", "register_ops")
 
-    def __init__(self, module: HWModule, source: str, step,
-                 register_ops: List[Operation]):
-        self.module = module
+    def __init__(self, source: str, step, register_ops: List[Operation]):
         self.source = source
         self.step = step
         self.register_ops = register_ops
@@ -93,18 +84,17 @@ class BatchCompiledModule:
     ('b' bool / 'u' uint64 / 'o' object).
     """
 
-    __slots__ = ("module", "source", "step_batch", "register_ops",
+    __slots__ = ("source", "step_batch", "register_ops",
                  "register_kinds", "register_widths", "input_ports",
                  "input_kinds", "input_widths", "output_names",
                  "output_kinds", "output_widths")
 
-    def __init__(self, module: HWModule, source: str, step_batch,
+    def __init__(self, source: str, step_batch,
                  register_ops: List[Operation],
                  register_kinds: List[str], register_widths: List[int],
                  input_ports: List[str], input_kinds: List[str],
                  input_widths: List[int], output_names: List[str],
                  output_kinds: List[str], output_widths: List[int]):
-        self.module = module
         self.source = source
         self.step_batch = step_batch
         self.register_ops = register_ops
@@ -122,68 +112,45 @@ class BatchCompiledModule:
 # Per-module memoization
 # ---------------------------------------------------------------------------
 
-class _ModuleCacheEntry:
-    __slots__ = ("digest", "order", "compiled", "batched")
-
-    def __init__(self, digest: Tuple[str, ...], order: List[Operation]):
-        self.digest = digest
-        self.order = order
-        self.compiled: Optional[CompiledModule] = None
-        self.batched: Optional[BatchCompiledModule] = None
-
-
-_MODULE_CACHE: "weakref.WeakKeyDictionary[HWModule, _ModuleCacheEntry]" = \
-    weakref.WeakKeyDictionary()
-_CACHE_LOCK = threading.RLock()
 #: Codegen invocation counters, exposed for the memoization regression
 #: tests and benchmarks.
 CODEGEN_COUNTS: Dict[str, int] = {"scalar": 0, "batched": 0, "schedules": 0}
 
 
-def _cache_entry(module: HWModule) -> _ModuleCacheEntry:
-    """The module's cache entry, (re)built when the netlist changed."""
-    digest = netlist_digest(module)
-    with _CACHE_LOCK:
-        entry = _MODULE_CACHE.get(module)
-        if entry is None or entry.digest != digest:
-            from repro.sim.rtl_sim import RTLSimulator
-            CODEGEN_COUNTS["schedules"] += 1
-            entry = _ModuleCacheEntry(digest, RTLSimulator._schedule(module))
-            _MODULE_CACHE[module] = entry
-        return entry
+def _schedule(module: HWModule) -> List[Operation]:
+    from repro.sim.rtl_sim import RTLSimulator
+
+    CODEGEN_COUNTS["schedules"] += 1
+    return RTLSimulator._schedule(module)
 
 
 def cached_schedule(module: HWModule) -> List[Operation]:
-    """Register-first topological schedule, memoized per module."""
-    return _cache_entry(module).order
+    """Register-first topological schedule, kept on the module."""
+    return module.derived("sim.schedule", lambda: _schedule(module))
 
 
 def clear_compile_cache() -> None:
-    """Drop all memoized compiles and reset the counters (tests only)."""
-    with _CACHE_LOCK:
-        _MODULE_CACHE.clear()
-        for key in CODEGEN_COUNTS:
-            CODEGEN_COUNTS[key] = 0
+    """Reset the codegen counters (tests and benchmarks); compiled code
+    lives on its module, so nothing process-wide is dropped."""
+    for key in CODEGEN_COUNTS:
+        CODEGEN_COUNTS[key] = 0
 
 
 def compile_cache_stats() -> Dict[str, int]:
     """Snapshot of the codegen counters (for tests/benchmarks)."""
-    with _CACHE_LOCK:
-        return dict(CODEGEN_COUNTS)
+    return dict(CODEGEN_COUNTS)
 
 
 def compile_module(module: HWModule) -> CompiledModule:
     """Code-generate and compile the per-cycle ``step`` for ``module``.
 
-    Memoized per module (digest-guarded): repeat calls on an unchanged
-    netlist return the same :class:`CompiledModule` without re-codegen.
-    Raises :class:`IRError` on operations without a generation rule.
+    Kept on the module: repeat calls return the same
+    :class:`CompiledModule` without re-codegen.  Raises :class:`IRError`
+    on operations without a generation rule.
     """
-    with _CACHE_LOCK:
-        entry = _cache_entry(module)
-        if entry.compiled is None:
-            entry.compiled = _codegen_scalar(module, entry.order)
-        return entry.compiled
+    return module.derived(
+        "sim.scalar",
+        lambda: _codegen_scalar(module, cached_schedule(module)))
 
 
 def _codegen_scalar(module: HWModule,
@@ -246,7 +213,7 @@ def _codegen_scalar(module: HWModule,
 
     code = compile(source, f"<rtl-sim:{module.name}>", "exec")
     exec(code, env)  # noqa: S102 - generated from the verified netlist only
-    return CompiledModule(module, source, env["_step"], register_ops)
+    return CompiledModule(source, env["_step"], register_ops)
 
 
 def _expression(op: Operation, ref, env: Dict[str, object]) -> str:
@@ -366,14 +333,12 @@ def batch_kind(width: int) -> str:
 def compile_module_batch(module: HWModule) -> BatchCompiledModule:
     """Code-generate and compile the vectorized ``step_batch``.
 
-    Memoized per module exactly like :func:`compile_module`.  Raises
+    Kept on the module exactly like :func:`compile_module`.  Raises
     :class:`IRError` on operations without a generation rule.
     """
-    with _CACHE_LOCK:
-        entry = _cache_entry(module)
-        if entry.batched is None:
-            entry.batched = _codegen_batch(module, entry.order)
-        return entry.batched
+    return module.derived(
+        "sim.batched",
+        lambda: _codegen_batch(module, cached_schedule(module)))
 
 
 class _BatchEmitter:
@@ -393,9 +358,9 @@ class _BatchEmitter:
         # Value -> known compile-time constant (masked int), for folding.
         self.consts: Dict[object, int] = {}
         # Per-value range facts from the shared abstract-interpretation
-        # engine (repro.analysis.absint), memoized per module on the
-        # netlist digest.  Bounds let >64-bit values whose range provably
-        # fits uint64 stay off the object lanes.
+        # engine (repro.analysis.absint), kept on the module.  Bounds let
+        # >64-bit values whose range provably fits uint64 stay off the
+        # object lanes.
         self.facts = facts
         self._aux: Dict[Tuple[str, str], str] = {}
         self._serial = 0
@@ -630,7 +595,7 @@ def _codegen_batch(module: HWModule,
     env = emitter.env
     exec(code, env)  # noqa: S102 - generated from the verified netlist only
     return BatchCompiledModule(
-        module, source, env["_step_batch"], register_ops, register_kinds,
+        source, env["_step_batch"], register_ops, register_kinds,
         register_widths, input_ports, input_kinds, input_widths,
         output_names, output_kinds, output_widths)
 

@@ -19,11 +19,11 @@ Two engines implement the cycle, selected with ``engine=``:
 
 The numpy lane-parallel engine only runs many lanes at once; it is
 :class:`repro.sim.batch.BatchedSimulator`, not an ``RTLSimulator`` engine.
-Both engines share the register-first topological schedule (memoized per
-module by :func:`repro.sim.compile.cached_schedule`) and the flat register
-state, and are held to bit-identical behavior by the standing
-engine-equivalence differential oracle
-(:func:`repro.sim.compile.crosscheck_engines`).
+Both engines share the register-first topological schedule (kept on the
+module by :func:`repro.sim.compile.cached_schedule`, whose first call
+freezes the module) and the flat register state, and are held to
+bit-identical behavior by the standing engine-equivalence differential
+oracle (:func:`repro.sim.compile.crosscheck_engines`).
 """
 
 from __future__ import annotations

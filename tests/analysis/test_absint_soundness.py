@@ -23,12 +23,11 @@ from repro.analysis.absint import (
     analyze_graph,
     analyze_module,
     clear_facts_cache,
-    netlist_digest,
     slice_source,
 )
 from repro.dialects.hw import HWModule
 from repro.fuzz.oracles import check_range_soundness
-from repro.ir.core import Graph, Operation
+from repro.ir.core import Graph, IRError, Operation
 from repro.utils.bits import mask
 
 from tests.sim.test_batched_engine import random_netlists
@@ -213,7 +212,7 @@ class TestTransferPrecision:
 # ---------------------------------------------------------------------------
 
 class TestModuleCache:
-    def test_cache_hit_and_digest_invalidation(self):
+    def test_cache_hit_and_edit_after_analysis_raises(self):
         module = HWModule("m")
         x = module.add_input("x", 8)
         m = Operation("comb.constant", [], [(8, None)], {"value": 0x0F})
@@ -230,12 +229,12 @@ class TestModuleCache:
         assert ABSINT_COUNTS["analyses"] == before["analyses"] + 1
         assert ABSINT_COUNTS["cache_hits"] == before["cache_hits"] + 1
 
-        digest = netlist_digest(module)
-        m.attributes["value"] = 0x3F  # in-place netlist edit
-        assert netlist_digest(module) != digest
-        third = analyze_module(module)
-        assert third is not first
-        assert third.get(a.result).hi == 0x3F
+        # The first analysis froze the module: an in-place edit raises
+        # instead of leaving the memoized facts stale.
+        with pytest.raises(IRError):
+            m.attributes["value"] = 0x3F
+        assert analyze_module(module) is first
+        assert first.get(a.result).hi == 0x0F
 
 
 # ---------------------------------------------------------------------------

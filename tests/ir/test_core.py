@@ -5,6 +5,7 @@ import pytest
 import repro.dialects  # noqa: F401  (registers all operations)
 from repro.ir.builder import Builder
 from repro.ir.core import Graph, IRError, OpDef, Operation, lookup_op, register_op
+from repro.ir.printer import print_graph
 
 
 def make_graph():
@@ -104,6 +105,54 @@ class TestGraph:
         removed = graph.remove_dead_code()
         assert removed == 0
         assert len(graph.operations) == 3
+
+
+class TestFreeze:
+    def test_every_edit_raises_before_changing_anything(self):
+        graph, builder = make_graph()
+        a = builder.constant(1, 8)
+        b = builder.constant(2, 8)
+        table = [10, 20, 30, 40]
+        rom = builder.create("comb.rom", [a], [(8, None)], {"values": table})
+        mul = builder.create("comb.mul", [a, rom.result], [(8, None)],
+                             {"op_widths": [8, 8]})
+        # A second graph shares the list, as hwgen's ROMs share the front
+        # end's: freezing one graph must leave the other alone.
+        other, other_builder = make_graph()
+        shared = other_builder.create("comb.rom", [other_builder.constant(
+            0, 8)], [(8, None)], {"values": table})
+        text = print_graph(graph)
+
+        graph.freeze()
+        ops = list(graph.operations)
+        operands = [list(op.operands) for op in ops]
+        uses = [set(op.result.uses) for op in ops]
+        attributes = [dict(op.attributes) for op in ops]
+        edits = [
+            lambda: graph.append(
+                Operation("comb.constant", [], [(8, None)], {"value": 3})),
+            lambda: graph.block.insert_before(
+                mul, Operation("comb.constant", [], [(8, None)],
+                               {"value": 3})),
+            lambda: mul.set_operand(0, b),
+            lambda: mul.append_operand(b),
+            lambda: mul.erase(),            # unused: would otherwise go
+            lambda: mul.attributes.__setitem__("op_widths", (4, 4)),
+            lambda: mul.attributes.__delitem__("op_widths"),
+        ]
+        for edit in edits:
+            with pytest.raises(IRError):
+                edit()
+
+        assert graph.operations == ops
+        assert [list(op.operands) for op in ops] == operands
+        assert [set(op.result.uses) for op in ops] == uses
+        assert [dict(op.attributes) for op in ops] == attributes
+        assert rom.attributes["values"] == (10, 20, 30, 40)
+        assert mul.attr("op_widths") == (8, 8)
+        assert shared.attributes["values"] is table
+        assert table == [10, 20, 30, 40]
+        assert print_graph(graph) == text
 
 
 class TestVerifiers:

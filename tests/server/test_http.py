@@ -125,9 +125,10 @@ class TestErrorPaths:
             assert excinfo.value.status == 400
             assert "unknown ISAX" in str(excinfo.value)
 
-            with pytest.raises(CompileServerError) as excinfo:
-                await client.compile(isax="dotprod", priority="urgent")
-            assert excinfo.value.status == 400
+            for priority in ("urgent", ["batch"]):
+                with pytest.raises(CompileServerError) as excinfo:
+                    await client.compile(isax="dotprod", priority=priority)
+                assert excinfo.value.status == 400
 
             with pytest.raises(CompileServerError) as excinfo:
                 await client.job("j12345678")
@@ -159,6 +160,20 @@ class TestErrorPaths:
                     {"isax": "dotprod", "cycle_time_ns": "fast"})
             assert excinfo.value.status == 400
             assert "cycle_time_ns" in str(excinfo.value)
+
+        run_http(body, workers=1)
+
+    def test_malformed_content_length_is_400(self):
+        async def body(client, core):
+            reader, writer = await asyncio.open_connection(client.host,
+                                                           client.port)
+            writer.write(b"POST /v1/compile HTTP/1.1\r\n"
+                         b"Content-Length: abc\r\n\r\n")
+            await writer.drain()
+            status_line = await asyncio.wait_for(reader.readline(), 30)
+            writer.close()
+            await writer.wait_closed()
+            assert status_line.startswith(b"HTTP/1.1 400 ")
 
         run_http(body, workers=1)
 

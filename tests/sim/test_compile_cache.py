@@ -2,14 +2,25 @@
 
 ``verify_artifact`` used to rebuild (codegen + ``exec``) the step function
 of the same module up to 4x per trial, once per simulator it constructed;
-the per-module cache in :mod:`repro.sim.compile` must bring that down to
-one codegen per module per engine, across an arbitrary number of trials
-and simulator constructions.
+the memo each module keeps (:meth:`repro.dialects.hw.HWModule.derived`)
+must bring that down to one codegen per module per engine, across an
+arbitrary number of trials and simulator constructions.  The memo freezes
+the module on first use, so an edit after simulating raises, and it dies
+with the module, so simulating leaks nothing.
 """
 
+import gc
+import sys
+import threading
+import weakref
+
+import pytest
+
 from repro import compile_isax
+from repro.ir.core import IRError
 from repro.isaxes import AUTOINC
 from repro.sim import (
+    BatchedSimulator,
     RTLSimulator,
     clear_compile_cache,
     compile_cache_stats,
@@ -71,20 +82,65 @@ def test_repeated_simulator_constructions_hit_the_cache():
     assert stats["schedules"] == 1
 
 
-def test_netlist_edit_invalidates_the_cache():
-    """The cache is keyed by a structural digest: an in-place netlist
-    edit (as the fuzz reducer and opt passes perform) must recompile
-    rather than serve the stale step function."""
+def test_netlist_edit_after_simulation_raises():
+    """Simulating froze the module: an in-place netlist edit raises
+    instead of leaving the memoized step function stale."""
     artifact = compile_isax(XOR_ISAX, "VexRiscv")
     module = artifact.artifact("cachex").module
-    clear_compile_cache()
     vector = {p.name: v for p, v in zip(module.inputs, (5, 3))}
-    sim = RTLSimulator(module)
-    before = sim.step(vector)
+    before = RTLSimulator(module).step(vector)
     constant = next(op for op in module.body.operations
                     if op.name == "comb.constant")
-    constant.attributes["value"] ^= 1
-    resim = RTLSimulator(module)
-    assert compile_cache_stats()["scalar"] == 2
-    after = resim.step(vector)
-    assert before != after
+    with pytest.raises(IRError):
+        constant.attributes["value"] ^= 1
+    with pytest.raises(IRError):
+        module.add_input("late", 1)
+    assert RTLSimulator(module).step(vector) == before
+
+
+def test_simulated_module_dies_with_its_artifact():
+    """The compiled code lives on the module, not in a process-wide
+    cache that would keep every simulated module alive."""
+    artifact = compile_isax(XOR_ISAX, "VexRiscv")
+    module = artifact.artifact("cachex").module
+    vector = {p.name: v for p, v in zip(module.inputs, (5, 3))}
+    RTLSimulator(module, engine="compiled").step(vector)
+    BatchedSimulator(module).run_batch([[vector], [vector]])
+    alive = weakref.ref(module)
+    del artifact, module
+    gc.collect()
+    assert alive() is None
+
+
+def test_threads_first_simulating_one_module_agree():
+    """No lock guards the memo: threads that build it at once may each
+    codegen, but every one gets a working simulator and the same trace."""
+    artifact = compile_isax(XOR_ISAX, "VexRiscv")
+    module = artifact.artifact("cachex").module
+    stimulus = [{p.name: (cycle * 7 + i) & 0xFF
+                 for i, p in enumerate(module.inputs)}
+                for cycle in range(16)]
+    start = threading.Barrier(4)
+    traces, errors = [], []
+
+    def simulate():
+        try:
+            start.wait(timeout=30)
+            traces.append(RTLSimulator(module).run(stimulus))
+        except Exception as err:  # noqa: BLE001 - reported below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=simulate) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(traces) == 4
+    assert all(trace == traces[0] for trace in traces)

@@ -134,7 +134,7 @@ def test_simengine_is_a_fuzz_oracle(monkeypatch):
             outputs = real_step(inputs, regs)
             return {name: value ^ 1 for name, value in outputs.items()}
 
-        return CompiledModule(module, compiled.source, bad_step,
+        return CompiledModule(compiled.source, bad_step,
                               compiled.register_ops)
 
     monkeypatch.setattr(rtl_sim, "compile_module", miscompiled)
