@@ -7,9 +7,10 @@ three subsystems re-derived "how wide is this value really":
 * the optimizer's width-narrowing and branch folding (``repro.opt``),
 * the linter/verifier's truncation, shift and index rules.
 
-They now all query the same analysis.  The engine runs a worklist over
-the single-block graph and computes, per SSA :class:`~repro.ir.core.Value`,
-an :class:`AbsVal` combining two composable domains:
+They now all query the same analysis.  The engine makes one forward
+pass over the single-block graph in block order and computes, per SSA
+:class:`~repro.ir.core.Value`, an :class:`AbsVal` combining two
+composable domains:
 
 * an **unsigned interval** ``[lo, hi]`` over the value's masked bit
   pattern (``0 <= lo <= hi <= mask(width)``), and
@@ -18,14 +19,16 @@ an :class:`AbsVal` combining two composable domains:
 
 The domains cross-refine: known bits clamp the interval
 (``lo >= ones``, ``hi <= ~zeros``) and the shared leading bits of
-``lo``/``hi`` become known.  Transfer functions cover every ``comb`` and
-``hwarith`` operation — wrap-aware add/sub/mul, division and modulo with
+``lo``/``hi`` become known.  Transfer functions cover every ``comb``
+operation — wrap-aware add/sub/mul, division and modulo with
 the RISC-V ``/0`` semantics, shifts with the ``>= width`` clamp,
 ``icmp`` including mixed-width signed comparisons, ``mux`` joins,
 extract/concat/replicate bit plumbing (with slice forwarding through
 producers), and ROM reads refined by the index range.  Operations the
 engine does not model — architectural interface reads (``lil.*``),
-inputs, registers — soundly produce ``top``.
+inputs, registers — soundly produce ``top``.  The analyzed graphs are
+lil graphs and module bodies; lowering turns every ``hwarith`` op into
+``comb`` before either exists.
 
 Soundness contract (fuzzed by the ``rangesound`` oracle and
 ``tests/analysis/test_absint_soundness.py``): for every value ``v``
@@ -40,15 +43,7 @@ module and, as the first use freezes it, never go stale.
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dialects import comb
 from repro.dialects.hw import HWModule
@@ -149,7 +144,7 @@ class AbsVal:
             self.zeros & other.zeros, self.ones & other.ones)
 
     def meet(self, other: "AbsVal") -> "AbsVal":
-        """Greatest lower bound; used to keep worklist updates monotone."""
+        """Greatest lower bound: what both facts allow."""
         refined = AbsVal.make(
             self.width,
             max(self.lo, other.lo), min(self.hi, other.hi),
@@ -238,9 +233,6 @@ class IntRange:
             return None
         return IntRange(self.lo >> min(other.hi, 4096),
                         self.hi >> min(other.lo, 4096))
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
 
     def always_zero(self) -> bool:
         return self.lo == 0 and self.hi == 0
@@ -617,87 +609,6 @@ def _t_rom(op: Operation, val: _Lookup, width: int) -> AbsVal:
                        zeros=zeros & w, ones=ones)
 
 
-# -- hwarith: the signedness-aware mid-level dialect ------------------------
-#
-# hwarith values carry a signed flag and its ops compute in widening,
-# non-wrapping result types chosen by the type checker.  The transfer
-# functions below only claim what holds under *both* wrapping and
-# widening readings: results are pinned when the unsigned arithmetic
-# provably fits the result width and no operand can be negative.
-
-def _unsigned_reading(value: Value, a: AbsVal) -> Optional[IntRange]:
-    """The operand's mathematical value range, when provably
-    non-negative under its own signedness."""
-    if value.signed:
-        signed = a.signed_interval()
-        if signed is None or signed[0] < 0:
-            return None
-        return IntRange(*signed)
-    return IntRange(a.lo, a.hi)
-
-
-@_transfer("hwarith.constant")
-def _t_hw_constant(op: Operation, val: _Lookup, width: int) -> AbsVal:
-    value = int(op.attr("value"))
-    if 0 <= value <= mask(width):
-        return AbsVal.const(width, value)
-    return AbsVal.top(width)
-
-
-@_transfer("hwarith.add", "hwarith.mul")
-def _t_hw_addmul(op: Operation, val: _Lookup, width: int) -> AbsVal:
-    ra = _unsigned_reading(op.operands[0], val(op.operands[0]))
-    rb = _unsigned_reading(op.operands[1], val(op.operands[1]))
-    if ra is None or rb is None:
-        return AbsVal.top(width)
-    out = ra.add(rb) if op.name == "hwarith.add" else ra.mul(rb)
-    if 0 <= out.lo and out.hi <= mask(width):
-        return AbsVal.make(width, out.lo, out.hi)
-    return AbsVal.top(width)
-
-
-@_transfer("hwarith.sub")
-def _t_hw_sub(op: Operation, val: _Lookup, width: int) -> AbsVal:
-    ra = _unsigned_reading(op.operands[0], val(op.operands[0]))
-    rb = _unsigned_reading(op.operands[1], val(op.operands[1]))
-    if ra is None or rb is None:
-        return AbsVal.top(width)
-    out = ra.sub(rb)
-    if 0 <= out.lo and out.hi <= mask(width):
-        return AbsVal.make(width, out.lo, out.hi)
-    return AbsVal.top(width)
-
-
-@_transfer("hwarith.div", "hwarith.mod")
-def _t_hw_divmod(op: Operation, val: _Lookup, width: int) -> AbsVal:
-    ra = _unsigned_reading(op.operands[0], val(op.operands[0]))
-    rb = _unsigned_reading(op.operands[1], val(op.operands[1]))
-    if ra is None or rb is None or rb.lo <= 0:
-        return AbsVal.top(width)
-    if op.name == "hwarith.div":
-        lo, hi = ra.lo // rb.hi, ra.hi // rb.lo
-    else:
-        lo, hi = 0, min(ra.hi, rb.hi - 1)
-    if 0 <= lo and hi <= mask(width):
-        return AbsVal.make(width, lo, hi)
-    return AbsVal.top(width)
-
-
-@_transfer("hwarith.cast")
-def _t_hw_cast(op: Operation, val: _Lookup, width: int) -> AbsVal:
-    ra = _unsigned_reading(op.operands[0], val(op.operands[0]))
-    if ra is not None and ra.hi <= mask(width):
-        # The value survives the re-encoding verbatim (zero-extension
-        # or value-preserving truncation).
-        return AbsVal.make(width, ra.lo, ra.hi)
-    return AbsVal.top(width)
-
-
-@_transfer("hwarith.icmp")
-def _t_hw_icmp(op: Operation, val: _Lookup, width: int) -> AbsVal:
-    return AbsVal.make(width, 0, 1)
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -709,36 +620,19 @@ class RangeFacts:
     return ``top`` of the value's width, so every query is total.
     """
 
-    __slots__ = ("_facts", "operations", "iterations")
+    __slots__ = ("_facts",)
 
-    def __init__(self, facts: Dict[Value, AbsVal],
-                 operations: int = 0, iterations: int = 0):
+    def __init__(self, facts: Dict[Value, AbsVal]):
         self._facts = facts
-        self.operations = operations
-        self.iterations = iterations
 
     def get(self, value: Value) -> AbsVal:
         fact = self._facts.get(value)
         return fact if fact is not None else AbsVal.top(value.width)
 
-    def interval(self, value: Value) -> Tuple[int, int]:
-        fact = self.get(value)
-        return fact.lo, fact.hi
-
     def hi(self, value: Value) -> int:
         """Upper bound on the value's (masked) magnitude — the drop-in
         replacement for the batch codegen's legacy bound analysis."""
         return self.get(value).hi
-
-    def lo(self, value: Value) -> int:
-        return self.get(value).lo
-
-    def known_bits(self, value: Value) -> Tuple[int, int]:
-        fact = self.get(value)
-        return fact.zeros, fact.ones
-
-    def is_const(self, value: Value) -> bool:
-        return self.get(value).is_const
 
 
 def _transfer_op(op: Operation, val: _Lookup) -> List[AbsVal]:
@@ -769,47 +663,27 @@ def _transfer_op(op: Operation, val: _Lookup) -> List[AbsVal]:
     return [AbsVal.top(result.width) for result in op.results]
 
 
-def analyze_graph(graph: Graph,
-                  seeds: Optional[Dict[Value, AbsVal]] = None
-                  ) -> RangeFacts:
-    """Run the worklist engine over a single-block graph.
+def analyze_graph(graph: Graph) -> RangeFacts:
+    """Analyze a single-block graph in one forward pass.
 
-    ``seeds`` optionally pins facts for free values (e.g. module inputs
-    with externally-known ranges); absent seeds are ``top``.  Block
-    order is topological on well-formed graphs, so the first sweep
-    usually converges; the worklist re-enqueues users whenever a fact
-    tightens, which also covers non-topological op orders.
+    Block order is def-before-use (IV001), so every operand's fact is
+    final by the time its user is reached.  A register's data and enable
+    may be defined later, but a register's own fact is ``top`` anyway; any
+    other operand read before its definition is ``top`` too, so the pass
+    stays sound on any order.
     """
     begin = time.perf_counter()
     ABSINT_COUNTS["graph_analyses"] += 1
-    facts: Dict[Value, AbsVal] = dict(seeds) if seeds else {}
+    facts: Dict[Value, AbsVal] = {}
 
     def val(value: Value) -> AbsVal:
         fact = facts.get(value)
         return fact if fact is not None else AbsVal.top(value.width)
 
-    operations = list(graph.operations)
-    in_graph = set(operations)
-    pending = deque(operations)
-    queued = set(operations)
-    iterations = 0
-    while pending:
-        op = pending.popleft()
-        queued.discard(op)
-        iterations += 1
-        for result, fact in zip(op.results, _transfer_op(op, val)):
-            old = facts.get(result)
-            new = fact if old is None else old.meet(fact)
-            if old is not None and new.same(old):
-                continue
-            facts[result] = new
-            for user, _ in result.uses:
-                if user in in_graph and user not in queued:
-                    pending.append(user)
-                    queued.add(user)
+    for op in graph.operations:
+        facts.update(zip(op.results, _transfer_op(op, val)))
     _ANALYSIS_SECONDS[0] += time.perf_counter() - begin
-    return RangeFacts(facts, operations=len(operations),
-                      iterations=iterations)
+    return RangeFacts(facts)
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +700,7 @@ _ANALYSIS_SECONDS: List[float] = [0.0]
 
 
 def analysis_seconds() -> float:
-    """Total wall-clock spent in the worklist engine since the last
+    """Total wall-clock spent in :func:`analyze_graph` since the last
     :func:`clear_facts_cache` (memoized hits cost nothing)."""
     return _ANALYSIS_SECONDS[0]
 
@@ -864,11 +738,6 @@ def absint_cache_stats() -> Dict[str, int]:
     return dict(ABSINT_COUNTS)
 
 
-def supported_ops() -> Iterable[str]:
-    """Op names with a dedicated transfer function (for docs/tests)."""
-    return tuple(sorted(_TRANSFER))
-
-
 __all__ = [
     "ABSINT_COUNTS",
     "AbsVal",
@@ -880,5 +749,4 @@ __all__ = [
     "analyze_module",
     "clear_facts_cache",
     "slice_source",
-    "supported_ops",
 ]

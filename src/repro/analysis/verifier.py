@@ -1,9 +1,10 @@
 """The IR verifier (Tier B of the static-analysis subsystem).
 
 Checks the invariants the lowering pipeline promises but nothing used to
-enforce end-to-end: SSA scoping, per-op structural invariants, constants
-inside their type's range, acyclic combinational dataflow, schedule
-legality (precedence and datasheet windows) and module port wiring.
+enforce end-to-end: SSA scoping and block order (the one evaluation
+order every pass walks), per-op structural invariants, constants inside
+their type's range, acyclic combinational dataflow, schedule legality
+(precedence and datasheet windows) and module port wiring.
 Findings are the same structured :class:`~repro.utils.diagnostics.Diagnostic`
 records the frontend linter emits, with ``IVxxx`` codes; structural
 findings (IV001-IV007) are errors — a violated invariant means a later
@@ -14,10 +15,10 @@ the behaviour is well-defined, just almost certainly unintended.
 ========  ========================  =======================================
 code      check                     invariant
 ========  ========================  =======================================
-IV001     ssa-def-before-use        every operand defined in the same graph
+IV001     ssa-def-before-use        operands defined earlier in the block
 IV002     op-invariant              per-op structural verifier (widths, attrs)
 IV003     constant-range            constant/ROM values fit the element width
-IV004     comb-cycle                dataflow graphs are acyclic
+IV004     comb-cycle                no comb cycle; registers break loops
 IV005     schedule-precedence       start times respect dependence edges
 IV006     schedule-window           start times inside [earliest, latest]
 IV007     module-ports              every declared output port is driven
@@ -73,9 +74,12 @@ IR_CHECKS: Dict[str, IRCheck] = {
     check.code: check
     for check in (
         IRCheck("IV001", "ssa-def-before-use",
-                "Every operand of every operation must be produced by an "
-                "operation of the same graph or be a block argument; a "
-                "value imported from another graph breaks SSA scoping."),
+                "Every operand of every operation must be a block argument "
+                "or be produced by an earlier operation of the same graph; "
+                "a value imported from another graph breaks SSA scoping, "
+                "and a value read before its definition breaks the block "
+                "order every pass walks. A register's data and enable are "
+                "sampled at the clock edge and may be defined later."),
         IRCheck("IV002", "op-invariant",
                 "Each operation must satisfy its registered structural "
                 "verifier: operand/result width consistency, required "
@@ -86,7 +90,8 @@ IR_CHECKS: Dict[str, IRCheck] = {
                 "width; out-of-range constants silently wrap in RTL."),
         IRCheck("IV004", "comb-cycle",
                 "Dataflow graphs must be acyclic; a combinational cycle "
-                "is unschedulable and unsynthesizable."),
+                "is unschedulable and unsynthesizable. A register breaks "
+                "a loop."),
         IRCheck("IV005", "schedule-precedence",
                 "A solved schedule must give every operation a start time "
                 "and respect every dependence edge: "
@@ -154,9 +159,12 @@ def _op_label(graph: Graph, op: Operation, index: int) -> str:
 
 def _check_ssa(graph: Graph) -> Iterator[Diagnostic]:
     check = IR_CHECKS["IV001"]
-    members = set(map(id, graph.operations))
+    position = {op: index for index, op in enumerate(graph.operations)}
     block_args = set(map(id, graph.block.arguments))
     for index, op in enumerate(graph.operations):
+        # A register samples its data and enable at the clock edge, so a
+        # feedback loop through it may read a value defined after it.
+        sampled = op.name == "seq.compreg"
         for operand_index, operand in enumerate(op.operands):
             if operand.owner is None:
                 if id(operand) not in block_args:
@@ -165,11 +173,17 @@ def _check_ssa(graph: Graph) -> Iterator[Diagnostic]:
                         f"{_op_label(graph, op, index)} is a block argument "
                         "of a different block")
                 continue
-            if id(operand.owner) not in members:
+            defined = position.get(operand.owner)
+            if defined is None:
                 yield check.diagnostic(
                     f"operand {operand_index} of "
                     f"{_op_label(graph, op, index)} is defined by "
                     f"'{operand.owner.name}' outside this graph")
+            elif defined >= index and not sampled:
+                yield check.diagnostic(
+                    f"operand {operand_index} of "
+                    f"{_op_label(graph, op, index)} is defined later, by "
+                    f"'{operand.owner.name}' (#{defined})")
 
 
 def _check_op_invariants(graph: Graph) -> Iterator[Diagnostic]:
@@ -223,19 +237,13 @@ def _check_acyclic(graph: Graph) -> Iterator[Diagnostic]:
 
 def _is_constant_value(value: Value) -> bool:
     owner = value.owner
-    return owner is not None and owner.name in ("comb.constant",
-                                                "hwarith.constant")
+    return owner is not None and owner.name == "comb.constant"
 
 
 def _check_ranges(graph: Graph) -> Iterator[Diagnostic]:
     """Range findings proved by the abstract-interpretation engine
-    (IV008-IV009).  Only runs when the graph is structurally sound enough
-    to analyze (acyclic); the structural checks report the rest."""
+    (IV008-IV009)."""
     from repro.analysis.absint import analyze_graph
-    try:
-        graph.topological_order()
-    except (IRError, RecursionError):
-        return
     facts = analyze_graph(graph)
     shift_check = IR_CHECKS["IV008"]
     rom_check = IR_CHECKS["IV009"]
@@ -267,12 +275,20 @@ def _check_ranges(graph: Graph) -> Iterator[Diagnostic]:
 
 def verify_graph(graph: Graph) -> List[Diagnostic]:
     """Run the structural checks (IV001-IV004) and the range checks
-    (IV008-IV009) over one dataflow graph."""
-    diagnostics: List[Diagnostic] = []
-    diagnostics.extend(_check_ssa(graph))
+    (IV008-IV009) over one dataflow graph.
+
+    A graph in block order (IV001) has no combinational cycle, so IV004
+    looks for one only after IV001 found an operand out of order.  The
+    range checks run only on a graph in block order: the analysis is one
+    forward pass, and its slice forwarding follows producers, which would
+    not end on a cycle of wiring ops."""
+    diagnostics = list(_check_ssa(graph))
+    ordered = not diagnostics
     diagnostics.extend(_check_op_invariants(graph))
-    diagnostics.extend(_check_acyclic(graph))
-    diagnostics.extend(_check_ranges(graph))
+    if ordered:
+        diagnostics.extend(_check_ranges(graph))
+    else:
+        diagnostics.extend(_check_acyclic(graph))
     return diagnostics
 
 

@@ -40,7 +40,7 @@ def module_critical_path(module: HWModule,
     tech = tech or TechLibrary()
     arrival: Dict[Value, float] = {}
     critical = 0.0
-    for op in module.body.topological_order():
+    for op in module.body.operations:
         if op.name in ("hw.input", "seq.compreg"):
             for result in op.results:
                 arrival[result] = 0.0
@@ -55,8 +55,8 @@ def module_critical_path(module: HWModule,
         for result in op.results:
             arrival[result] = finish
         critical = max(critical, finish)
-    # Second pass for register data pins (they may appear before producers
-    # in list order, but topological_order already handles def-before-use).
+    # Second pass for register data pins: a register may come before the
+    # producer of its data in block order; by now every arrival is known.
     for op in module.body.operations:
         if op.name == "seq.compreg":
             critical = max(critical, arrival.get(op.operands[0], 0.0))
@@ -77,7 +77,7 @@ def output_arrival_times(module: HWModule,
     tech = tech or TechLibrary()
     arrival: Dict[Value, float] = {}
     outputs: Dict[str, float] = {}
-    for op in module.body.topological_order():
+    for op in module.body.operations:
         if op.name in ("hw.input", "seq.compreg"):
             for result in op.results:
                 arrival[result] = 0.0

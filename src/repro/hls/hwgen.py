@@ -122,8 +122,7 @@ class _ModuleBuilder:
 
     # ---------------------------------------------------------- conversion
     def convert(self) -> HWModule:
-        order = self.graph.topological_order()
-        for op in order:
+        for op in self.graph.operations:
             if op.name == "lil.sink":
                 continue
             stage = self.schedule.stage_of(op)

@@ -250,25 +250,6 @@ def _tradeoff(groups: List[OperatorGroup], tech: TechLibrary,
     return points
 
 
-def shared_unit_assignments(artifact: IsaxArtifact) -> Dict[str, List[Tuple[str, str]]]:
-    """Cross-ISAX unit assignments written by the optimizer's ``share``
-    pass (:func:`repro.opt.share.pool_cross_isax`).
-
-    Returns ``unit id -> [(functionality, op kind), ...]``: every entry
-    with more than one functionality is a physical unit time-shared across
-    mutually exclusive instructions.  Empty when the artifact was compiled
-    without the ``share`` pass.
-    """
-    assignments: Dict[str, List[Tuple[str, str]]] = {}
-    for name, functionality in artifact.functionalities.items():
-        for op in functionality.graph.operations:
-            unit = op.attr("shared_unit")
-            if unit is not None:
-                assignments.setdefault(unit, []).append((name, op.name))
-    return {unit: sorted(users) for unit, users in
-            sorted(assignments.items())}
-
-
 def render_tradeoff(report: SharingReport) -> str:
     """Human-readable area/II curve for one report."""
     lines = [f"resource-sharing trade-off for '{report.name}' "

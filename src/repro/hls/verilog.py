@@ -87,7 +87,7 @@ class _VerilogPrinter:
             port_lines.append("  input  logic clk")
             port_lines.append("  input  logic rst")
         # Pre-name input ports.
-        for op in module.body.topological_order():
+        for op in module.body.operations:
             if op.name == "hw.input":
                 port = module.port(op.attr("name"))
                 self.names[op.result] = port.name
@@ -99,7 +99,7 @@ class _VerilogPrinter:
                 f"  output logic {_width_decl(port.width)}{port.name}"
             )
 
-        for op in module.body.topological_order():
+        for op in module.body.operations:
             if op.name == "hw.input":
                 continue
             if op.name == "hw.output":

@@ -90,10 +90,6 @@ class Value:
         #: Set of (operation, operand_index) pairs using this value.
         self.uses: Set[Tuple["Operation", int]] = set()
 
-    @property
-    def is_block_argument(self) -> bool:
-        return self.owner is None
-
     def replace_all_uses_with(self, other: "Value") -> None:
         if other is self:
             return
@@ -298,8 +294,11 @@ class Graph:
                 for key, value in op.attributes.items())
 
     def topological_order(self) -> List[Operation]:
-        """Operations sorted so every def precedes its uses.  Raises on
-        cycles (our dataflow graphs are acyclic by construction)."""
+        """Operations sorted so every def precedes its uses; raises
+        :class:`IRError` naming an op on a cycle.  Block order already is
+        def-before-use (IV001), so passes walk :attr:`operations`; the
+        verifier calls this to name the cycle behind an out-of-order
+        operand (IV004)."""
         ops = self.operations
         index = {op: i for i, op in enumerate(ops)}
         state: Dict[Operation, int] = {}

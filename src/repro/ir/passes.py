@@ -169,10 +169,9 @@ def canonicalize(graph: Graph) -> None:
     A replaced op is erased alone, and its dead feeders wait for the one
     DCE at the end.  :func:`dedupe_constants` keeps the first constant in
     block order, dead ones included, and the SystemVerilog printer numbers
-    wires in topological order, which starts from block order: erasing dead
-    feeders earlier would rename wires.  A merge can enable a fold
-    (``mux(c, k, k)``), so folding and dedup repeat until dedup merges
-    nothing."""
+    wires in block order: erasing dead feeders earlier would rename wires.
+    A merge can enable a fold (``mux(c, k, k)``), so folding and dedup
+    repeat until dedup merges nothing."""
     apply_rules(graph, _CLEANUP_RULES)
     while dedupe_constants(graph):
         apply_rules(graph, _CLEANUP_RULES)

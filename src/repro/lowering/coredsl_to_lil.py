@@ -21,7 +21,6 @@ Performs:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 from repro.dialects import lil
@@ -29,14 +28,10 @@ from repro.frontend.elaboration import ElaboratedISA, Encoding
 from repro.ir.builder import Builder
 from repro.ir.core import Graph, Operation, Value
 from repro.ir.passes import canonicalize
+from repro.scaiev.interfaces import address_width
 from repro.utils.diagnostics import CoreDSLError
 
 XLEN = 32
-
-
-def address_width(elements: int) -> int:
-    """SCAIE-V's AW: ceil(log2(num elements)), at least 1."""
-    return max(1, math.ceil(math.log2(elements))) if elements > 1 else 1
 
 
 class _LilConverter:

@@ -12,10 +12,9 @@ Two layers, both extending the cost-model-only analysis of
   *instruction* graphs of one compile (instructions issue one at a time on
   the host cores, paper Section 7), assigning each instance a stable
   ``shared_unit`` attribute: instances in different instructions with the
-  same unit id time-share one physical unit.  Downstream consumers
-  (:func:`repro.hls.sharing.shared_unit_assignments`, the area model, the
-  metrics JSON) read the annotation; the IR verifier ignores unknown
-  attributes, and hardware generation carries them into the module.
+  same unit id time-share one physical unit.  The IR verifier ignores
+  unknown attributes, and hardware generation carries the annotation
+  into the module.
 
 No imports from ``repro.hls`` at module level — ``hls.longnail`` imports
 this package, and ``hls.sharing`` imports ``hls.longnail``.

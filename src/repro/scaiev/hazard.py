@@ -18,6 +18,7 @@ from typing import List
 
 from repro.scaiev.config import IsaxConfig
 from repro.scaiev.datasheet import VirtualDatasheet
+from repro.scaiev.interfaces import address_width
 
 
 @dataclasses.dataclass
@@ -97,8 +98,8 @@ def plan_scoreboard(config: IsaxConfig, datasheet: VirtualDatasheet,
                 key = (reg_name,)
                 if key not in seen:
                     seen.add(key)
-                    aw = max(1, (reg.elements - 1).bit_length()) if reg.elements > 1 else 1
-                    entries.append(ScoreboardEntry(reg_name, aw, reg.width))
+                    entries.append(ScoreboardEntry(
+                        reg_name, address_width(reg.elements), reg.width))
     return ScoreboardPlan(
         enabled=enabled,
         entries=entries,

@@ -10,13 +10,13 @@ register's address width and ``DW`` its data width.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, List, Tuple
 
 
 def address_width(elements: int) -> int:
-    """ceil(log2(num. elements)), minimum 1 (Table 1 caption)."""
-    return max(1, math.ceil(math.log2(elements))) if elements > 1 else 1
+    """ceil(log2(num. elements)), minimum 1 (Table 1 caption), in exact
+    integer arithmetic."""
+    return max(1, (elements - 1).bit_length())
 
 
 @dataclasses.dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.scaiev.config import IsaxConfig, RegisterRequest
+from repro.scaiev.interfaces import address_width
 from repro.utils.bits import to_unsigned
 
 
@@ -35,9 +36,7 @@ class CustomRegisterFile:
 
     @property
     def address_width(self) -> int:
-        if self.elements <= 1:
-            return 1
-        return max(1, (self.elements - 1).bit_length())
+        return address_width(self.elements)
 
     def read(self, index: int = 0) -> int:
         if not 0 <= index < self.elements:

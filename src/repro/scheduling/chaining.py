@@ -4,7 +4,9 @@ Zero-latency operator types let arbitrarily long combinational chains end up
 in one time step.  Following CIRCT's utilities, we (1) pre-compute
 *chain-breaker* edges that force over-long chains apart (consumed by the
 ILP's C5 constraints), and (2) post-compute the ``startTimeInCycle``
-property for a solved problem.
+property for a solved problem.  Both walk the problem's operations in
+their listed order, which is dependence order
+(:meth:`~repro.scheduling.problem.Problem.check`).
 """
 
 from __future__ import annotations
@@ -20,28 +22,6 @@ def _adjacency(problem: Problem) -> Dict[Hashable, List[Hashable]]:
         if not dep.is_chain_breaker:
             preds[dep.target].append(dep.source)
     return preds
-
-
-def _topological(problem: Problem) -> List[Hashable]:
-    preds = _adjacency(problem)
-    state: Dict[Hashable, int] = {}
-    order: List[Hashable] = []
-
-    def visit(op: Hashable) -> None:
-        mark = state.get(op, 0)
-        if mark == 2:
-            return
-        if mark == 1:
-            raise ScheduleError("cycle in dependence graph")
-        state[op] = 1
-        for pred in preds[op]:
-            visit(pred)
-        state[op] = 2
-        order.append(op)
-
-    for op in problem.operations:
-        visit(op)
-    return order
 
 
 def compute_chain_breakers(problem: ChainingProblem,
@@ -60,7 +40,7 @@ def compute_chain_breakers(problem: ChainingProblem,
     preds = _adjacency(problem)
     cycle: Dict[Hashable, int] = {}
     finish: Dict[Hashable, float] = {}
-    for op in _topological(problem):
+    for op in problem.operations:
         lot = problem.linked_operator_type(op)
         delay = lot.incoming_delay
         if delay > cycle_time:
@@ -101,7 +81,7 @@ def compute_start_times_in_cycle(problem: ChainingProblem) -> None:
     """Fill the ``startTimeInCycle`` property for a problem whose
     ``startTime`` values are already computed (CIRCT utility equivalent)."""
     preds = _adjacency(problem)
-    for op in _topological(problem):
+    for op in problem.operations:
         lot = problem.linked_operator_type(op)
         start = 0.0
         for pred in preds[op]:

@@ -46,7 +46,9 @@ def _lifetime_weight(source: Hashable) -> float:
 def solve_asap(problem: LongnailProblem) -> Dict[Hashable, int]:
     """Heuristic engine: as-soon-as-possible longest-path schedule honoring
     earliest bounds and chain breakers; raises if a latest bound cannot be
-    met (ASAP is componentwise minimal, so failure implies infeasibility)."""
+    met (ASAP is componentwise minimal, so failure implies infeasibility).
+    Operations are listed in dependence order, so one forward pass
+    suffices."""
     preds: Dict[Hashable, List[Tuple[Hashable, int]]] = {
         op: [] for op in problem.operations
     }
@@ -55,29 +57,17 @@ def solve_asap(problem: LongnailProblem) -> Dict[Hashable, int]:
         preds[dep.target].append((dep.source, extra))
 
     start: Dict[Hashable, int] = {}
-    state: Dict[Hashable, int] = {}
-
-    def visit(op: Hashable) -> int:
-        if state.get(op) == 2:
-            return start[op]
-        if state.get(op) == 1:
-            raise ScheduleError("cycle in dependence graph")
-        state[op] = 1
+    for op in problem.operations:
         lot = problem.linked_operator_type(op)
         time = lot.earliest
         for pred, extra in preds[op]:
-            time = max(time, visit(pred) + problem.latency(pred) + extra)
+            time = max(time, start[pred] + problem.latency(pred) + extra)
         if time > lot.latest:
             raise ScheduleError(
                 f"infeasible: {op} cannot start before {time} but its "
                 f"window closes at {lot.latest}"
             )
-        state[op] = 2
         start[op] = time
-        return time
-
-    for op in problem.operations:
-        visit(op)
     return start
 
 

@@ -15,6 +15,11 @@ LongnailProblem    --                           earliest, latest
 
 The solution constraints implemented in :meth:`verify` are the formulas of
 Table 2 verbatim.
+
+A problem lists its operations in dependence order: every dependence
+points from an earlier operation to a later one, so the list is a
+topological order and every pass over a problem (ASAP, chaining) walks
+it as is.  :meth:`Problem.check` rejects a backward dependence.
 """
 
 from __future__ import annotations
@@ -77,7 +82,8 @@ class Dependence:
 
 
 class Problem:
-    """Acyclic scheduling problem without operator sharing."""
+    """Acyclic scheduling problem without operator sharing, its
+    operations listed in dependence order."""
 
     def __init__(self) -> None:
         self.operations: List[Hashable] = []
@@ -118,8 +124,9 @@ class Problem:
 
     # -- input constraints ------------------------------------------------------
     def check(self) -> None:
-        """Input constraints: every operation has a linked operator type and
-        every dependence endpoint is registered."""
+        """Input constraints: every operation has a linked operator type,
+        every dependence endpoint is registered, and every dependence
+        points forward in :attr:`operations`."""
         registered = set(self._linked)
         for dep in self.dependences:
             if dep.source not in registered or dep.target not in registered:
@@ -127,22 +134,13 @@ class Problem:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        succs: Dict[Hashable, List[Hashable]] = {op: [] for op in self.operations}
-        indeg: Dict[Hashable, int] = {op: 0 for op in self.operations}
+        position = {op: index for index, op in enumerate(self.operations)}
         for dep in self.dependences:
-            succs[dep.source].append(dep.target)
-            indeg[dep.target] += 1
-        stack = [op for op, d in indeg.items() if d == 0]
-        seen = 0
-        while stack:
-            op = stack.pop()
-            seen += 1
-            for nxt in succs[op]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    stack.append(nxt)
-        if seen != len(self.operations):
-            raise ScheduleError("dependence graph contains a cycle")
+            if position[dep.source] >= position[dep.target]:
+                raise ScheduleError(
+                    f"dependence {dep.source} -> {dep.target} runs against "
+                    "the operation order; the dependence graph may "
+                    "contain a cycle")
 
     # -- solution constraints -----------------------------------------------------
     def verify(self) -> None:

@@ -229,7 +229,7 @@ class BatchedSimulator:
 
     def register_states(self) -> List[Tuple[int, ...]]:
         """Per-lane register tuples, matching RTLSimulator.register_state
-        (ints, schedule order)."""
+        (ints, block order)."""
         columns = [
             asarray_lane(reg, self._n, _LANE_DTYPE[kind]).astype(_U64)
             .tolist() if kind == "b"

@@ -3,7 +3,7 @@
 The interpreting engine in :mod:`repro.sim.rtl_sim` re-walks the
 ``comb``/``seq`` netlist op by op every cycle, paying a dict lookup per SSA
 value and a dispatch per operation.  This module removes that per-cycle
-overhead: it takes the simulator's topological schedule once and
+overhead: it takes the module's validated block order once and
 code-generates a single straight-line Python ``step`` function per module —
 one local variable per SSA value, constant-folded width masks, register
 state in a flat list, and the outputs dict built in one literal — then
@@ -21,7 +21,11 @@ A second code generator, :func:`compile_module_batch`, emits a vectorized
 once over numpy arrays (see :class:`~repro.sim.batch.BatchedSimulator` and
 ``docs/simulation.md`` for the lane layout).
 
-Both compilers and the schedule are kept on the :class:`HWModule` by
+Both compilers share one evaluation order, the module body's block
+order, checked once by :func:`cached_schedule`: every operand of a
+non-register op is defined earlier in the body, while a register's data
+and enable, sampled at the clock edge, may come later (feedback).  The
+compiled code and that order are kept on the :class:`HWModule` by
 :meth:`~repro.dialects.hw.HWModule.derived`: repeated simulator
 construction over the same netlist — the cosim memory-feedback fixpoint
 re-simulates each module up to 4x per trial, and ``verify_artifact`` runs
@@ -118,14 +122,25 @@ CODEGEN_COUNTS: Dict[str, int] = {"scalar": 0, "batched": 0, "schedules": 0}
 
 
 def _schedule(module: HWModule) -> List[Operation]:
-    from repro.sim.rtl_sim import RTLSimulator
-
     CODEGEN_COUNTS["schedules"] += 1
-    return RTLSimulator._schedule(module)
+    order = list(module.body.operations)
+    defined = set()
+    for op in order:
+        if op.name != "seq.compreg":
+            for operand in op.operands:
+                if operand.owner is not None and operand.owner not in defined:
+                    raise IRError(
+                        f"module '{module.name}': '{op.name}' reads a "
+                        f"value of '{operand.owner.name}' that is not "
+                        "defined before it in the body")
+        defined.add(op)
+    return order
 
 
 def cached_schedule(module: HWModule) -> List[Operation]:
-    """Register-first topological schedule, kept on the module."""
+    """The body's block order, checked once and kept on the module:
+    raises :class:`IRError` at the first op other than a register that
+    reads a value not defined before it."""
     return module.derived("sim.schedule", lambda: _schedule(module))
 
 
@@ -521,8 +536,9 @@ def _codegen_batch(module: HWModule,
 
     # Dead-op elimination: only values reaching an output or a register
     # (data or enable) need lanes.  Register operands are seeded first —
-    # their producers sit *after* them in the (register-first) schedule,
-    # so a single reverse pass over the comb ops then converges.
+    # their producers may sit *after* the register in block order — and
+    # every other operand is defined before its user, so a single reverse
+    # pass over the comb ops then converges.
     # Liveness runs on slice-forwarded operands (_live_operands): a wide
     # concat whose every use is a forwarded extract is dead here even
     # though it still has IR uses.

@@ -2,7 +2,7 @@
 
 Simulates the ``comb``/``seq`` netlist of an :class:`HWModule`: each
 :meth:`RTLSimulator.step` applies input values, evaluates the combinational
-logic in topological order, samples the outputs, and then clocks the
+logic in block order, samples the outputs, and then clocks the
 pipeline registers (honoring their stall enables).  This is the
 reproduction's equivalent of running the emitted SystemVerilog through a
 commercial simulator, and it backs the co-simulation tests that compare the
@@ -19,11 +19,12 @@ Two engines implement the cycle, selected with ``engine=``:
 
 The numpy lane-parallel engine only runs many lanes at once; it is
 :class:`repro.sim.batch.BatchedSimulator`, not an ``RTLSimulator`` engine.
-Both engines share the register-first topological schedule (kept on the
-module by :func:`repro.sim.compile.cached_schedule`, whose first call
-freezes the module) and the flat register state, and are held to
-bit-identical behavior by the standing engine-equivalence differential
-oracle (:func:`repro.sim.compile.crosscheck_engines`).
+Both engines share the module body's block order (checked and kept on
+the module by :func:`repro.sim.compile.cached_schedule`, whose first call
+freezes the module; an op other than a register that reads a value
+defined later raises :class:`IRError`) and the flat register state, and
+are held to bit-identical behavior by the standing engine-equivalence
+differential oracle (:func:`repro.sim.compile.crosscheck_engines`).
 """
 
 from __future__ import annotations
@@ -67,46 +68,11 @@ class RTLSimulator:
         else:
             compiled = None
         if compiled is not None:
-            # The compiler registers state slots in schedule order too, so
+            # The compiler registers state slots in block order too, so
             # the flat list is shared as-is between both engines.
             assert compiled.register_ops == self._reg_ops
             self._compiled = compiled
         self.engine = "compiled" if self._compiled is not None else "interp"
-
-    @staticmethod
-    def _schedule(module: HWModule) -> List[Operation]:
-        """Topological order where registers break cycles: a register's
-        output is available at the start of the cycle, and its data operand
-        is only sampled at the clock edge."""
-        ops = module.body.operations
-        index = set(ops)
-        state: Dict[Operation, int] = {}
-        order: List[Operation] = []
-
-        def visit(op: Operation) -> None:
-            mark = state.get(op, 0)
-            if mark == 2:
-                return
-            if mark == 1:
-                raise IRError(
-                    f"combinational cycle in module '{module.name}' at "
-                    f"'{op.name}'"
-                )
-            state[op] = 1
-            if op.name != "seq.compreg":
-                for operand in op.operands:
-                    if operand.owner is not None and operand.owner in index:
-                        visit(operand.owner)
-            state[op] = 2
-            order.append(op)
-
-        # Registers first (their outputs are cycle inputs), then the rest.
-        for op in ops:
-            if op.name == "seq.compreg":
-                visit(op)
-        for op in ops:
-            visit(op)
-        return order
 
     # ------------------------------------------------------------------ API
     def reset(self) -> None:
@@ -176,7 +142,7 @@ class RTLSimulator:
         return self._last_outputs[name]
 
     def register_state(self) -> Tuple[int, ...]:
-        """Current register values, in schedule order (pre-edge values of
+        """Current register values, in block order (pre-edge values of
         the upcoming cycle)."""
         return tuple(self._reg_state)
 

@@ -20,6 +20,7 @@ from repro.isaxes import DOTPROD
 from repro.scheduling.problem import LongnailProblem, OperatorType
 from repro.scheduling.scheduler import ScheduleResult
 from repro.utils.diagnostics import Diagnostic, Severity
+from tests.sim.test_rtl_sim import make_counter_module
 
 
 def make_graph(name="g"):
@@ -51,6 +52,17 @@ class TestSSA:
         a = builder.constant(1, 8)
         builder.create("comb.not", [a], [(8, None)])
         assert verify_graph(graph) == []
+
+    def test_positive_operand_defined_later(self):
+        graph, builder = make_graph()
+        a = builder.constant(1, 8)
+        add = builder.create("comb.add", [a, a], [(8, None)])
+        late = builder.constant(2, 8)
+        add.set_operand(1, late)
+        found = verify_graph(graph)
+        # Out of block order, but acyclic: no comb cycle to name.
+        assert codes(found) == ["IV001"]
+        assert "defined later" in found[0].message
 
 
 class TestOpInvariant:
@@ -118,6 +130,11 @@ class TestCombCycle:
         x = builder.create("comb.add", [a, a], [(8, None)])
         builder.create("comb.add", [x.result, a], [(8, None)])
         assert verify_graph(graph) == []
+
+    def test_negative_register_breaks_the_loop(self):
+        # The counter's register comes before the add that feeds it: a
+        # feedback loop, but not a combinational one.
+        assert verify_module(make_counter_module()) == []
 
 
 def toy_schedule(start_a=0, start_b=1, latency=1, latest=10,

@@ -53,6 +53,8 @@ class TestTable1:
         assert address_width(2) == 1
         assert address_width(32) == 5
         assert address_width(33) == 6
+        # Exact past float precision: ceil(log2(2**53 + 1)) is 54.
+        assert address_width(2**53 + 1) == 54
 
     def test_custom_register_interfaces(self):
         subs = custom_register_interfaces("COUNT", 1, 32)

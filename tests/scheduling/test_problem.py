@@ -65,6 +65,16 @@ class TestBaseProblem:
         with pytest.raises(ScheduleError, match="cycle"):
             problem.check()
 
+    def test_dependence_against_operation_order_rejected(self):
+        # Acyclic, but operations must be listed in dependence order.
+        problem = Problem()
+        problem.add_operator_type(OperatorType("op"))
+        problem.add_operation("a", "op")
+        problem.add_operation("b", "op")
+        problem.add_dependence("b", "a")
+        with pytest.raises(ScheduleError, match="operation order"):
+            problem.check()
+
     def test_precedence_verified(self):
         problem = two_op_problem(latency=1)
         problem.start_time = {"a": 0, "b": 0}

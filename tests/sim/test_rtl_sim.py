@@ -10,7 +10,8 @@ from repro.dialects.hw import HWModule
 from repro.hls import compile_isax
 from repro.ir.core import IRError
 from repro.isaxes import DOTPROD, SBOX, SPARKLE, SQRT_TIGHTLY
-from repro.sim import ArchState, CoreDSLInterpreter, RTLSimulator
+from repro.sim import (ArchState, BatchedSimulator, CoreDSLInterpreter,
+                       RTLSimulator)
 from repro.utils.bits import to_signed, to_unsigned
 
 
@@ -62,6 +63,34 @@ class TestBasics:
         sim = RTLSimulator(make_counter_module())
         out = sim.step({"en": 0xFF})  # masked to 1 bit
         assert out["value"] == 0
+
+
+def make_out_of_order_module():
+    """y = a + 1, with the constant placed after the add that reads it."""
+    from repro.ir.core import Operation
+
+    module = HWModule("out_of_order")
+    a = module.add_input("a", 8)
+    one = Operation("comb.constant", [], [(8, None)], {"value": 1})
+    add = Operation("comb.add", [a, one.result], [(8, None)])
+    module.body.append(add)
+    module.body.append(one)
+    module.add_output("y", add.result)
+    return module
+
+
+class TestBlockOrder:
+    """Every engine simulates the body in block order and rejects a
+    non-register op that reads a value defined after it."""
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_rtl_simulator_rejects_operand_defined_later(self, engine):
+        with pytest.raises(IRError, match="not defined before"):
+            RTLSimulator(make_out_of_order_module(), engine=engine)
+
+    def test_batched_simulator_rejects_operand_defined_later(self):
+        with pytest.raises(IRError, match="not defined before"):
+            BatchedSimulator(make_out_of_order_module())
 
 
 def run_module_steady(module, inputs, cycles):
