@@ -3,12 +3,11 @@
 Two gates over a cold compile of the ISAX x core grid, mirroring the
 lint budget in ``bench_lint_overhead.py``:
 
-* **cost** — the worklist engine's cumulative wall-clock (metered by
+* **cost** — the analysis's cumulative wall-clock (metered by
   :func:`repro.analysis.absint.analysis_seconds`, which counts every
-  ``analyze_graph`` invocation: the ``range-narrow`` optimizer rounds,
-  the IV008/IV009 verifier sweep when enabled, and the batch codegen's
-  memoized per-module facts) must stay **under 5 %** of the cold -O2
-  grid compile it rides in;
+  ``analyze_graph`` forward pass: the ``range-narrow`` optimizer rounds
+  and the IV008/IV009 verifier sweep when enabled) must stay **under
+  5 %** of the cold -O2 grid compile it rides in;
 * **payoff** — ``range-narrow`` must cut the geomean CDFG node count a
   further >= 2 % beyond what the rest of -O2 achieves, measured by an
   A/B compile with ``OptOptions(level=2, disable=("range-narrow",))``.
@@ -146,7 +145,7 @@ def run_benchmark(out_dir):
         f"analysis time: {absint_seconds:.4f}s of {grid_seconds:.3f}s "
         f"grid compile ({100 * share:.1f}%, cap "
         f"{100 * MAX_ANALYSIS_SHARE:.0f}%) over "
-        f"{stats['graph_analyses']} worklist runs",
+        f"{stats['graph_analyses']} forward passes",
     ]
     write_artifact(out_dir, "absint.txt", "\n".join(lines))
 

@@ -1,4 +1,4 @@
-"""RTL-simulation engine shoot-out: interpreted vs compiled vs batched.
+"""RTL-simulation engine shoot-out: interpreted vs compiled.
 
 Runs every benchmark-ISAX module (compiled for VexRiscv) through both
 scalar simulation engines on identical random stimulus, requiring
@@ -8,39 +8,18 @@ the compiled engine is at least 10x faster than the interpreter
 measures the end-to-end effect on the heaviest verification workload — a
 small differential fuzz campaign run once per engine.
 
-The batched section compares the numpy lane-parallel engine against the
-scalar compiled engine at a fixed lane count: the same stimulus trace is
-replicated across N lanes, the scalar engine pays for it N times while
-the batched engine evaluates all lanes in one ``step_batch`` sweep.
-Marshalling (Python dicts -> lane arrays) happens outside the timed
-region on both sides; every lane's trace must stay byte-identical to the
-scalar reference.  Gate: >= 5x geomean throughput at 64 lanes.
-
-Artifacts: ``benchmarks/out/bench_sim_engines.json`` and
-``benchmarks/out/bench_sim_engines_batched.json`` (the BENCH JSONs the
-CI job uploads) plus human-readable ``sim_engines.txt`` /
-``sim_engines_batched.txt``.
+Artifacts: ``benchmarks/out/bench_sim_engines.json`` (the BENCH JSON the
+CI job uploads) plus the human-readable ``sim_engines.txt``.
 
 Set ``SIM_BENCH_SMOKE=1`` for the PR-gate smoke mode: a small cycle
-budget that still fails on any equivalence break or gross regression.
+budget that still fails on any equivalence break or gross regression::
 
-Standalone batched mode (the acceptance gate of the batched-engine
-issue)::
-
-    PYTHONPATH=src python benchmarks/bench_sim_engines.py --batch 64
+    SIM_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/bench_sim_engines.py
 """
 
 import json
 import math
 import os
-import sys
-
-if __package__ in (None, ""):   # running as a plain script, not under pytest
-    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    for _entry in (_ROOT, os.path.join(_ROOT, "src")):
-        if _entry not in sys.path:
-            sys.path.insert(0, _entry)
-
 import time
 
 from benchmarks.conftest import write_artifact
@@ -48,7 +27,6 @@ from repro.fuzz import FuzzConfig, run_campaign
 from repro.hls import compile_isax
 from repro.isaxes import ALL_ISAXES
 from repro.sim import RTLSimulator
-from repro.sim.batch import BatchedSimulator
 from repro.sim.compile import random_stimulus
 
 SMOKE = os.environ.get("SIM_BENCH_SMOKE", "") not in ("", "0")
@@ -59,12 +37,6 @@ CORE = "VexRiscv"
 #: (geomean across ISAXes).  The smoke gate keeps a safety margin against
 #: CI-runner noise; full runs hold the issue's 10x target.
 MIN_GEOMEAN = 6.0 if SMOKE else 10.0
-#: Lanes for the batched shoot-out (the issue's gate is stated at 64).
-BATCH_LANES = 64
-#: The batched engine must beat the scalar compiled engine by at least
-#: this factor (geomean across ISAXes) at 64 lanes.  The smoke gate keeps
-#: the same noise margin philosophy as MIN_GEOMEAN.
-MIN_BATCH_GEOMEAN = 3.0 if SMOKE else 5.0
 
 
 def _time_engine(module, engine, stimulus):
@@ -102,94 +74,6 @@ def bench_isax(name):
         "speedup": round(interp_s / compiled_s, 2),
         "trace_identical": True,
     }
-
-
-def bench_batched_isax(name, lanes, cycles):
-    """Scalar-compiled vs numpy-batched over every module of one ISAX.
-
-    Both timed regions evaluate ``lanes`` copies of the same stimulus
-    trace with marshalling excluded: the scalar engine replays the
-    pre-built input vectors lane by lane through ``step``; the batched
-    engine sweeps pre-marshalled lane arrays through ``run_prepared``.
-    Lane-by-lane byte-identity against the scalar trace is asserted
-    outside the timed region.
-    """
-    artifact = compile_isax(ALL_ISAXES[name], CORE)
-    scalar_s = batched_s = 0.0
-    lane_cycles = 0
-    for fname, functionality in artifact.functionalities.items():
-        module = functionality.module
-        stimulus = random_stimulus(module, cycles, seed=3)
-
-        scalar = RTLSimulator(module, engine="compiled")
-        begin = time.perf_counter()
-        for _ in range(lanes):
-            scalar.reset()
-            for vector in stimulus:
-                scalar.step(vector)
-        scalar_s += time.perf_counter() - begin
-
-        batched = BatchedSimulator(module)
-        arrays = batched.prepare_trace([stimulus] * lanes)
-        begin = time.perf_counter()
-        batched.run_prepared(arrays, lanes)
-        batched_s += time.perf_counter() - begin
-
-        # Byte-identical traces on every lane, outside the timed region.
-        reference = RTLSimulator(module, engine="compiled").run(stimulus)
-        for lane, trace in enumerate(batched.run_batch([stimulus] * lanes)):
-            assert repr(trace) == repr(reference), \
-                f"{name}/{fname} lane {lane} diverged from the scalar trace"
-        lane_cycles += cycles * lanes
-    return {
-        "modules": len(artifact.functionalities),
-        "lane_cycles": lane_cycles,
-        "scalar_cycles_per_s": round(lane_cycles / scalar_s, 1),
-        "batched_cycles_per_s": round(lane_cycles / batched_s, 1),
-        "speedup": round(scalar_s / batched_s, 2),
-        "trace_identical": True,
-    }
-
-
-def run_batched_shootout(lanes, cycles, min_geomean):
-    """The batched shoot-out across all benchmark ISAXes; returns the
-    BENCH JSON record and the human-readable report lines.  Raises
-    AssertionError when the geomean misses the gate."""
-    isaxes = {name: bench_batched_isax(name, lanes, cycles)
-              for name in sorted(ALL_ISAXES)}
-    geomean = math.exp(
-        sum(math.log(record["speedup"]) for record in isaxes.values())
-        / len(isaxes))
-    bench = {
-        "bench": "sim_engines_batched",
-        "smoke": SMOKE,
-        "core": CORE,
-        "lanes": lanes,
-        "cycles_per_module": cycles,
-        "isaxes": isaxes,
-        "geomean_speedup": round(geomean, 2),
-        "min_geomean_required": min_geomean,
-    }
-    lines = [
-        f"{'ISAX':<16} {'modules':>7} {'scalar c/s':>12} "
-        f"{'batched c/s':>13} {'speedup':>8}",
-    ]
-    for name, record in isaxes.items():
-        lines.append(
-            f"{name:<16} {record['modules']:>7} "
-            f"{record['scalar_cycles_per_s']:>12,.0f} "
-            f"{record['batched_cycles_per_s']:>13,.0f} "
-            f"{record['speedup']:>7.1f}x")
-    lines += [
-        "",
-        f"geomean speedup at {lanes} lanes: {geomean:.2f}x "
-        f"(required >= {min_geomean:.0f}x); "
-        "all lane traces byte-identical to the scalar engine",
-    ]
-    assert geomean >= min_geomean, (
-        f"batched engine only {geomean:.2f}x faster than scalar compiled "
-        f"(geomean, {lanes} lanes); required {min_geomean:.0f}x")
-    return bench, lines
 
 
 def fuzz_wallclock(tmp_path, sim_engine):
@@ -252,51 +136,3 @@ def test_sim_engine_shootout(artifact_dir, tmp_path):
     assert geomean >= MIN_GEOMEAN, (
         f"compiled engine only {geomean:.1f}x faster (geomean); "
         f"required {MIN_GEOMEAN:.0f}x")
-
-
-def test_batched_engine_throughput(artifact_dir):
-    bench, lines = run_batched_shootout(
-        BATCH_LANES, CYCLES, MIN_BATCH_GEOMEAN)
-    (artifact_dir / "bench_sim_engines_batched.json").write_text(
-        json.dumps(bench, indent=2) + "\n", encoding="utf-8")
-    write_artifact(artifact_dir, "sim_engines_batched.txt",
-                   "\n".join(lines))
-
-
-def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Batched-vs-scalar simulation engine shoot-out")
-    parser.add_argument("--batch", type=int, default=BATCH_LANES,
-                        metavar="N", help="lane count (default 64)")
-    parser.add_argument("--cycles", type=int, default=300, metavar="C",
-                        help="cycles per module per lane (default 300)")
-    parser.add_argument("--min-geomean", type=float, default=5.0,
-                        metavar="X",
-                        help="required geomean speedup (default 5.0)")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="artifact directory "
-                             "(default benchmarks/out)")
-    args = parser.parse_args(argv)
-
-    out_dir = args.out or os.path.join(os.path.dirname(
-        os.path.abspath(__file__)), "out")
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        bench, lines = run_batched_shootout(
-            args.batch, args.cycles, args.min_geomean)
-    except AssertionError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    path = os.path.join(out_dir, "bench_sim_engines_batched.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(bench, handle, indent=2)
-        handle.write("\n")
-    print("\n".join(lines))
-    print(f"\n[artifact] {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,16 +1,15 @@
 """Abstract interpretation over the lil/comb CDFG: intervals + known bits.
 
 One sound value-range engine for the whole stack.  Before this module,
-three subsystems re-derived "how wide is this value really":
+several subsystems re-derived "how wide is this value really"; two
+remain, and both query this analysis:
 
-* the batched simulator's lane-kind bounds (``repro.sim.compile``),
 * the optimizer's width-narrowing and branch folding (``repro.opt``),
 * the linter/verifier's truncation, shift and index rules.
 
-They now all query the same analysis.  The engine makes one forward
-pass over the single-block graph in block order and computes, per SSA
-:class:`~repro.ir.core.Value`, an :class:`AbsVal` combining two
-composable domains:
+The engine makes one forward pass over the single-block graph in block
+order and computes, per SSA :class:`~repro.ir.core.Value`, an
+:class:`AbsVal` combining two composable domains:
 
 * an **unsigned interval** ``[lo, hi]`` over the value's masked bit
   pattern (``0 <= lo <= hi <= mask(width)``), and
@@ -143,22 +142,6 @@ class AbsVal:
             min(self.lo, other.lo), max(self.hi, other.hi),
             self.zeros & other.zeros, self.ones & other.ones)
 
-    def meet(self, other: "AbsVal") -> "AbsVal":
-        """Greatest lower bound: what both facts allow."""
-        refined = AbsVal.make(
-            self.width,
-            max(self.lo, other.lo), min(self.hi, other.hi),
-            self.zeros | other.zeros, self.ones | other.ones)
-        # A contradictory meet (make() degraded to top) keeps the older,
-        # still-sound fact instead of widening.
-        if refined.is_top() and not (self.is_top() and other.is_top()):
-            return self
-        return refined
-
-    def same(self, other: "AbsVal") -> bool:
-        return (self.lo == other.lo and self.hi == other.hi
-                and self.zeros == other.zeros and self.ones == other.ones)
-
     def signed_interval(self) -> Optional[Tuple[int, int]]:
         """The value's two's-complement reading as a mathematical
         interval, when the sign bit is determined: ``None`` if the
@@ -277,7 +260,7 @@ class IntRange:
 
 
 # ---------------------------------------------------------------------------
-# Slice forwarding (shared with the simulator codegen)
+# Slice forwarding
 # ---------------------------------------------------------------------------
 
 def slice_source(value: Value, low: int, width: int) -> Tuple[Value, int]:
@@ -287,11 +270,13 @@ def slice_source(value: Value, low: int, width: int) -> Tuple[Value, int]:
     ``comb.concat`` operand (or one ``comb.replicate`` chunk) forwards to
     that operand directly.  Netlists spend most of their ops assembling
     wide words from narrow pieces and slicing them back apart — forwarding
-    lets both this analysis and the batch simulator reason about the
-    pieces themselves, and (via liveness on the *resolved* operands) the
-    codegen never materializes the wide word at all.
+    lets the analysis reason about the pieces themselves.  On a cycle of
+    wiring ops (invalid IR, IV001) the walk stops at the first value it
+    meets twice.
     """
-    while True:
+    seen = set()
+    while value not in seen:
+        seen.add(value)
         owner = value.owner
         if owner is None:
             return value, low
@@ -323,6 +308,7 @@ def slice_source(value: Value, low: int, width: int) -> Tuple[Value, int]:
                 continue
             return value, low
         return value, low
+    return value, low
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +529,14 @@ def _t_mux(op: Operation, val: _Lookup, width: int) -> AbsVal:
     cond = val(op.operands[0])
     t, f = val(op.operands[1]), val(op.operands[2])
     if cond.is_const:
-        taken = t if cond.value else f
-        # Arm widths equal the result width on verified IR; clamp just
-        # in case the graph predates verification.
-        return AbsVal.make(width, taken.lo, taken.hi,
-                           zeros=taken.zeros & mask(width),
-                           ones=taken.ones & mask(width))
-    return AbsVal.make(width, min(t.lo, f.lo), max(t.hi, f.hi),
-                       zeros=t.zeros & f.zeros & mask(width),
-                       ones=t.ones & f.ones & mask(width))
+        t = f = t if cond.value else f
+    joined = t.join(f)
+    if joined.width == width:
+        return joined
+    # Arm widths equal the result width on verified IR; clamp just in
+    # case the graph predates verification.
+    return AbsVal.make(width, joined.lo, joined.hi,
+                       zeros=joined.zeros, ones=joined.ones)
 
 
 @_transfer("comb.extract")
@@ -629,11 +614,6 @@ class RangeFacts:
         fact = self._facts.get(value)
         return fact if fact is not None else AbsVal.top(value.width)
 
-    def hi(self, value: Value) -> int:
-        """Upper bound on the value's (masked) magnitude — the drop-in
-        replacement for the batch codegen's legacy bound analysis."""
-        return self.get(value).hi
-
 
 def _transfer_op(op: Operation, val: _Lookup) -> List[AbsVal]:
     """Output facts for one operation (one per result)."""
@@ -708,9 +688,8 @@ def analysis_seconds() -> float:
 def analyze_module(module: HWModule) -> RangeFacts:
     """Memoized range analysis of a hardware module's body.
 
-    Inputs and registers are ``top`` (their ranges are set by the
-    environment), matching the assumptions the batch simulator's legacy
-    bound analysis made.  The facts are kept on the module by
+    Inputs and registers are ``top``: their ranges are set by the
+    environment.  The facts are kept on the module by
     :meth:`~repro.dialects.hw.HWModule.derived`, which freezes it.
     """
     analyses = ABSINT_COUNTS["analyses"]

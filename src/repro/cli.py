@@ -693,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=SIM_ENGINES,
                         help="RTL simulation engine for the cosim oracle "
                              "(auto = compiled with interpreter fallback; "
-                             "batched = numpy lane-per-trial)")
+                             "batched = retired name of compiled)")
     fuzz_p.add_argument("-o", "--out", default="fuzz-out",
                         help="corpus/stats directory (default fuzz-out)")
     fuzz_p.add_argument("--no-reduce", action="store_true",
@@ -728,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=SIM_ENGINES,
                           help="RTL simulation engine (auto = compiled "
                                "with interpreter fallback; batched = "
-                               "numpy lane-per-trial)")
+                               "retired name of compiled)")
     verify_p.set_defaults(func=_cmd_verify)
 
     datasheet_p = sub.add_parser(

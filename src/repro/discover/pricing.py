@@ -55,8 +55,9 @@ DISCOVER_SEARCH_RUNNER = "repro.discover.pricing:run_discover_payload"
 #: evaluation pipeline changes.  ``discover-2``: cosim gate runs on the
 #: batched simulation engine (lane-per-trial) by default.  ``discover-3``:
 #: area and frequency measure the priced ``-O2`` artifact, not an ``-O0``
-#: recompile.
-_DISCOVER_CACHE_VERSION = "discover-3"
+#: recompile.  ``discover-4``: the cosim gate runs the default engine, and
+#: the payload and record carry no ``sim_engine``.
+_DISCOVER_CACHE_VERSION = "discover-4"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,9 +72,6 @@ class PricingRequest:
     opt: int = 2
     trials: int = 5
     seed: int = 0
-    #: RTL-simulation engine for the cosim gate; batched evaluates all
-    #: trials of a functionality as lanes of one numpy batch.
-    sim_engine: str = "batched"
 
     def payload(self) -> dict:
         return {
@@ -85,15 +83,13 @@ class PricingRequest:
             "opt": self.opt,
             "trials": self.trials,
             "seed": self.seed,
-            "sim_engine": self.sim_engine,
         }
 
     def cache_key(self, kernel_fingerprint: str) -> str:
         return digest(
             _DISCOVER_CACHE_VERSION, kernel_fingerprint,
             self.candidate.digest, repr(self.fold), self.core,
-            repr(self.opt), repr(self.trials), repr(self.seed),
-            self.sim_engine)
+            repr(self.opt), repr(self.trials), repr(self.seed))
 
     def label(self) -> str:
         fold = "+zol" if self.fold else ""
@@ -129,7 +125,6 @@ def run_pricing_payload(payload: dict) -> dict:
     from repro.analysis.verifier import verify_artifact_ir
     from repro.eval.asic import measure_artifacts
     from repro.hls.longnail import compile_isax
-    from repro.sim.compile import resolve_engine
     from repro.sim.cosim import verify_artifact
 
     kernel = resolve_kernel(payload["kernel"], **payload.get("params", {}))
@@ -139,8 +134,6 @@ def run_pricing_payload(payload: dict) -> dict:
     opt = int(payload.get("opt", 2))
     trials = int(payload.get("trials", 5))
     seed = int(payload.get("seed", 0))
-    sim_engine = str(payload.get("sim_engine", "batched"))
-    resolve_engine(sim_engine)  # reject unknown engines before compiling
 
     record: dict = {
         "kernel": payload["kernel"],
@@ -184,10 +177,7 @@ def run_pricing_payload(payload: dict) -> dict:
         return _failure(record, "irverify",
                         "; ".join(str(d) for d in ir_diagnostics[:3]))
 
-    cosim = verify_artifact(artifact, trials=trials, seed=seed,
-                            sim_engine=sim_engine)
-    record["sim_engine"] = sim_engine
-    record["batched_trials"] = cosim.batched_trials
+    cosim = verify_artifact(artifact, trials=trials, seed=seed)
     if not cosim.passed:
         return _failure(record, "cosim",
                         f"{len(cosim.failures)} mismatching trials")

@@ -21,15 +21,14 @@ two as fixed-corpus spot checks; here they become programmable):
   every core (any iteration-order leak in lowering, scheduling or hwgen
   shows up here first).  Its failures are listed after the other
   oracles'.
-* **batchsim** — the interpreting, compiled and numpy lane-parallel RTL
-  engines (:mod:`repro.sim.compile`, :mod:`repro.sim.batch`) must produce
+* **batchsim** — the interpreting and compiled RTL engines
+  (:mod:`repro.sim.rtl_sim`, :mod:`repro.sim.compile`) must produce
   identical output traces, register counts and final register state on
-  every generated module (three-engine ``crosscheck_engines``), and a
-  ``verify_artifact`` run with ``sim_engine="batched"`` must match the
-  golden model.  When the cosim oracle already ran with
-  ``sim_engine="batched"``, its report is reused instead of re-running the
-  same trials.  The retired name ``simengine`` (interpreter vs compiled
-  only) is accepted as an alias for ``batchsim``, so old corpora replay.
+  every generated module (``crosscheck_engines``).  The name outlives the
+  lane-parallel engine this oracle also checked; the ``cosim`` oracle is the
+  one that compares an engine with the golden model.  The retired name
+  ``simengine`` is accepted as an alias for ``batchsim``, so old corpora
+  replay.
 * **irverify** — run the IR verifier (:mod:`repro.analysis.verifier`) over
   every functionality's lil graph, solved schedule and hardware module;
   any error-severity ``IVxxx`` finding on a valid program is a
@@ -41,8 +40,8 @@ two as fixed-corpus spot checks; here they become programmable):
   random stimulus on the ``interp`` engine of the RTL simulator: every
   concrete SSA value must lie inside its predicted interval and respect
   its known-bits masks.  A violation is an unsound transfer function —
-  the one bug class that would silently corrupt the linter, the
-  optimizer, and the batched simulator at once.
+  the one bug class that would silently corrupt the linter, the verifier
+  and the optimizer at once.
 * **optequiv** (opt-in via ``oracles``) — recompile at ``-O2`` and require
   the optimized artifact's architectural trace
   (:func:`repro.opt.equiv.architectural_trace`) to be byte-identical to the
@@ -334,7 +333,6 @@ def run_oracles(source: str,
                     detail=diag.render().splitlines()[0]))
 
         # Oracle 3: interpreter vs RTL co-simulation.
-        cosim_report = None
         if "cosim" in selected:
             cosim_report = verify_artifact(
                 fast, trials=trials, seed=cosim_seed, vcd_dir=vcd_dir,
@@ -344,30 +342,17 @@ def run_oracles(source: str,
                 failures.append(OracleFailure(
                     kind="cosim", core=core, detail=str(result)))
 
-        # Oracle 4: the three RTL-simulation engines agree lane for lane
-        # on random stimulus, and the batched cosim (the cosim oracle's
-        # own report when it already ran batched) matches the golden model.
+        # Oracle 4: the interpreting and compiled RTL engines agree cycle
+        # for cycle on random stimulus.
         if "batchsim" in selected:
             for name, functionality in fast.functionalities.items():
                 mismatch = crosscheck_engines(
                     functionality.module, cycles=max(trials, 8),
-                    seed=cosim_seed,
-                    engines=("interp", "compiled", "batched"))
+                    seed=cosim_seed, engines=("interp", "compiled"))
                 if mismatch is not None:
                     failures.append(OracleFailure(
                         kind="batchsim", core=core,
                         detail=f"{name}: {mismatch}"))
-            batched = cosim_report
-            if batched is None or sim_engine != "batched":
-                batched = verify_artifact(fast, trials=trials,
-                                          seed=cosim_seed,
-                                          sim_engine="batched")
-            for result in batched.failures:
-                failures.append(OracleFailure(
-                    kind="batchsim", core=core,
-                    detail=f"batched cosim {result.functionality}: "
-                           + "; ".join(f"{m.kind}: {m.detail}"
-                                       for m in result.mismatches)))
 
         # Oracle: abstract interpretation is sound — every concretely
         # simulated value lies inside its predicted interval/known bits.

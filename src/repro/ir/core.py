@@ -298,7 +298,9 @@ class Graph:
         :class:`IRError` naming an op on a cycle.  Block order already is
         def-before-use (IV001), so passes walk :attr:`operations`; the
         verifier calls this to name the cycle behind an out-of-order
-        operand (IV004)."""
+        operand (IV004).  As in IV001, a register's operands may come
+        after it: it samples them at the clock edge, so a loop through a
+        register is no cycle."""
         ops = self.operations
         index = {op: i for i, op in enumerate(ops)}
         state: Dict[Operation, int] = {}
@@ -311,9 +313,10 @@ class Graph:
             if mark == 1:
                 raise IRError(f"cycle in graph '{self.name}' at '{op.name}'")
             state[op] = 1
-            for operand in op.operands:
-                if operand.owner is not None and operand.owner in index:
-                    visit(operand.owner)
+            if op.name != "seq.compreg":
+                for operand in op.operands:
+                    if operand.owner is not None and operand.owner in index:
+                        visit(operand.owner)
             state[op] = 2
             order.append(op)
 

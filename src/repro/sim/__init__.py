@@ -7,9 +7,8 @@ package provides the equivalents:
 * :mod:`repro.sim.rtl_sim` — a cycle-driven simulator for generated hw
   modules (the ISAX datapaths) with two engines, a reference interpreter
   and a netlist-to-Python compiled engine (:mod:`repro.sim.compile`,
-  ``engine="interp"|"compiled"|"auto"``), plus the numpy lane-parallel
-  batched engine for many lanes at once (:mod:`repro.sim.batch`; see
-  ``docs/simulation.md``),
+  ``engine="interp"|"compiled"|"auto"``; ``"batched"`` is the retired
+  name of ``"compiled"``, see ``docs/simulation.md``),
 * :mod:`repro.sim.coredsl_interp` — a golden-model interpreter executing
   CoreDSL behaviors directly on an architectural state,
 * :mod:`repro.sim.riscv` — an RV32I assembler, a functional ISS, and
@@ -20,15 +19,12 @@ package provides the equivalents:
 from repro.sim.rtl_sim import RTLSimulator
 from repro.sim.compile import (
     SIM_ENGINES,
-    BatchCompiledModule,
     CompiledModule,
     clear_compile_cache,
     compile_cache_stats,
     compile_module,
-    compile_module_batch,
     crosscheck_engines,
 )
-from repro.sim.batch import BatchedSimulator
 from repro.sim.coredsl_interp import ArchState, CoreDSLInterpreter
 from repro.sim.cosim import (
     CosimResult,
@@ -41,13 +37,10 @@ from repro.sim.cosim import (
 __all__ = [
     "RTLSimulator",
     "SIM_ENGINES",
-    "BatchCompiledModule",
-    "BatchedSimulator",
     "CompiledModule",
     "clear_compile_cache",
     "compile_cache_stats",
     "compile_module",
-    "compile_module_batch",
     "crosscheck_engines",
     "ArchState",
     "CoreDSLInterpreter",

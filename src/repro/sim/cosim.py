@@ -9,10 +9,9 @@ effect — GPR result, PC redirect, memory request, custom register writes —
 including the valid bits.
 
 Every check runs through one algorithm, :func:`cosim_lanes`, with one
-*lane* per trial.  The golden model runs per lane; the RTL simulates all
-lanes with constant inputs (one :meth:`repro.sim.batch.BatchedSimulator
-.run_const` sweep under ``sim_engine="batched"``, lane by lane on the
-scalar engines).  Reads are then resolved across lanes: the module's
+*lane* per trial.  The golden model runs per lane; the RTL simulates the
+lanes one after another with constant inputs, on one simulator reset
+per lane.  Reads are then resolved across lanes: the module's
 ``mem_raddr``/``rd<REG>_addr`` outputs are observed, the addressed data is
 fed back on the ``mem_rdata``/``rd<REG>_data`` inputs, and only the lanes
 whose inputs changed are simulated again, for at most three rounds (one
@@ -169,11 +168,6 @@ def _feed_reads(module, state: ArchState, inputs: Dict[str, int],
 def _lane_simulator(module, cycles: int, sim_engine: str):
     """``simulate(lanes) -> outputs``: drive each lane's constant inputs
     for ``cycles`` cycles from reset and return its final outputs."""
-    if sim_engine == "batched":
-        from repro.sim.batch import BatchedSimulator  # deferred: numpy
-
-        batch = BatchedSimulator(module)
-        return lambda lanes: batch.run_const(lanes, cycles)
     sim = RTLSimulator(module, engine=sim_engine)
 
     def simulate(lanes: List[Dict[str, int]]) -> List[Dict[str, int]]:
@@ -326,11 +320,11 @@ class VerificationReport:
     seed: int = 0
     #: VCD waveforms dumped for failing trials (when ``vcd_dir`` was given).
     vcd_paths: List[str] = dataclasses.field(default_factory=list)
-    #: Trials evaluated lane-parallel through the batched engine; only
-    #: populated when ``sim_engine="batched"``.
+    #: Always 0: the lane-parallel engine that counted its trials here is
+    #: gone.  Kept for the benchmark, which reads it.
     batched_trials: int = 0
     #: Always 0: every trial runs as a lane, read feedback included.  Kept
-    #: for readers of the older two-path report.
+    #: for the benchmark, which reads it.
     scalar_fallbacks: int = 0
 
     @property
@@ -339,11 +333,8 @@ class VerificationReport:
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else f"FAIL ({len(self.failures)})"
-        batching = (f"{self.batched_trials} batched, "
-                    if self.batched_trials else "")
         return (f"co-simulation of '{self.artifact}' on {self.core}: "
-                f"{self.trials} trials, {batching}seed={self.seed}, "
-                f"{status}")
+                f"{self.trials} trials, seed={self.seed}, {status}")
 
 
 def _dump_failure_vcd(functionality: FunctionalityArtifact,
@@ -379,25 +370,20 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
     mismatch is reproducible from the output alone; with ``vcd_dir`` set,
     each failing trial's waveform is saved as a VCD file there instead of
     being discarded.  ``sim_engine`` selects the RTL simulation engine
-    (``auto``/``interp``/``compiled``/``batched``, see
-    :mod:`repro.sim.compile`).  Each functionality's trials run as the
-    lanes of one :func:`cosim_lanes` call; with ``batched`` that is one
-    numpy evaluation per feedback round, counted as ``batched_trials``.
-    Stimuli are drawn by :func:`draw_trials` in the same RNG order for
-    every engine, so a seed reproduces the exact trial set regardless of
-    engine.
+    (``auto``/``interp``/``compiled``, or ``batched``, the retired name of
+    ``compiled``; see :mod:`repro.sim.compile`).  Each functionality's
+    trials run as the lanes of one :func:`cosim_lanes` call.  Stimuli are
+    drawn by :func:`draw_trials` in the same RNG order for every engine,
+    so a seed reproduces the exact trial set regardless of engine.
     """
     rng = random.Random(seed)
     failures: List[CosimResult] = []
     vcd_paths: List[str] = []
     total = 0
-    batched_trials = 0
     for name, functionality in artifact.functionalities.items():
         results = cosim_lanes(artifact, name,
                               draw_trials(artifact, name, trials, rng),
                               sim_engine)
-        if sim_engine == "batched":
-            batched_trials += len(results)
         for result in results:
             total += 1
             if not result.matches:
@@ -413,5 +399,4 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
         failures=failures,
         seed=seed,
         vcd_paths=vcd_paths,
-        batched_trials=batched_trials,
     )

@@ -17,8 +17,9 @@ Two engines implement the cycle, selected with ``engine=``:
 * ``"auto"`` (default) — the compiled engine, falling back to the
   interpreter if the module contains an op without a compilation rule.
 
-The numpy lane-parallel engine only runs many lanes at once; it is
-:class:`repro.sim.batch.BatchedSimulator`, not an ``RTLSimulator`` engine.
+``"batched"``, the name of a retired lane-parallel engine, selects
+``"compiled"``.
+
 Both engines share the module body's block order (checked and kept on
 the module by :func:`repro.sim.compile.cached_schedule`, whose first call
 freezes the module; an op other than a register that reads a value
@@ -41,10 +42,7 @@ class RTLSimulator:
     """Simulates one hw module cycle by cycle."""
 
     def __init__(self, module: HWModule, engine: str = "auto"):
-        if resolve_engine(engine) == "batched":
-            raise IRError(
-                "RTLSimulator simulates one lane; the batched engine is "
-                "repro.sim.batch.BatchedSimulator")
+        engine = resolve_engine(engine)
         self.module = module
         self._order: List[Operation] = cached_schedule(module)
         self._reg_ops: List[Operation] = [

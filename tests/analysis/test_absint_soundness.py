@@ -3,14 +3,16 @@
 Three layers:
 
 * unit tests for the :class:`AbsVal` domain algebra (cross-refinement,
-  join/meet, signed reading) and the :class:`IntRange` companion domain;
-* precision tests on hand-built graphs — the facts the optimizer, the
-  lint rules, and the batch codegen rely on must actually be inferred;
+  join, signed reading) and the :class:`IntRange` companion domain;
+* precision tests on hand-built graphs — the facts the optimizer and the
+  lint rules rely on must actually be inferred;
 * a hypothesis property: on random well-typed netlists, every concrete
   value an RTL simulation produces satisfies the engine's fact for it
   (:func:`repro.fuzz.oracles.check_range_soundness`, the same predicate
   the ``rangesound`` fuzz oracle enforces).
 """
+
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -70,13 +72,6 @@ class TestAbsVal:
         assert joined.contains(4) and joined.contains(6)
         # bit 2 is set in both 4 (100) and 6 (110): still known-one.
         assert joined.ones & 0b100
-
-    def test_meet_refines_and_rejects_contradiction(self):
-        met = AbsVal.from_interval(8, 0, 10).meet(AbsVal.from_interval(8, 5, 200))
-        assert (met.lo, met.hi) == (5, 10)
-        older = AbsVal.const(8, 3)
-        # Contradictory refinement keeps the older fact, never widens.
-        assert older.meet(AbsVal.const(8, 77)).same(older)
 
     def test_signed_interval(self):
         assert AbsVal.from_interval(8, 0, 5).signed_interval() == (0, 5)
@@ -205,6 +200,37 @@ class TestTransferPrecision:
         assert src is z.result and low == 0
         fact = analyze_graph(g).get(ext.result)
         assert fact.is_const and fact.value == 0
+
+
+def _self_extract_module():
+    """An extract that reads its own result: a wiring cycle (invalid IR,
+    IV001) that a direct analysis call can still meet."""
+    module = HWModule("wiring_cycle")
+    x = module.add_input("x", 8)
+    ext = Operation("comb.extract", [x], [(8, None)], {"low": 0})
+    module.body.append(ext)
+    ext.set_operand(0, ext.result)
+    module.add_output("y", ext.result)
+    return module, ext
+
+
+def test_wiring_cycle_analysis_terminates():
+    """slice_source stops at a value it already visited, so the analysis
+    returns on a wiring cycle; the range oracle then reaches the
+    simulator, which rejects the module."""
+    def timeout(signum, frame):
+        raise TimeoutError("the analysis looped on a wiring cycle")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(3)
+    try:
+        module, ext = _self_extract_module()
+        assert analyze_module(module).get(ext.result).is_top()
+        with pytest.raises(IRError, match="not defined before"):
+            check_range_soundness(_self_extract_module()[0], cycles=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.analysis.verifier import (
 from repro.dialects.hw import HWModule
 from repro.hls.longnail import compile_isax
 from repro.ir.builder import Builder
-from repro.ir.core import Graph
+from repro.ir.core import Graph, Operation
 from repro.isaxes import DOTPROD
 from repro.scheduling.problem import LongnailProblem, OperatorType
 from repro.scheduling.scheduler import ScheduleResult
@@ -135,6 +135,17 @@ class TestCombCycle:
         # The counter's register comes before the add that feeds it: a
         # feedback loop, but not a combinational one.
         assert verify_module(make_counter_module()) == []
+
+    def test_register_loop_beside_a_late_operand_is_no_cycle(self):
+        # IV001 reports the constant placed after its reader, which makes
+        # IV004 look for a cycle; the counter's register loop is none.
+        module = make_counter_module()
+        late = Operation("comb.constant", [], [(8, None)], {"value": 3})
+        masked = Operation("comb.and", [module.registers()[0].result,
+                                        late.result], [(8, None)])
+        module.body.append(masked)
+        module.body.append(late)
+        assert codes(verify_module(module)) == ["IV001"]
 
 
 def toy_schedule(start_a=0, start_b=1, latency=1, latest=10,

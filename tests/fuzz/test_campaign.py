@@ -76,8 +76,7 @@ def test_injected_fault_caught_reduced_deduplicated(tmp_path, monkeypatch):
 
     assert result.failing_seeds == [40, 41]
     # The broken interpreter xor trips two oracles: cosim (interpreter
-    # vs golden model) and batchsim (interpreter vs the compiled and the
-    # numpy batched engines).
+    # vs golden model) and batchsim (interpreter vs compiled engine).
     # Deduplication: both seeds map onto one canonical reproducer per kind.
     assert len(result.reproducers) == 4
     assert len(result.new_reproducers) == 2

@@ -1,32 +1,28 @@
-"""Batched-engine parity: the numpy lane-parallel engine against the
-scalar engines on hand-built netlists.
+"""Engine parity on hand-built netlists: the compiled RTL engine against
+the interpreter.
 
-The batched engine compiles each module to vectorized numpy code with
-three lane dtypes (``bool``/``uint64``/object ints) and a value-range
-analysis that keeps wide (>64-bit) values on native uint64 lanes whenever
-their bound proves they fit.  These tests pin the hazards of that design
-deterministically — width-boundary arithmetic, division by zero, shifts
-at and past the operand width, ROM out-of-range indices, per-operand
-icmp sign extension — and fuzz it with hypothesis-generated random
-netlists, always comparing all three engines bit for bit.
+These tests pin the width hazards deterministically — width-boundary
+arithmetic, division by zero, shifts at and past the operand width, ROM
+out-of-range indices, per-operand icmp sign extension — and fuzz both
+engines with hypothesis-generated random netlists, comparing them bit for
+bit.  The file is named after the retired numpy lane engine it was
+written for; it keeps that name because ``test_op_conformance.py`` and
+``tests/analysis/test_absint_soundness.py`` import ``BOUNDARY_WIDTHS``,
+``corner_values`` and ``random_netlists`` from it.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import compile_isax
 from repro.dialects.comb import BINARY_OPS, ICMP_PREDICATES
 from repro.dialects.hw import HWModule
 from repro.ir.core import Operation
-from repro.isaxes import ALL_ISAXES
-from repro.sim import BatchedSimulator, RTLSimulator, crosscheck_engines
+from repro.sim import RTLSimulator, crosscheck_engines
 from repro.utils.bits import mask, to_signed
 
-THREE_ENGINES = ("interp", "compiled", "batched")
-
-#: Widths straddling every lane decision: sub-byte, the uint64 boundary,
-#: and genuinely wide values that need object lanes.
+#: Widths straddling the machine-word boundaries: sub-byte, 32 and 64
+#: bits, and values wider than 64 bits.
 BOUNDARY_WIDTHS = (1, 7, 8, 31, 32, 33, 63, 64, 65, 96)
 
 
@@ -44,16 +40,12 @@ def binop_module(kind, width, predicate=None):
 
 
 def engines_agree(module, vectors):
-    """Run ``vectors`` through all three engines — the batched one with
-    one lane per vector, so distinct corner values actually share a numpy
-    evaluation — and return the (identical) output trace."""
+    """Run ``vectors`` through the interpreting and the compiled engine
+    and return the (identical) output trace."""
     vectors = list(vectors)
     interp = RTLSimulator(module, engine="interp").run(vectors)
     compiled = RTLSimulator(module, engine="compiled").run(vectors)
-    lanes = BatchedSimulator(module).run_batch([[v] for v in vectors])
-    batched = [trace[0] for trace in lanes]
     assert interp == compiled, f"interp != compiled on {module.name}"
-    assert interp == batched, f"interp != batched on {module.name}"
     return interp
 
 
@@ -72,7 +64,7 @@ def corner_values(width):
 @pytest.mark.parametrize("kind", ["comb.divu", "comb.divs",
                                   "comb.modu", "comb.mods"])
 def test_division_by_zero(kind, width):
-    """RISC-V semantics: x/0 = all-ones, x%0 = x — on every lane dtype."""
+    """RISC-V semantics: x/0 = all-ones, x%0 = x — at every width."""
     module = binop_module(kind, width)
     values = corner_values(width)
     trace = engines_agree(
@@ -113,8 +105,8 @@ def test_shifts_at_and_past_the_width(kind, width):
                           "comb.mods", "comb.shl", "comb.shru",
                           "comb.shrs")])
 def test_arithmetic_at_width_boundaries(kind, width):
-    """add/sub/mul wraparound and bitwise ops on boundary patterns; at
-    width 65/96 this crosses the uint64/object lane split."""
+    """add/sub/mul wraparound and bitwise ops on boundary patterns, up
+    to widths past 64 bits."""
     values = corner_values(width)
     engines_agree(
         binop_module(kind, width),
@@ -155,7 +147,7 @@ def test_icmp_mixed_width_operands(wa, wb):
     """Regression for the per-operand sign-bit fix: signed predicates
     must sign-extend each operand from its *own* width.  Unequal widths
     only occur pre-verification (hand-built netlists, fuzz reducers),
-    but all three engines must still agree with the golden semantics."""
+    but both engines must still agree with the golden semantics."""
     module = HWModule(f"icmp_{wa}_{wb}")
     a = module.add_input("a", wa)
     b = module.add_input("b", wb)
@@ -191,58 +183,6 @@ def test_rom_out_of_range_reads_zero():
     for vector, out in zip(vectors, trace):
         expect = table[vector["idx"]] if vector["idx"] < len(table) else 0
         assert out["r"] == expect
-
-
-def test_wide_value_with_proven_small_bound_rides_uint64_lanes():
-    """The absint facts keep a 96-bit sum on native uint64 lanes when the
-    operands are provably narrow — and the values still come out right."""
-    from repro.sim.compile import compile_module_batch
-
-    def build(masked):
-        label = "masked" if masked else "raw"
-        module = HWModule(f"wide_bound_{label}")
-        a = module.add_input("a", 96)
-        if masked:
-            m = Operation("comb.constant", [], [(96, None)],
-                          {"value": 0xFF})
-            module.body.append(m)
-            narrow = Operation("comb.and", [a, m.result], [(96, None)])
-            module.body.append(narrow)
-            a = narrow.result
-        total = Operation("comb.add", [a, a], [(96, None)])
-        module.body.append(total)
-        module.add_output("r", total.result)
-        return module
-
-    bounded = compile_module_batch(build(masked=True))
-    unbounded = compile_module_batch(build(masked=False))
-    # hi(a & 0xFF) = 255, so the sum is bounded by 510: uint64 lanes.
-    assert bounded.output_kinds == ["u"]
-    # Without the mask the 96-bit sum needs exact object lanes.
-    assert unbounded.output_kinds == ["o"]
-
-    stimulus = [{"a": v} for v in (0, 0xFF, (1 << 96) - 1, 0x1234567890)]
-    trace = engines_agree(build(masked=True), stimulus)
-    for vector, out in zip(stimulus, trace):
-        assert out["r"] == 2 * (vector["a"] & 0xFF)
-
-
-def test_multi_lane_traces_match_scalar_runs():
-    """Distinct stimuli on every lane of one batch reproduce, bit for
-    bit, the trace and final register state of one scalar run per
-    stimulus — the batched engine's core contract."""
-    from repro.sim.compile import random_stimulus
-
-    artifact = compile_isax(ALL_ISAXES["sqrt_tightly"], "VexRiscv")
-    module = next(iter(artifact.functionalities.values())).module
-    stimuli = [random_stimulus(module, 20, seed=s) for s in range(9)]
-    sim = BatchedSimulator(module)
-    traces = sim.run_batch(stimuli)
-    states = sim.register_states()
-    for stimulus, trace, state in zip(stimuli, traces, states):
-        scalar = RTLSimulator(module, engine="compiled")
-        assert scalar.run(stimulus) == trace
-        assert scalar.register_state() == state
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +276,7 @@ def random_netlists(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(module=random_netlists(), seed=st.integers(0, 2 ** 16))
 def test_random_netlists_three_engine_parity(module, seed):
+    """Named for the three engines it once compared; two remain."""
     mismatch = crosscheck_engines(module, cycles=6, seed=seed,
-                                  engines=THREE_ENGINES)
+                                  engines=("interp", "compiled"))
     assert mismatch is None, mismatch

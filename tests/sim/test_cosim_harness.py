@@ -145,15 +145,13 @@ def test_always_block_indexed_register_read(engine):
 @pytest.mark.parametrize("core", CORES + EXPERIMENTAL_CORES)
 @pytest.mark.parametrize("name", ["autoinc", "ijmp"])
 def test_read_feedback_runs_on_lanes(core, name):
-    """Memory loads and indexed reads need read feedback; under the
-    batched engine every trial still runs as a lane, with traces equal to
-    the scalar engines'."""
+    """Memory loads and indexed reads need read feedback; every trial
+    runs as a lane, with traces equal across engine names."""
     artifact = compile_isax(ALL_ISAXES[name], core)
     trials = 6
     report = verify_artifact(artifact, trials=trials, seed=4,
                              sim_engine="batched")
     assert report.passed, [str(f) for f in report.failures]
-    assert report.batched_trials == trials * len(artifact.functionalities)
     assert report.scalar_fallbacks == 0
     traces = {engine: architectural_trace(artifact, trials=trials, seed=4,
                                           sim_engine=engine)

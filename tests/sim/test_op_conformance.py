@@ -1,14 +1,13 @@
 """Exhaustive conformance of every ``comb`` op across its implementations.
 
 Each backend implements the comb ops on its own: :func:`comb.evaluate` (the
-reference), the scalar and numpy code generators behind the ``compiled``
-and batched engines, and the abstract interpreter's transfer functions.
-They stay separate on purpose, so that they can be compared; this module
-is where they are:
+reference), the code generator behind the ``compiled`` engine, and the
+abstract interpreter's transfer functions.  They stay separate on
+purpose, so that they can be compared; this module is where they are:
 
 * **engine half** — for every operand value at widths 1-5, and for corner
-  values at the batched engine's lane boundaries (``BOUNDARY_WIDTHS`` plus
-  128), the ``interp``, ``compiled`` and batched-lane engines all equal
+  values at the machine-word boundaries (``BOUNDARY_WIDTHS`` plus 128),
+  the ``interp`` and ``compiled`` engines both equal
   :func:`comb.evaluate`;
 * **transfer half** — at widths 1-3, for every interval x known-bits
   operand fact, every concrete result lies inside the transfer's fact;
@@ -31,7 +30,7 @@ from repro.dialects import comb
 from repro.dialects.comb import BINARY_OPS, ICMP_PREDICATES
 from repro.dialects.hw import HWModule
 from repro.ir.core import _REGISTRY, Operation
-from repro.sim import BatchedSimulator, RTLSimulator
+from repro.sim import RTLSimulator
 from repro.utils.bits import mask, to_signed
 
 from tests.sim.test_batched_engine import BOUNDARY_WIDTHS, corner_values
@@ -103,7 +102,7 @@ def operand_values(width):
 
 def narrow_width(width):
     """Width of the narrow compare operand: one bit less where every value
-    is enumerated, half the width (crossing lane kinds) at wide ones."""
+    is enumerated, half the width at wide ones."""
     return width - 1 if width in EXHAUSTIVE_WIDTHS else width // 2
 
 
@@ -118,7 +117,7 @@ def inputs_module(name, width):
 
 
 # ---------------------------------------------------------------------------
-# Engine half: interp, compiled and batched lanes equal comb.evaluate
+# Engine half: interp and compiled equal comb.evaluate
 # ---------------------------------------------------------------------------
 
 def op_zoo(width):
@@ -174,11 +173,9 @@ def test_engines_equal_evaluate(width):
     module, ops = op_zoo(width)
     vectors = stimulus(width)
     expected = [evaluate_outputs(module, vector) for vector in vectors]
-    lanes = BatchedSimulator(module).run_batch([[v] for v in vectors])
     traces = {
         "interp": RTLSimulator(module, engine="interp").run(vectors),
         "compiled": RTLSimulator(module, engine="compiled").run(vectors),
-        "batched": [trace[0] for trace in lanes],
     }
     for engine, trace in traces.items():
         for vector, want, got in zip(vectors, expected, trace):

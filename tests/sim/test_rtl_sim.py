@@ -10,8 +10,7 @@ from repro.dialects.hw import HWModule
 from repro.hls import compile_isax
 from repro.ir.core import IRError
 from repro.isaxes import DOTPROD, SBOX, SPARKLE, SQRT_TIGHTLY
-from repro.sim import (ArchState, BatchedSimulator, CoreDSLInterpreter,
-                       RTLSimulator)
+from repro.sim import ArchState, CoreDSLInterpreter, RTLSimulator
 from repro.utils.bits import to_signed, to_unsigned
 
 
@@ -87,10 +86,6 @@ class TestBlockOrder:
     def test_rtl_simulator_rejects_operand_defined_later(self, engine):
         with pytest.raises(IRError, match="not defined before"):
             RTLSimulator(make_out_of_order_module(), engine=engine)
-
-    def test_batched_simulator_rejects_operand_defined_later(self):
-        with pytest.raises(IRError, match="not defined before"):
-            BatchedSimulator(make_out_of_order_module())
 
 
 def run_module_steady(module, inputs, cycles):
