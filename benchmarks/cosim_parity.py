@@ -24,11 +24,25 @@ The ``hardware`` key fingerprints the emitted hardware: the sha256 of the
 SystemVerilog plus the SCAIE-V YAML of every grid cell at ``-O0`` and
 ``-O2`` and of every fuzz program x core at ``-O0``.  So one file per
 commit shows that the generated RTL did not move either.
+
+The ``golden`` key holds the CoreDSL golden model's effects of every
+trial, each :class:`~repro.sim.coredsl_interp.Effect` as a list, from
+:func:`cosim_lanes` on :func:`draw_trials` stimuli: per grid cell at
+``-O2`` with the grid's trials and seed, per fuzz program x core at
+``-O0`` with the fuzz trials and seed.  A cosim trial only records
+whether the RTL matched, so this is what shows a change to the golden
+model itself.
+
+``--compare BASE HEAD`` prints which top-level keys differ between two
+dumps, or that none do::
+
+    python benchmarks/cosim_parity.py --compare base.json head.json
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -39,7 +53,7 @@ from repro.hls.longnail import compile_isax
 from repro.isaxes import ALL_ISAXES
 from repro.opt.equiv import architectural_trace
 from repro.scaiev.cores import CORES, EXPERIMENTAL_CORES
-from repro.sim.cosim import verify_artifact
+from repro.sim.cosim import cosim_lanes, draw_trials, verify_artifact
 
 ENGINES = ("interp", "compiled", "batched")
 GRID_TRIALS, FUZZ_TRIALS, FUZZ_COSIM_SEED = 25, 8, 5
@@ -74,6 +88,18 @@ def cell(artifact, trials: int, seed: int) -> dict:
     return record
 
 
+def golden(artifact, trials: int, seed: int) -> dict:
+    """Golden effects of every trial, drawn as ``verify_artifact`` draws
+    them."""
+    rng = random.Random(seed)
+    return {name: [[list(dataclasses.astuple(effect))
+                    for effect in result.golden_effects]
+                   for result in cosim_lanes(
+                       artifact, name,
+                       draw_trials(artifact, name, trials, rng))]
+            for name in artifact.functionalities}
+
+
 def fingerprint(artifact) -> str:
     """sha256 of the artifact's SystemVerilog and SCAIE-V YAML."""
     text = artifact.verilog + "\0" + artifact.config_yaml
@@ -84,12 +110,30 @@ def verdict(report) -> list:
     return [report.ok, [[f.kind, f.core, f.detail] for f in report.failures]]
 
 
+def compare(base_path: str, head_path: str) -> str:
+    with open(base_path, encoding="utf-8") as base_file, \
+            open(head_path, encoding="utf-8") as head_file:
+        base, head = json.load(base_file), json.load(head_file)
+    moved = sorted(key for key in base.keys() | head.keys()
+                   if base.get(key) != head.get(key))
+    return f"outputs moved: {', '.join(moved)}" if moved \
+        else "outputs unchanged"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument("out", nargs="?", help="JSON file to write")
+    parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
+                        help="print the keys that differ between two dumps")
     args = parser.parse_args()
+    if args.compare:
+        print(compare(*args.compare))
+        return
+    if args.out is None:
+        parser.error("the output file is required")
 
-    doc: dict = {"grid": {}, "fuzz": {}, "oracles": {}, "hardware": {}}
+    doc: dict = {"grid": {}, "fuzz": {}, "oracles": {}, "hardware": {},
+                 "golden": {}}
     for isax in sorted(ALL_ISAXES):
         for core in (*CORES, *EXPERIMENTAL_CORES):
             doc["hardware"][f"{isax}@{core}/O0"] = fingerprint(
@@ -97,6 +141,7 @@ def main() -> None:
             artifact = compile_isax(ALL_ISAXES[isax], core, opt=2)
             doc["hardware"][f"{isax}@{core}/O2"] = fingerprint(artifact)
             doc["grid"][f"{isax}@{core}"] = cell(artifact, GRID_TRIALS, 0)
+            doc["golden"][f"{isax}@{core}"] = golden(artifact, GRID_TRIALS, 0)
     doc["corpus"] = fuzz_corpus()
     for seed in doc["corpus"]:
         source = generate_program(seed).source
@@ -106,6 +151,8 @@ def main() -> None:
             doc["hardware"][f"{seed}@{core}/O0"] = fingerprint(artifact)
             doc["fuzz"][f"{seed}@{core}"] = cell(artifact, FUZZ_TRIALS,
                                                  FUZZ_COSIM_SEED)
+            doc["golden"][f"{seed}@{core}"] = golden(artifact, FUZZ_TRIALS,
+                                                     FUZZ_COSIM_SEED)
         for engine in ("batched", "auto"):
             doc["oracles"][f"{seed}/{engine}"] = verdict(run_oracles(
                 source, trials=FUZZ_TRIALS, cosim_seed=FUZZ_COSIM_SEED,

@@ -17,7 +17,7 @@ program parses and type-checks *by construction*:
 * ``for`` bounds are compile-time constants and range subscripts use
   either constant bounds or the same-variable affine form ``x[i+K:i]``.
 
-Division and modulo are deliberately excluded: the golden interpreter
+Division and modulo are deliberately excluded: the golden model
 rejects division by zero while hardware returns a value, so they are not
 differential-testable with random operands.
 """

@@ -23,10 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
-
 from repro.scheduling.problem import (
     INFINITY,
     LongnailProblem,
@@ -72,7 +68,12 @@ def solve_asap(problem: LongnailProblem) -> Dict[Hashable, int]:
 
 
 def solve_milp(problem: LongnailProblem) -> Dict[Hashable, int]:
-    """Exact engine: the Figure 7 ILP via scipy's HiGHS-based MILP solver."""
+    """Exact engine: the Figure 7 ILP via scipy's HiGHS-based MILP solver.
+    Imports numpy and scipy, so that runs without a MILP solve skip them."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import lil_matrix
+
     ops = problem.operations
     deps = problem.dependences
     n, m = len(ops), len(deps)

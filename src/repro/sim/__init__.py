@@ -9,8 +9,8 @@ package provides the equivalents:
   and a netlist-to-Python compiled engine (:mod:`repro.sim.compile`,
   ``engine="interp"|"compiled"|"auto"``; ``"batched"`` is the retired
   name of ``"compiled"``, see ``docs/simulation.md``),
-* :mod:`repro.sim.coredsl_interp` — a golden-model interpreter executing
-  CoreDSL behaviors directly on an architectural state,
+* :mod:`repro.sim.coredsl_interp` — the golden model: CoreDSL behaviors,
+  translated to Python once per ISA, run on an architectural state,
 * :mod:`repro.sim.riscv` — an RV32I assembler, a functional ISS, and
   cycle-approximate timing models of the four host cores with SCAIE-V-style
   ISAX integration (in-pipeline / tightly-coupled / decoupled / always).

@@ -1,12 +1,19 @@
-"""Golden-model interpreter for CoreDSL behaviors.
+"""Golden model for CoreDSL behaviors.
 
-Executes the decorated AST of an elaborated ISA directly against an
-architectural state, with the value semantics guaranteed by the type system
-(operators never overflow; casts truncate/reinterpret).  Serves as:
+Runs the decorated AST of an elaborated ISA against an architectural state,
+with the value semantics guaranteed by the type system (operators never
+overflow; casts truncate/reinterpret).  Serves as:
 
 * the reference model for co-simulation against the generated RTL,
 * the ISAX executor inside the RV32I instruction-set simulator,
 * the always-block evaluator of the core timing models.
+
+The model is translated, not walked: on the first execution, every
+instruction behavior, always-block and function of the ISA becomes one
+Python ``def``, the module is compiled with :func:`compile`, and the result
+is kept for as long as the :class:`ElaboratedISA` lives.  The translation
+reads only the typed AST, never the lowered IR, so co-simulation still
+compares two paths that share just the parser and the type checker.
 
 Every architectural-state update is also recorded as an :class:`Effect` so
 tests can compare "what the hardware did" against "what the language says".
@@ -15,13 +22,14 @@ tests can compare "what the hardware did" against "what the language says".
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+import weakref
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.frontend import ast_nodes as ast
 from repro.frontend.elaboration import ElaboratedISA
-from repro.frontend.typecheck import StateInfo, range_width
+from repro.frontend.typecheck import FunctionSig, StateInfo, range_width
 from repro.frontend.types import IntType
-from repro.utils.bits import extract_bits, to_signed, to_unsigned
+from repro.utils.bits import mask, to_signed, to_unsigned
 from repro.utils.diagnostics import CoreDSLError
 
 
@@ -108,15 +116,14 @@ class ArchState:
         }
 
 
-class _Return(Exception):
-    def __init__(self, value: Optional[int]):
-        self.value = value
+#: Compiled instruction behaviors and always-blocks, by name.
+Translation = Tuple[Dict[str, Callable], Dict[str, Callable]]
 
-
-def _typed(value: int, type_: IntType) -> int:
-    """Normalize a mathematical value into ``type_``'s range (wrapping)."""
-    raw = to_unsigned(value, type_.width)
-    return to_signed(raw, type_.width) if type_.is_signed else raw
+#: ``isa -> translation``, weakly keyed; nothing in a translation refers
+#: back to its ISA, so an entry dies with its ISA.  No lock: two threads
+#: that miss together both translate, and the last store wins.
+_TRANSLATIONS: "weakref.WeakKeyDictionary[ElaboratedISA, Translation]" = \
+    weakref.WeakKeyDictionary()
 
 
 class CoreDSLInterpreter:
@@ -125,25 +132,27 @@ class CoreDSLInterpreter:
     def __init__(self, isa: ElaboratedISA):
         self.isa = isa
         self.effects: List[Effect] = []
-        self._in_spawn = False
+        self._code: Optional[Translation] = None
 
-    # ------------------------------------------------------------- entries
+    def _translation(self) -> Translation:
+        if self._code is None:
+            self._code = _TRANSLATIONS.get(self.isa)
+            if self._code is None:
+                self._code = _TRANSLATIONS[self.isa] = _translate(self.isa)
+        return self._code
+
     def execute_instruction(self, state: ArchState, name: str,
                             word: int) -> List[Effect]:
-        instr = self.isa.instructions[name]
-        fields = instr.encoding.decode(word)
+        behavior = self._translation()[0][name]
+        fields = self.isa.instructions[name].encoding.decode(word)
         self.effects = []
-        self._in_spawn = False
-        env = _Env(self.isa, state, fields)
-        self._exec_block(env, instr.behavior)
+        behavior(state, self.effects, fields)
         return self.effects
 
     def execute_always(self, state: ArchState, name: str) -> List[Effect]:
-        block = self.isa.always_blocks[name]
+        block = self._translation()[1][name]
         self.effects = []
-        self._in_spawn = False
-        env = _Env(self.isa, state, {})
-        self._exec_block(env, block.body)
+        block(state, self.effects)
         return self.effects
 
     def match_instruction(self, word: int) -> Optional[str]:
@@ -152,394 +161,441 @@ class CoreDSLInterpreter:
                 return name
         return None
 
-    # ------------------------------------------------------------ statements
-    def _exec_block(self, env: "_Env", block: ast.Stmt) -> None:
-        if isinstance(block, ast.BlockStmt):
-            env.push()
-            for stmt in block.statements:
-                self._exec_stmt(env, stmt)
-            env.pop()
-        else:
-            self._exec_stmt(env, block)
 
-    def _exec_stmt(self, env: "_Env", stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.BlockStmt):
-            self._exec_block(env, stmt)
-        elif isinstance(stmt, ast.VarDecl):
-            assert isinstance(stmt.decl_type, IntType)
-            value = 0
-            if stmt.init is not None:
-                value = _typed(self._eval(env, stmt.init), stmt.decl_type)
-            env.declare(stmt.name, value, stmt.decl_type)
-        elif isinstance(stmt, ast.Assign):
-            self._exec_assign(env, stmt)
-        elif isinstance(stmt, ast.ExprStmt):
-            if isinstance(stmt.expr, ast.FunctionCall):
-                self._call(env, stmt.expr)
-        elif isinstance(stmt, ast.IfStmt):
-            if self._eval(env, stmt.cond):
-                self._exec_block(env, stmt.then_body)
-            elif stmt.else_body is not None:
-                self._exec_block(env, stmt.else_body)
-        elif isinstance(stmt, ast.ForStmt):
-            env.push()
-            if stmt.init is not None:
-                self._exec_stmt(env, stmt.init)
-            guard = 0
-            while stmt.cond is None or self._eval(env, stmt.cond):
-                self._exec_block(env, stmt.body)
-                if stmt.step is not None:
-                    self._exec_stmt(env, stmt.step)
-                guard += 1
-                if guard > 10_000_000:
-                    raise CoreDSLError("runaway loop in interpreter")
-            env.pop()
-        elif isinstance(stmt, ast.WhileStmt):
-            env.push()
-            guard = 0
-            if stmt.is_do_while:
-                self._exec_block(env, stmt.body)
-                guard += 1
-            while self._eval(env, stmt.cond):
-                self._exec_block(env, stmt.body)
-                guard += 1
-                if guard > 10_000_000:
-                    raise CoreDSLError("runaway loop in interpreter")
-            env.pop()
-        elif isinstance(stmt, ast.SwitchStmt):
-            value = self._eval(env, stmt.value)
-            default = None
-            for case in stmt.cases:
-                if case.label is None:
-                    default = case
-                elif self._eval(env, case.label) == value:
-                    self._exec_block(env, case.body)
-                    return
-            if default is not None:
-                self._exec_block(env, default.body)
-        elif isinstance(stmt, ast.SpawnStmt):
-            was = self._in_spawn
-            self._in_spawn = True
-            self._exec_block(env, stmt.body)
-            self._in_spawn = was
-        elif isinstance(stmt, ast.ReturnStmt):
-            value = None if stmt.value is None else self._eval(env, stmt.value)
-            raise _Return(value)
-        else:
-            raise CoreDSLError(f"cannot interpret {type(stmt).__name__}")
+#: Iterations after which a loop counts as runaway.
+_LOOP_LIMIT = 10_000_000
 
-    def _exec_assign(self, env: "_Env", stmt: ast.Assign) -> None:
-        if stmt.op == "=":
-            value = self._eval(env, stmt.value)
-        else:
-            lhs = self._eval(env, stmt.target)
-            rhs = self._eval(env, stmt.value)
-            value = _apply_binop(stmt.op[:-1], lhs, rhs)
-        target = stmt.target
-        if isinstance(target, ast.Identifier):
-            if env.is_local(target.name):
-                env.assign(target.name, value)
-                return
-            info = self._state_of(env, target.name)
-            if info is not None and info.kind == "scalar_reg":
-                self._write_state(env, info, value, None)
-                return
-            raise CoreDSLError(f"cannot assign '{target.name}'")
-        if isinstance(target, ast.IndexExpr):
-            assert isinstance(target.base, ast.Identifier)
-            info = self._state_of(env, target.base.name)
-            if info is None:
-                raise CoreDSLError("unsupported assignment target")
-            index = self._eval(env, target.index)
-            self._write_state(env, info, value, index)
-            return
-        if isinstance(target, ast.RangeExpr):
-            assert isinstance(target.base, ast.Identifier)
-            info = self._state_of(env, target.base.name)
-            if info is None or info.kind != "mem":
-                raise CoreDSLError("unsupported range assignment")
-            low = self._eval(env, target.lo)
-            count = range_width(target.hi, target.lo, env.const_view())
-            env.state.write_mem(low, to_unsigned(value, count * 8), count)
-            self.effects.append(Effect(
-                "mem", info.name, to_unsigned(low, 32),
-                to_unsigned(value, count * 8), count * 8, self._in_spawn,
-            ))
-            return
-        raise CoreDSLError("unsupported assignment target")
 
-    def _write_state(self, env: "_Env", info: StateInfo, value: int,
-                     index: Optional[int]) -> None:
-        state = env.state
-        width = info.element.width
-        raw = to_unsigned(value, width)
-        if info.is_pc:
-            state.pc = raw
-            self.effects.append(Effect("pc", "PC", None, raw, 32,
-                                       self._in_spawn))
-        elif info.is_main_reg:
-            assert index is not None
-            state.write_x(index, raw)
-            self.effects.append(Effect("gpr", "X", index, raw, 32,
-                                       self._in_spawn))
-        elif info.is_main_mem:
-            assert index is not None
-            state.write_mem_byte(index, raw)
-            self.effects.append(Effect("mem", info.name,
-                                       to_unsigned(index, 32), raw, 8,
-                                       self._in_spawn))
-        elif info.kind == "rom":
-            raise CoreDSLError(f"cannot write constant register '{info.name}'")
-        else:
-            state.write_custom(info.name, raw, index or 0)
-            self.effects.append(Effect("custom", info.name, index or 0, raw,
-                                       width, self._in_spawn))
+def _div(lhs: int, rhs: int) -> int:
+    """C division: the quotient truncates toward zero."""
+    if rhs == 0:
+        raise CoreDSLError("division by zero")
+    quotient = abs(lhs) // abs(rhs)
+    return -quotient if (lhs < 0) != (rhs < 0) else quotient
 
-    # ----------------------------------------------------------- expressions
-    def _state_of(self, env: "_Env", name: str) -> Optional[StateInfo]:
-        if env.is_local(name) or name in env.fields:
+
+def _mod(lhs: int, rhs: int) -> int:
+    if rhs == 0:
+        raise CoreDSLError("modulo by zero")
+    return lhs - _div(lhs, rhs) * rhs
+
+
+def _bit(value: int, index: int, width: int) -> int:
+    """``value[index]`` of a ``width``-bit value; 0 outside the value."""
+    return (value >> index) & 1 if 0 <= index < width else 0
+
+
+def _slice(value: int, low: int, count: int, width: int) -> int:
+    """``value[low+count-1:low]``, cut off at the value's top bit."""
+    high = min(low + count - 1, width - 1)
+    if low > high:
+        return 0
+    return ((value & mask(width)) >> low) & mask(high - low + 1)
+
+
+def _gather(read: Callable[[int], int], low: int, count: int,
+            width: int) -> int:
+    """Elements ``low+count-1`` down to ``low``, concatenated."""
+    value = 0
+    for i in range(count - 1, -1, -1):
+        value = (value << width) | (read(low + i) & mask(width))
+    return value
+
+
+def _value(result: Optional[int], callee: str) -> int:
+    """A call's result; a function that ends without ``return`` has none."""
+    if result is None:
+        raise CoreDSLError(f"void function '{callee}' used as value")
+    return result
+
+
+def _fail(message: str, *_operands: int) -> int:
+    """Raise, after the operands, if any, have been evaluated."""
+    raise CoreDSLError(message)
+
+
+_HELPERS = {"_Effect": Effect, "_div": _div, "_mod": _mod, "_bit": _bit,
+            "_slice": _slice, "_gather": _gather, "_value": _value,
+            "_fail": _fail}
+_INFIX = ("+", "-", "*", "&", "|", "^", "<<", ">>")
+_COMPARE = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def _translate(isa: ElaboratedISA) -> Translation:
+    """Compile every behavior, always-block and function of ``isa``.
+
+    No CoreDSL name can capture a generated one: locals become
+    ``l<n>_<name>``, encoding fields ``e_<name>`` and functions
+    ``f_<name>``, while the parameters ``S`` (state), ``E`` (effects),
+    ``F`` (fields) and ``sp`` (spawned), the helpers and the temporaries
+    carry no such prefix."""
+    emit = _Translator(isa)
+    for sig in isa.functions.values():
+        emit.function(sig)
+    defs = ({name: emit.behavior(f"i{k}", instr.behavior, instr.fields)
+             for k, (name, instr) in enumerate(isa.instructions.items())},
+            {name: emit.behavior(f"a{k}", block.body, None)
+             for k, (name, block) in enumerate(isa.always_blocks.items())})
+    namespace = dict(_HELPERS, **emit.tables)
+    code = compile("\n".join(emit.lines) + "\n", f"<coredsl:{isa.name}>",
+                   "exec")
+    exec(code, namespace)  # noqa: S102 - generated from the typed AST only
+    instructions, always = ({name: namespace[d] for name, d in group.items()}
+                            for group in defs)
+    return instructions, always
+
+
+def _const(value: int) -> str:
+    return repr(value) if value >= 0 else f"({value})"
+
+
+def _wrap(code: str, type_: IntType) -> str:
+    """``code`` wrapped into ``type_``'s range."""
+    bits = f"{code} & {mask(type_.width):#x}"
+    if not type_.is_signed:
+        return f"({bits})"
+    sign = f"{1 << (type_.width - 1):#x}"
+    return f"((({bits}) ^ {sign}) - {sign})"
+
+
+class _Translator:
+    """Emits one ``def`` per behavior, always-block and function.  Its
+    scopes mirror the type checker's, so every name resolves statically:
+    local, encoding field, parameter, then scalar register."""
+
+    def __init__(self, isa: ElaboratedISA):
+        self.isa = isa
+        self.lines: List[str] = []
+        self.tables: Dict[str, Dict[int, int]] = {}
+        self.indent, self.names = 1, 0
+        self.scopes: List[Dict[str, Tuple[str, IntType]]] = []
+        self.fields: Dict[str, str] = {}
+        self.spawned = "False"
+        #: The function's return type, "void", or None outside functions.
+        self.returns: object = None
+
+    def behavior(self, name: str, body: ast.Stmt,
+                 fields: Optional[Dict[str, IntType]]) -> str:
+        self.scopes, self.spawned, self.returns = [], "False", None
+        self.fields = {field: f"e_{field}" for field in fields or {}}
+        self.lines.append(f"def {name}(S, E{'' if fields is None else ', F'}):")
+        for field, local in self.fields.items():
+            self.line(f"{local} = F[{field!r}]")
+        self.block(body)
+        return name
+
+    def function(self, sig: FunctionSig) -> None:
+        self.scopes, self.fields, self.spawned = [{}], {}, "sp"
+        self.returns = sig.return_type or "void"
+        params = "".join(f", {self.declare(name, type_)}"
+                         for name, type_ in sig.params)
+        self.lines.append(f"def f_{sig.name}(S, E, sp{params}):")
+        self.block(sig.definition.body)
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.indent + text)
+
+    def fresh(self, prefix: str) -> str:
+        self.names += 1
+        return f"{prefix}{self.names}"
+
+    def declare(self, name: str, type_: IntType) -> str:
+        local = f"{self.fresh('l')}_{name}"
+        self.scopes[-1][name] = (local, type_)
+        return local
+
+    def lookup(self, name: str) -> Optional[Tuple[str, IntType]]:
+        return next((scope[name] for scope in reversed(self.scopes)
+                     if name in scope), None)
+
+    def state_of(self, name: str) -> Optional[StateInfo]:
+        if self.lookup(name) is not None or name in self.fields:
             return None
         return self.isa.state.get(name)
 
-    def _eval(self, env: "_Env", expr: ast.Expr) -> int:
-        if isinstance(expr, ast.IntLiteral):
-            if expr.explicit_type is not None and expr.explicit_type.is_signed:
-                return to_signed(expr.value, expr.explicit_type.width)
-            return expr.value
-        if isinstance(expr, ast.BoolLiteral):
-            return int(expr.value)
-        if isinstance(expr, ast.Identifier):
-            return self._eval_identifier(env, expr)
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op == "&&":
-                return int(bool(self._eval(env, expr.lhs))
-                           and bool(self._eval(env, expr.rhs)))
-            if expr.op == "||":
-                return int(bool(self._eval(env, expr.lhs))
-                           or bool(self._eval(env, expr.rhs)))
-            if expr.op == "::":
-                lhs = self._eval(env, expr.lhs)
-                rhs = self._eval(env, expr.rhs)
-                lw = expr.lhs.ctype.width
-                rw = expr.rhs.ctype.width
-                return (to_unsigned(lhs, lw) << rw) | to_unsigned(rhs, rw)
-            lhs = self._eval(env, expr.lhs)
-            rhs = self._eval(env, expr.rhs)
-            return _apply_binop(expr.op, lhs, rhs)
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._eval(env, expr.operand)
-            if expr.op == "-":
-                return -operand
-            if expr.op == "!":
-                return int(not operand)
-            if expr.op == "~":
-                # Bit-pattern complement within the operand's type.
-                type_ = expr.operand.ctype
-                raw = to_unsigned(operand, type_.width)
-                return _typed(~raw, type_)
-            raise CoreDSLError(f"cannot interpret unary '{expr.op}'")
-        if isinstance(expr, ast.Conditional):
-            if self._eval(env, expr.cond):
-                return self._eval(env, expr.true_value)
-            return self._eval(env, expr.false_value)
-        if isinstance(expr, ast.Cast):
-            value = self._eval(env, expr.operand)
-            width = expr.target_width or expr.operand.ctype.width
-            return _typed(value, IntType(width, expr.target_signed))
-        if isinstance(expr, ast.FunctionCall):
-            result = self._call(env, expr)
-            if result is None:
-                raise CoreDSLError(
-                    f"void function '{expr.callee}' used as value"
-                )
-            return result
-        if isinstance(expr, ast.IndexExpr):
-            return self._eval_index(env, expr)
-        if isinstance(expr, ast.RangeExpr):
-            return self._eval_range(env, expr)
-        raise CoreDSLError(f"cannot interpret {type(expr).__name__}")
+    def effect(self, kind: str, name: str, index: str, width: int) -> None:
+        self.line(f"E.append(_Effect({kind!r}, {name!r}, {index}, _v, "
+                  f"{width}, {self.spawned}))")
 
-    def _eval_identifier(self, env: "_Env", expr: ast.Identifier) -> int:
-        if env.is_local(expr.name):
-            return env.read(expr.name)
-        if expr.name in env.fields:
-            return env.fields[expr.name]
-        if expr.name in self.isa.parameters:
-            return self.isa.parameters[expr.name]
-        info = self.isa.state.get(expr.name)
-        if info is not None and info.kind == "scalar_reg":
-            raw = self._read_state(env, info, None)
-            return _typed(raw, info.element)
-        raise CoreDSLError(f"cannot interpret identifier '{expr.name}'")
+    def elements(self, node: ast.RangeExpr) -> int:
+        """Elements in ``[hi:lo]``, counted as the type checker counts."""
+        return range_width(node.hi, node.lo, self.isa.parameters)
 
-    def _read_state(self, env: "_Env", info: StateInfo,
-                    index: Optional[int]) -> int:
-        state = env.state
+    # -- statements --------------------------------------------------------------
+    def block(self, stmt: ast.Stmt, indent: int = 0) -> None:
+        """A block opens a scope; any other statement runs in the current
+        one."""
+        self.indent += indent
+        start = len(self.lines)
+        if isinstance(stmt, ast.BlockStmt):
+            self.scopes.append({})
+            for child in stmt.statements:
+                self.stmt(child)
+            self.scopes.pop()
+        else:
+            self.stmt(stmt)
+        if len(self.lines) == start:
+            self.line("pass")
+        self.indent -= indent
+
+    def stmt(self, stmt: ast.Stmt) -> None:
+        if isinstance(stmt, ast.BlockStmt):
+            self.block(stmt)
+        elif isinstance(stmt, ast.VarDecl):
+            value = ("0" if stmt.init is None
+                     else _wrap(self.expr(stmt.init), stmt.decl_type))
+            self.line(f"{self.declare(stmt.name, stmt.decl_type)} = {value}")
+        elif isinstance(stmt, ast.Assign):
+            self.assign(stmt)
+        elif isinstance(stmt, ast.ExprStmt):
+            if isinstance(stmt.expr, ast.FunctionCall):
+                self.line(self.call(stmt.expr))
+        elif isinstance(stmt, ast.IfStmt):
+            self.line(f"if {self.expr(stmt.cond)}:")
+            self.block(stmt.then_body, 1)
+            if stmt.else_body is not None:
+                self.line("else:")
+                self.block(stmt.else_body, 1)
+        elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
+            # A do-while tests its condition after the guard, where a
+            # while loop tests it again.
+            self.scopes.append({})
+            if getattr(stmt, "init", None) is not None:
+                self.stmt(stmt.init)
+            counter = self.fresh("_g")
+            self.line(f"{counter} = 0")
+            do_while = getattr(stmt, "is_do_while", False)
+            self.line("while True:" if stmt.cond is None or do_while
+                      else f"while {self.expr(stmt.cond)}:")
+            self.block(stmt.body, 1)
+            self.indent += 1
+            if getattr(stmt, "step", None) is not None:
+                self.stmt(stmt.step)
+            self.line(f"if ({counter} := {counter} + 1) > {_LOOP_LIMIT}:")
+            self.line("    _fail('runaway loop in interpreter')")
+            if do_while:
+                self.line(f"if not {self.expr(stmt.cond)}:")
+                self.line("    break")
+            self.indent -= 1
+            self.scopes.pop()
+        elif isinstance(stmt, ast.SwitchStmt):
+            # The first matching label runs, else the default; no
+            # fall-through.
+            value = self.fresh("_s")
+            self.line(f"{value} = {self.expr(stmt.value)}")
+            keyword = "if"
+            for case in stmt.cases:
+                if case.label is not None:
+                    self.line(f"{keyword} {self.expr(case.label)} == {value}:")
+                    self.block(case.body, 1)
+                    keyword = "elif"
+            default = [case for case in stmt.cases if case.label is None]
+            if default and keyword == "elif":
+                self.line("else:")
+            if default:
+                self.block(default[-1].body, int(keyword == "elif"))
+        elif isinstance(stmt, ast.SpawnStmt):
+            outer, self.spawned = self.spawned, "True"
+            self.block(stmt.body)
+            self.spawned = outer
+        elif isinstance(stmt, ast.ReturnStmt):
+            value = None if stmt.value is None else self.expr(stmt.value)
+            if value is not None and isinstance(self.returns, IntType):
+                self.line(f"return {_wrap(value, self.returns)}")
+                return
+            if value is not None:
+                self.line(value)
+            self.line("return" if self.returns
+                      else "_fail(\"'return' outside of a function\")")
+        else:
+            self.line(f"_fail({f'cannot interpret {type(stmt).__name__}'!r})")
+
+    def assign(self, stmt: ast.Assign) -> None:
+        """``=`` evaluates the value, then the target's index; ``op=``
+        reads the target, evaluates the value, then the index again."""
+        target = stmt.target
+        if stmt.op == "=":
+            value = self.expr(stmt.value)
+        else:
+            value = self.binary(stmt.op[:-1], self.expr(target),
+                                self.expr(stmt.value))
+        local = (self.lookup(target.name)
+                 if isinstance(target, ast.Identifier) else None)
+        if local is not None:
+            self.line(f"{local[0]} = {_wrap(value, local[1])}")
+            return
+        self.line(f"_v = {value}")
+        base = target if isinstance(target, ast.Identifier) else \
+            getattr(target, "base", None)
+        info = (self.state_of(base.name)
+                if isinstance(base, ast.Identifier) else None)
+        if isinstance(target, ast.Identifier):
+            if info is not None and info.kind == "scalar_reg":
+                self.write(info, None)
+            else:
+                self.line(f"_fail({f'cannot assign {target.name!r}'!r})")
+        elif isinstance(target, ast.IndexExpr) and info is not None:
+            self.line(f"_i = {self.expr(target.index)}")
+            self.write(info, "_i")
+        elif isinstance(target, ast.RangeExpr) and info is not None \
+                and info.kind == "mem":
+            self.line(f"_i = {self.expr(target.lo)}")
+            count = self.elements(target)
+            self.line(f"_v &= {mask(count * 8):#x}")
+            self.line(f"S.write_mem(_i, _v, {count})")
+            self.effect("mem", info.name, "_i & 0xffffffff", count * 8)
+        elif isinstance(target, ast.RangeExpr):
+            self.line("_fail('unsupported range assignment')")
+        else:
+            self.line("_fail('unsupported assignment target')")
+
+    def write(self, info: StateInfo, index: Optional[str]) -> None:
+        """Store ``_v``, masked to the element width, and record it."""
+        self.line(f"_v &= {mask(info.element.width):#x}")
         if info.is_pc:
-            return state.pc
-        if info.is_main_reg:
-            assert index is not None
-            return state.read_x(index)
-        if info.is_main_mem:
-            assert index is not None
-            return state.read_mem_byte(index)
-        if info.kind == "rom":
-            values = info.init_values or []
-            idx = index or 0
-            return values[idx] if 0 <= idx < len(values) else 0
-        return state.read_custom(info.name, index or 0)
+            self.line("S.pc = _v")
+            self.effect("pc", "PC", "None", 32)
+        elif info.is_main_reg:
+            self.line(f"S.write_x({index}, _v)")
+            self.effect("gpr", "X", index, 32)
+        elif info.is_main_mem:
+            self.line(f"S.write_mem_byte({index}, _v)")
+            self.effect("mem", info.name, f"{index} & 0xffffffff", 8)
+        elif info.kind == "rom":
+            message = f"cannot write constant register '{info.name}'"
+            self.line(f"_fail({message!r})")
+        else:
+            self.line(f"S.write_custom({info.name!r}, _v, {index or 0})")
+            self.effect("custom", info.name, index or "0",
+                        info.element.width)
 
-    def _eval_index(self, env: "_Env", expr: ast.IndexExpr) -> int:
-        if isinstance(expr.base, ast.Identifier):
-            info = self._state_of(env, expr.base.name)
-            if info is not None and info.kind in ("array_reg", "mem", "rom"):
-                index = self._eval(env, expr.index)
-                raw = self._read_state(env, info, to_unsigned(index, 32))
-                return _typed(raw, info.element)
-            if info is not None and info.kind == "scalar_reg":
-                raw = self._read_state(env, info, None)
-                bit = self._eval(env, expr.index)
-                return extract_bits(to_unsigned(raw, info.element.width),
-                                    bit, bit)
-        base = self._eval(env, expr.base)
-        base_type = expr.base.ctype
-        bit = self._eval(env, expr.index)
-        if not 0 <= bit < base_type.width:
-            return 0
-        return extract_bits(to_unsigned(base, base_type.width), bit, bit)
+    # -- expressions -------------------------------------------------------------
+    def binary(self, op: str, lhs: str, rhs: str) -> str:
+        if op in _INFIX:
+            return f"({lhs} {op} {rhs})"
+        if op in _COMPARE:
+            return f"(1 if {lhs} {op} {rhs} else 0)"
+        if op in ("/", "%"):
+            return f"{'_div' if op == '/' else '_mod'}({lhs}, {rhs})"
+        return f"_fail({f'cannot interpret operator {op!r}'!r}, {lhs}, {rhs})"
 
-    def _eval_range(self, env: "_Env", expr: ast.RangeExpr) -> int:
-        count = range_width(expr.hi, expr.lo, env.const_view())
-        if isinstance(expr.base, ast.Identifier):
-            info = self._state_of(env, expr.base.name)
-            if info is not None and info.kind == "mem":
-                low = self._eval(env, expr.lo)
-                return env.state.read_mem(low, count)
-            if info is not None and info.kind in ("array_reg", "rom"):
-                low = self._eval(env, expr.lo)
-                value = 0
-                for i in range(count - 1, -1, -1):
-                    piece = self._read_state(env, info, low + i)
-                    value = (value << info.element.width) | to_unsigned(
-                        piece, info.element.width
-                    )
-                return value
-            if info is not None and info.kind == "scalar_reg":
-                raw = to_unsigned(self._read_state(env, info, None),
-                                  info.element.width)
-                low = self._eval(env, expr.lo)
-                return extract_bits(raw, low + count - 1, low)
-        base = self._eval(env, expr.base)
-        base_type = expr.base.ctype
-        low = self._eval(env, expr.lo)
-        raw = to_unsigned(base, base_type.width)
-        hi = min(low + count - 1, base_type.width - 1)
-        if low > hi:
-            return 0
-        return extract_bits(raw, hi, low)
-
-    # ------------------------------------------------------------- functions
-    def _call(self, env: "_Env", call: ast.FunctionCall) -> Optional[int]:
+    def call(self, call: ast.FunctionCall) -> str:
         sig = self.isa.functions.get(call.callee)
         if sig is None:
-            raise CoreDSLError(f"unknown function '{call.callee}'")
-        frame = _Env(self.isa, env.state, {})
-        frame.push()
-        for arg, (param_name, param_type) in zip(call.args, sig.params):
-            value = _typed(self._eval(env, arg), param_type)
-            frame.declare(param_name, value, param_type)
-        try:
-            assert sig.definition.body is not None
-            for stmt in sig.definition.body.statements:
-                self._exec_stmt(frame, stmt)
-        except _Return as ret:
-            if ret.value is None or sig.return_type is None:
-                return None
-            return _typed(ret.value, sig.return_type)
-        return None
+            return f"_fail({f'unknown function {call.callee!r}'!r})"
+        args = "".join(f", {_wrap(self.expr(arg), type_)}"
+                       for arg, (_name, type_) in zip(call.args, sig.params))
+        return f"f_{call.callee}(S, E, {self.spawned}{args})"
 
+    def read(self, info: StateInfo, index: Optional[str]) -> str:
+        """Raw read of a state element; ``index`` is None for a scalar."""
+        if info.is_pc:
+            return "S.pc"
+        if info.is_main_reg:
+            return f"S.read_x({index})"
+        if info.is_main_mem:
+            return f"S.read_mem_byte({index})"
+        if info.kind == "rom":
+            values = dict(enumerate(info.init_values or ()))
+            if index is None:
+                return _const(values.get(0, 0))
+            table = f"_t{len(self.tables)}"
+            self.tables[table] = values
+            return f"{table}.get({index}, 0)"
+        return f"S.read_custom({info.name!r}, {index or 0})"
 
-def _apply_binop(op: str, lhs: int, rhs: int) -> int:
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        if rhs == 0:
-            raise CoreDSLError("division by zero")
-        quotient = abs(lhs) // abs(rhs)
-        return -quotient if (lhs < 0) != (rhs < 0) else quotient
-    if op == "%":
-        if rhs == 0:
-            raise CoreDSLError("modulo by zero")
-        return lhs - _apply_binop("/", lhs, rhs) * rhs
-    if op == "&":
-        return lhs & rhs
-    if op == "|":
-        return lhs | rhs
-    if op == "^":
-        return lhs ^ rhs
-    if op == "<<":
-        return lhs << rhs
-    if op == ">>":
-        return lhs >> rhs
-    if op == "==":
-        return int(lhs == rhs)
-    if op == "!=":
-        return int(lhs != rhs)
-    if op == "<":
-        return int(lhs < rhs)
-    if op == "<=":
-        return int(lhs <= rhs)
-    if op == ">":
-        return int(lhs > rhs)
-    if op == ">=":
-        return int(lhs >= rhs)
-    raise CoreDSLError(f"cannot interpret operator '{op}'")
+    def expr(self, expr: ast.Expr) -> str:
+        """``expr`` as a Python expression whose operands evaluate left
+        to right, as in the language."""
+        if isinstance(expr, ast.IntLiteral):
+            type_ = expr.explicit_type
+            if type_ is not None and type_.is_signed:
+                return _const(to_signed(expr.value, type_.width))
+            return _const(expr.value)
+        if isinstance(expr, ast.BoolLiteral):
+            return "1" if expr.value else "0"
+        if isinstance(expr, ast.Identifier):
+            return self.identifier(expr.name)
+        if isinstance(expr, ast.BinaryOp):
+            lhs, rhs = self.expr(expr.lhs), self.expr(expr.rhs)
+            if expr.op in ("&&", "||"):
+                logic = "and" if expr.op == "&&" else "or"
+                return f"(1 if {lhs} {logic} {rhs} else 0)"
+            if expr.op == "::":
+                lw, rw = expr.lhs.ctype.width, expr.rhs.ctype.width
+                return (f"(({lhs} & {mask(lw):#x}) << {rw} "
+                        f"| {rhs} & {mask(rw):#x})")
+            return self.binary(expr.op, lhs, rhs)
+        if isinstance(expr, ast.UnaryOp):
+            operand = self.expr(expr.operand)
+            if expr.op == "-":
+                return f"(-{operand})"
+            if expr.op == "!":
+                return f"(0 if {operand} else 1)"
+            if expr.op == "~":
+                return _wrap(f"(~{operand})", expr.operand.ctype)
+            message = f"cannot interpret unary '{expr.op}'"
+            return f"_fail({message!r}, {operand})"
+        if isinstance(expr, ast.Conditional):
+            return (f"({self.expr(expr.true_value)} if "
+                    f"{self.expr(expr.cond)} else "
+                    f"{self.expr(expr.false_value)})")
+        if isinstance(expr, ast.Cast):
+            width = expr.target_width or expr.operand.ctype.width
+            return _wrap(self.expr(expr.operand),
+                         IntType(width, expr.target_signed))
+        if isinstance(expr, ast.FunctionCall):
+            return f"_value({self.call(expr)}, {expr.callee!r})"
+        if isinstance(expr, ast.IndexExpr):
+            return self.index(expr)
+        if isinstance(expr, ast.RangeExpr):
+            return self.range(expr)
+        return f"_fail({f'cannot interpret {type(expr).__name__}'!r})"
 
+    def identifier(self, name: str) -> str:
+        local = self.lookup(name)
+        if local is not None:
+            return local[0]
+        if name in self.fields:
+            return self.fields[name]
+        if name in self.isa.parameters:
+            return _const(self.isa.parameters[name])
+        info = self.isa.state.get(name)
+        if info is not None and info.kind == "scalar_reg":
+            return _wrap(self.read(info, None), info.element)
+        return f"_fail({f'cannot interpret identifier {name!r}'!r})"
 
-class _Env:
-    """Lexical environment: locals + encoding fields + the machine state."""
+    def index(self, expr: ast.IndexExpr) -> str:
+        """``R[i]`` reads element ``i`` mod 2**32; ``v[i]`` selects a bit,
+        unchecked on a scalar register, 0 outside any other value."""
+        info = (self.state_of(expr.base.name)
+                if isinstance(expr.base, ast.Identifier) else None)
+        if info is not None and info.kind in ("array_reg", "mem", "rom"):
+            index = f"({self.expr(expr.index)} & 0xffffffff)"
+            return _wrap(self.read(info, index), info.element)
+        if info is not None and info.kind == "scalar_reg":
+            raw = _wrap(self.read(info, None),
+                        IntType(info.element.width, False))
+            return f"(({raw} >> {self.expr(expr.index)}) & 1)"
+        base, index = self.expr(expr.base), self.expr(expr.index)
+        width = expr.base.ctype.width
+        if index.isdigit() and int(index) < width:
+            return f"(({base} >> {index}) & 1)"
+        return f"_bit({base}, {index}, {width})"
 
-    def __init__(self, isa: ElaboratedISA, state: ArchState,
-                 fields: Dict[str, int]):
-        self.isa = isa
-        self.state = state
-        self.fields = fields
-        self.scopes: List[Dict[str, Tuple[int, IntType]]] = []
-
-    def push(self) -> None:
-        self.scopes.append({})
-
-    def pop(self) -> None:
-        self.scopes.pop()
-
-    def declare(self, name: str, value: int, type_: IntType) -> None:
-        self.scopes[-1][name] = (value, type_)
-
-    def is_local(self, name: str) -> bool:
-        return any(name in scope for scope in self.scopes)
-
-    def read(self, name: str) -> int:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name][0]
-        raise CoreDSLError(f"unbound local '{name}'")
-
-    def assign(self, name: str, value: int) -> None:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                _old, type_ = scope[name]
-                scope[name] = (_typed(value, type_), type_)
-                return
-        raise CoreDSLError(f"unbound local '{name}'")
-
-    def const_view(self) -> Dict[str, int]:
-        env = dict(self.isa.parameters)
-        env.update(self.fields)
-        for scope in self.scopes:
-            for name, (value, _type) in scope.items():
-                env[name] = value
-        return env
+    def range(self, expr: ast.RangeExpr) -> str:
+        count = self.elements(expr)
+        info = (self.state_of(expr.base.name)
+                if isinstance(expr.base, ast.Identifier) else None)
+        kind = info.kind if info is not None else None
+        if kind == "mem":
+            return f"S.read_mem({self.expr(expr.lo)}, {count})"
+        if kind in ("array_reg", "rom"):
+            return (f"_gather((lambda i: {self.read(info, 'i')}), "
+                    f"{self.expr(expr.lo)}, {count}, {info.element.width})")
+        if kind == "scalar_reg":
+            raw = _wrap(self.read(info, None),
+                        IntType(info.element.width, False))
+            return f"(({raw} >> {self.expr(expr.lo)}) & {mask(count):#x})"
+        base, low = self.expr(expr.base), self.expr(expr.lo)
+        return f"_slice({base}, {low}, {count}, {expr.base.ctype.width})"

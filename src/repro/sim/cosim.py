@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.hls.longnail import FunctionalityArtifact, IsaxArtifact
 from repro.sim.coredsl_interp import ArchState, CoreDSLInterpreter, Effect
 from repro.sim.rtl_sim import RTLSimulator
-from repro.utils.bits import to_unsigned
+from repro.utils.bits import mask, to_unsigned
 
 #: One trial's stimulus: the architectural pre-state and, for an
 #: instruction, its encoding-field values (``None`` for an always-block).
@@ -94,14 +94,14 @@ def draw_trials(artifact: IsaxArtifact, name: str, trials: int,
     drawn: List[Trial] = []
     for _ in range(trials):
         state = ArchState(isa)
-        for index in range(1, 32):
-            state.write_x(index, rng.getrandbits(32))
+        state.xregs[1:] = [rng.getrandbits(32) for _ in range(31)]
         state.pc = rng.getrandbits(32) & ~3
-        for reg in state.custom:
-            for element in range(len(state.custom[reg])):
-                state.write_custom(reg, rng.getrandbits(32), element)
+        for reg, values in state.custom.items():
+            element_mask = mask(state.custom_widths[reg])
+            values[:] = [rng.getrandbits(32) & element_mask for _ in values]
         for _ in range(64):
-            state.write_mem_byte(rng.getrandbits(32), rng.getrandbits(8))
+            address = rng.getrandbits(32)  # drawn before its byte
+            state.memory[address] = rng.getrandbits(8)
         fields = None
         if encoding is not None:
             fields = {

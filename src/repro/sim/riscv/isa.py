@@ -3,7 +3,7 @@
 Implements the RV32I base instruction set (decode + execute) over the shared
 :class:`~repro.sim.coredsl_interp.ArchState`.  Instruction words that do not
 decode as RV32I are matched against the elaborated ISAX's encodings and
-executed through the CoreDSL golden interpreter, exactly mirroring how the
+executed through the CoreDSL golden model, exactly mirroring how the
 extended core executes them.
 """
 

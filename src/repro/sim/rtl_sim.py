@@ -6,7 +6,7 @@ logic in block order, samples the outputs, and then clocks the
 pipeline registers (honoring their stall enables).  This is the
 reproduction's equivalent of running the emitted SystemVerilog through a
 commercial simulator, and it backs the co-simulation tests that compare the
-generated hardware against the CoreDSL golden interpreter.
+generated hardware against the CoreDSL golden model.
 
 Two engines implement the cycle, selected with ``engine=``:
 
