@@ -705,7 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=ORACLE_CHOICES, metavar="KIND",
                         help="oracle to run (repeatable; default: "
                              + ", ".join(DEFAULT_ORACLES)
-                             + "; 'optequiv' adds -O2 "
+                             + "; 'milp' adds the HiGHS re-solve of every "
+                             "schedule; 'optequiv' adds -O2 "
                              "optimized-vs-unoptimized trace equivalence; "
                              "'all' enables everything)")
     fuzz_p.set_defaults(func=_cmd_fuzz)

@@ -354,6 +354,17 @@ class Parser:
         self.expect(";")
         return stmt
 
+    def parse_body(self, keyword: str) -> ast.Stmt:
+        """The body of ``if``, ``else``, ``for``, ``while`` or ``do``.  As
+        in C, a declaration is not a statement, so it cannot stand there
+        unbraced: its scope would be unclear."""
+        tok = self.peek()
+        if tok.kind == "keyword" and tok.text in _TYPE_KEYWORDS:
+            raise CoreDSLError(
+                f"a declaration cannot be the body of '{keyword}'; "
+                "wrap it in braces", tok.loc)
+        return self.parse_statement()
+
     def parse_var_decl(self) -> ast.Stmt:
         loc = self.peek().loc
         is_signed, width_expr = self.parse_type_spec()
@@ -396,10 +407,10 @@ class Parser:
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
-        then_body = self.parse_statement()
+        then_body = self.parse_body("if")
         else_body = None
         if self.accept("else"):
-            else_body = self.parse_statement()
+            else_body = self.parse_body("else")
         return ast.IfStmt(loc=loc, cond=cond, then_body=then_body, else_body=else_body)
 
     def parse_for(self) -> ast.ForStmt:
@@ -419,7 +430,7 @@ class Parser:
         if not self.check(")"):
             step = self.parse_expr_or_assign()
         self.expect(")")
-        body = self.parse_statement()
+        body = self.parse_body("for")
         return ast.ForStmt(loc=loc, init=init, cond=cond, step=step, body=body)
 
     def parse_while(self) -> ast.WhileStmt:
@@ -427,12 +438,12 @@ class Parser:
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
-        body = self.parse_statement()
+        body = self.parse_body("while")
         return ast.WhileStmt(loc=loc, cond=cond, body=body)
 
     def parse_do_while(self) -> ast.WhileStmt:
         loc = self.expect("do").loc
-        body = self.parse_statement()
+        body = self.parse_body("do")
         self.expect("while")
         self.expect("(")
         cond = self.parse_expr()

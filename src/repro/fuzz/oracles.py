@@ -3,14 +3,12 @@
 The oracles, run per core (paper Sections 4.4 and 5.3 provide the first
 two as fixed-corpus spot checks; here they become programmable):
 
-* **schedule** — re-solve each functionality's scheduling problem from
-  the fastpath compile with the Figure 7 MILP
-  (:func:`repro.scheduling.ilp.solve_milp`) and assert both reach the
-  same weighted objective (start times plus width-weighted
-  pipeline-register lifetimes).  Alternative optima make raw start-time
-  vectors incomparable, so the objective — the quantity both engines
-  minimize — is the equality that must hold.  A MILP that cannot solve
-  a problem the fast path solved fails this oracle too.
+* **schedule** — check the optimality certificate of each
+  functionality's fast-path schedule
+  (:func:`repro.scheduling.certificate.check_certificate`): the flow the
+  fast path returns must prove the schedule optimal for Figure 7 in
+  integer arithmetic.  A schedule without a certificate (one the ``asap``
+  engine made) fails it.
 * **cosim** — run :func:`repro.sim.cosim.verify_artifact`, executing the
   CoreDSL interpreter against the generated SystemVerilog netlist on
   random stimulus.
@@ -41,7 +39,18 @@ two as fixed-corpus spot checks; here they become programmable):
   concrete SSA value must lie inside its predicted interval and respect
   its known-bits masks.  A violation is an unsound transfer function —
   the one bug class that would silently corrupt the linter, the verifier
-  and the optimizer at once.
+  and the optimizer at once.  With ``batchsim`` selected too, it checks
+  the values of ``batchsim``'s interpreter run, on the same stimulus.
+* **milp** (opt-in via ``oracles``) — re-solve each functionality's
+  scheduling problem with the Figure 7 MILP
+  (:func:`repro.scheduling.ilp.solve_milp`, HiGHS) and assert both reach
+  the same weighted objective (start times plus width-weighted
+  pipeline-register lifetimes).  Alternative optima make raw start-time
+  vectors incomparable, so the objective — the quantity both engines
+  minimize — is the equality that must hold.  A MILP that cannot solve
+  a problem the fast path solved fails this oracle too.  It is the
+  reference the certificate is measured against, and the only oracle
+  that loads numpy and scipy.
 * **optequiv** (opt-in via ``oracles``) — recompile at ``-O2`` and require
   the optimized artifact's architectural trace
   (:func:`repro.opt.equiv.architectural_trace`) to be byte-identical to the
@@ -70,6 +79,7 @@ from repro.analysis.verifier import verify_artifact_ir
 from repro.frontend.elaboration import elaborate
 from repro.hls.longnail import compile_isax
 from repro.scheduling import ilp
+from repro.scheduling.certificate import check_certificate
 from repro.scheduling.problem import ScheduleError
 from repro.sim.compile import crosscheck_engines
 from repro.sim.cosim import verify_artifact
@@ -89,9 +99,10 @@ DEFAULT_ORACLES: Tuple[str, ...] = (
     "rangesound", "determinism",
 )
 
-#: Every oracle kind, including the opt-in optimizer-equivalence and
-#: ISAX-discovery smoke checks.
-ALL_ORACLES: Tuple[str, ...] = DEFAULT_ORACLES + ("optequiv", "discover")
+#: Every oracle kind, including the opt-in MILP re-solve,
+#: optimizer-equivalence and ISAX-discovery smoke checks.
+ALL_ORACLES: Tuple[str, ...] = DEFAULT_ORACLES + (
+    "milp", "optequiv", "discover")
 
 #: Retired oracle names -> the oracle that now covers them.
 ORACLE_ALIASES: Dict[str, str] = {"simengine": "batchsim"}
@@ -118,7 +129,7 @@ class OracleFailure:
 
     kind: str  # "compile" | "schedule" | "cosim" | "determinism"
                # | "batchsim" | "rangesound" | "irverify"
-               # | "optequiv" | "discover"
+               # | "milp" | "optequiv" | "discover"
     core: str
     detail: str
 
@@ -156,28 +167,34 @@ class OracleReport:
 
 
 def check_range_soundness(module: "HWModule", cycles: int = 16,
-                          seed: int = 0) -> Optional[str]:
+                          seed: int = 0,
+                          values: Optional[List[Dict["Value", int]]] = None
+                          ) -> Optional[str]:
     """Concretely validate the abstract-interpretation engine on a module.
 
     Replays ``cycles`` of random stimulus through the reference
     interpreter engine of :class:`repro.sim.rtl_sim.RTLSimulator` and
     checks every combinational SSA value of each cycle, in schedule
     order, against its predicted :class:`~repro.analysis.absint.AbsVal`
-    (inputs and registers are environment values: top).  Returns ``None``
-    when sound, else a description of the first mismatch.  Shared by the
-    ``rangesound`` fuzz oracle and the Hypothesis soundness suite.
+    (inputs and registers are environment values: top).  ``values``, when
+    given, holds each cycle's SSA values of such a run already made (by
+    :func:`crosscheck_engines`), and no simulation runs here.  Returns
+    ``None`` when sound, else a description of the first mismatch.
+    Shared by the ``rangesound`` fuzz oracle and the Hypothesis soundness
+    suite.
     """
     from repro.analysis.absint import analyze_module
     from repro.sim.compile import random_stimulus
     from repro.sim.rtl_sim import RTLSimulator
 
     facts = analyze_module(module)
-    sim = RTLSimulator(module, engine="interp")
-    for cycle, vector in enumerate(random_stimulus(module, cycles, seed)):
-        values: Dict[Value, int] = {}
-        sim.step(vector, values)
-        # The interpreter fills ``values`` in schedule order.
-        for value, concrete in values.items():
+    if values is None:
+        values = []
+        RTLSimulator(module, engine="interp").run(
+            random_stimulus(module, cycles, seed), values)
+    for cycle, cycle_values in enumerate(values):
+        # The interpreter fills each cycle's values in schedule order.
+        for value, concrete in cycle_values.items():
             op = value.owner
             if op.name in ("hw.input", "seq.compreg"):
                 continue
@@ -300,24 +317,36 @@ def run_oracles(source: str,
             continue
         compiled[core] = fast
 
-        # Oracle 1: the MILP re-solve of each fastpath problem reaches the
-        # fast path's objective.
-        if "schedule" in selected:
+        # Oracle 1: each schedule's certificate proves it optimal, and
+        # (opt-in) the MILP re-solve reaches the fast path's objective.
+        if "schedule" in selected or "milp" in selected:
             for name, functionality in fast.functionalities.items():
                 functionalities += 1
                 problem = functionality.schedule.problem
+                if "schedule" in selected:
+                    failure = (
+                        f"the {functionality.schedule.engine} engine gave "
+                        "no certificate" if problem.flow is None
+                        else check_certificate(problem, problem.start_time,
+                                               problem.flow))
+                    if failure is not None:
+                        failures.append(OracleFailure(
+                            kind="schedule", core=core,
+                            detail=f"{name}: {failure}"))
+                if "milp" not in selected:
+                    continue
                 w_fast = ilp.weighted_objective_value(problem)
                 try:
                     w_milp = ilp.weighted_objective_of(
                         problem, ilp.solve_milp(problem))
                 except ScheduleError as exc:
                     failures.append(OracleFailure(
-                        kind="schedule", core=core,
+                        kind="milp", core=core,
                         detail=f"{name}: milp re-solve failed: {exc}"))
                     continue
                 if abs(w_fast - w_milp) > 1e-6:
                     failures.append(OracleFailure(
-                        kind="schedule", core=core,
+                        kind="milp", core=core,
                         detail=(f"{name}: fastpath objective {w_fast} != "
                                 f"milp objective {w_milp}")))
 
@@ -343,24 +372,26 @@ def run_oracles(source: str,
                     kind="cosim", core=core, detail=str(result)))
 
         # Oracle 4: the interpreting and compiled RTL engines agree cycle
-        # for cycle on random stimulus.
-        if "batchsim" in selected:
-            for name, functionality in fast.functionalities.items():
+        # for cycle on random stimulus.  Oracle 4b: abstract
+        # interpretation is sound — every concretely simulated value lies
+        # inside its predicted interval/known bits.  Both read one
+        # interpreter run when both are selected.
+        for name, functionality in fast.functionalities.items():
+            values = ([] if "batchsim" in selected
+                      and "rangesound" in selected else None)
+            if "batchsim" in selected:
                 mismatch = crosscheck_engines(
                     functionality.module, cycles=max(trials, 8),
-                    seed=cosim_seed, engines=("interp", "compiled"))
+                    seed=cosim_seed, engines=("interp", "compiled"),
+                    values=values)
                 if mismatch is not None:
                     failures.append(OracleFailure(
                         kind="batchsim", core=core,
                         detail=f"{name}: {mismatch}"))
-
-        # Oracle: abstract interpretation is sound — every concretely
-        # simulated value lies inside its predicted interval/known bits.
-        if "rangesound" in selected:
-            for name, functionality in fast.functionalities.items():
+            if "rangesound" in selected:
                 mismatch = check_range_soundness(
                     functionality.module, cycles=max(trials, 8),
-                    seed=cosim_seed)
+                    seed=cosim_seed, values=values)
                 if mismatch is not None:
                     failures.append(OracleFailure(
                         kind="rangesound", core=core,

@@ -8,9 +8,10 @@ engines for the Figure 7 formulation:
 * ``fastpath`` (the default behind ``engine="auto"``) — an LP-free exact
   engine (:mod:`repro.scheduling.fastpath`) built on the observation that
   the Figure 7 constraint matrix is an integral difference-constraint
-  network,
+  network; every schedule it returns carries the min-cost flow that
+  proves it optimal, checked by :mod:`repro.scheduling.certificate`,
 * ``milp`` — the literal Figure 7 ILP via ``scipy.optimize.milp``
-  (HiGHS), kept as the verification oracle: the fuzz ``schedule`` oracle
+  (HiGHS), kept as the reference oracle: the opt-in fuzz ``milp`` oracle
   and the tests re-solve fast-path problems with it,
 * ``asap`` — the heuristic longest-path baseline for the ablations.
 

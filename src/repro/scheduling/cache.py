@@ -11,9 +11,12 @@ multiset with its chain-breaker flags — into one digest, deliberately
 identical fingerprints have identical optimal start times, even if they
 were built for different cycle times.
 
-:class:`ScheduleCache` maps fingerprints to solved start-time vectors
-(aligned with the component's operation order) with LRU eviction and
-hit/miss accounting.  A process-wide instance backs every
+:class:`ScheduleCache` maps fingerprints to solved components with LRU
+eviction and hit/miss accounting.  Each entry carries the start-time
+vector (aligned with the component's operation order) and the flow that
+certifies it optimal (:mod:`repro.scheduling.certificate`), both indexed
+by operation position, so an entry fits every problem with its
+fingerprint.  A process-wide instance backs every
 :class:`repro.scheduling.scheduler.LongnailScheduler` by default, so grid
 sweeps within one process (the batch executor's in-process mode, the DSE
 default path, and each pool worker) share solved components; pass
@@ -22,7 +25,10 @@ default path, and each pool worker) share solved components; pass
 Only the ``fastpath`` engine reads and fills the cache.  Every entry is
 therefore the fast path's canonical componentwise-earliest optimum, a
 function of the fingerprinted inputs alone, so a hit returns what a cold
-solve would — whichever ``-O`` level built the graph.  The ``milp``
+solve would — whichever ``-O`` level built the graph.  A hit is checked,
+not trusted: :func:`repro.scheduling.scheduler.solve_problem` re-checks
+the entry's certificate against the problem at hand, and an entry that
+fails is dropped, counts as a miss and is solved again.  The ``milp``
 oracle always solves, so it never sees a fast-path answer.
 """
 
@@ -31,8 +37,10 @@ from __future__ import annotations
 import collections
 import hashlib
 import threading
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
+from repro.scheduling.certificate import Flow
 from repro.scheduling.fastpath import scaled_weight
 from repro.scheduling.problem import INFINITY, LongnailProblem
 
@@ -57,14 +65,22 @@ def schedule_fingerprint(problem: LongnailProblem) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+class ScheduleEntry(NamedTuple):
+    """One solved component: start times in operation order, and the flow
+    that certifies them."""
+
+    start_times: Tuple[int, ...]
+    flow: Flow
+
+
 class ScheduleCache:
-    """LRU map: component fingerprint -> solved start-time vector."""
+    """LRU map: component fingerprint -> :class:`ScheduleEntry`."""
 
     def __init__(self, max_entries: int = 4096) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._entries: "collections.OrderedDict[str, Tuple[int, ...]]" = \
+        self._entries: "collections.OrderedDict[str, ScheduleEntry]" = \
             collections.OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -74,9 +90,16 @@ class ScheduleCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> Optional[Tuple[int, ...]]:
+    def get(self, key: str,
+            accept: Optional[Callable[[ScheduleEntry], bool]] = None
+            ) -> Optional[ScheduleEntry]:
+        """The entry under ``key``; an entry that ``accept`` rejects is
+        dropped and counts as a miss."""
         with self._lock:
             entry = self._entries.get(key)
+            if entry is not None and accept is not None and not accept(entry):
+                del self._entries[key]
+                entry = None
             if entry is None:
                 self.misses += 1
                 return None
@@ -84,9 +107,11 @@ class ScheduleCache:
             self.hits += 1
             return entry
 
-    def put(self, key: str, start_times: Sequence[int]) -> None:
+    def put(self, key: str, start_times: Sequence[int],
+            flow: Flow = ()) -> None:
         with self._lock:
-            self._entries[key] = tuple(int(t) for t in start_times)
+            self._entries[key] = ScheduleEntry(
+                tuple(int(t) for t in start_times), tuple(flow))
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -26,8 +26,10 @@ uncapacitated min-cost flow, which this module solves exactly:
   groups of operations exactly while the width-weighted register-bit
   saving exceeds the start-time cost*,
 * on termination the node potentials are an optimal integral schedule
-  whose weighted objective provably equals :func:`solve_milp`'s
-  (complementary slackness + strong duality),
+  whose weighted objective equals :func:`solve_milp`'s (complementary
+  slackness + strong duality); the flow is returned with the schedule as
+  its certificate, and :func:`repro.scheduling.certificate.check_certificate`
+  proves each returned schedule optimal from it,
 * a final longest-path pass over the flow-tight arcs canonicalizes the
   answer to the componentwise-earliest *optimal* schedule, which makes
   the engine deterministic and cache-friendly.
@@ -42,16 +44,13 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.scheduling.ilp import _lifetime_weight, solve_asap
+from repro.scheduling.certificate import ROOT, Flow
+from repro.scheduling.ilp import WEIGHT_SCALE, _lifetime_weight, solve_asap
 from repro.scheduling.problem import (
     INFINITY,
     LongnailProblem,
     ScheduleError,
 )
-
-#: Lifetime weights are multiples of 1/32; scaling by this keeps the
-#: collapsed objective's node costs integral.
-WEIGHT_SCALE = 32
 
 
 def scaled_weight(op: Hashable) -> int:
@@ -80,12 +79,15 @@ def _constraint_arcs(problem: LongnailProblem,
     return gaps
 
 
-def solve_fastpath(problem: LongnailProblem) -> Dict[Hashable, int]:
+def solve_fastpath(problem: LongnailProblem
+                   ) -> Tuple[Dict[Hashable, int], Flow]:
     """Exact engine without an LP solver; matches ``solve_milp``'s weighted
-    objective and returns the componentwise-earliest optimal schedule."""
+    objective.  Returns the componentwise-earliest optimal schedule and,
+    as its certificate, the flow-carrying constraint arcs in the format of
+    :mod:`repro.scheduling.certificate`."""
     ops = problem.operations
     if not ops:
-        return {}
+        return {}, ()
     # ASAP validates feasibility (window conflicts raise here with a
     # readable message) and seeds the dual potentials below.
     asap = solve_asap(problem)
@@ -134,7 +136,12 @@ def solve_fastpath(problem: LongnailProblem) -> Dict[Hashable, int]:
     _warm_start(excess, pot, gaps, arc_id, cap, root)
     _solve_flow(excess, pot, head, cost, cap, adj)
 
-    return _earliest_optimal(problem, index, root, gaps, head, cap, adj)
+    # Flow on a constraint arc shows up as capacity on its reverse.
+    flow = tuple((ROOT if u == root else u, ROOT if v == root else v,
+                  int(cap[a ^ 1]))
+                 for (u, v), a in arc_id.items() if cap[a ^ 1] > 0)
+    return (_earliest_optimal(problem, index, root, gaps, head, cap, adj),
+            flow)
 
 
 def _warm_start(excess: List[int], pot: List[int],

@@ -30,6 +30,11 @@ from repro.scheduling.problem import (
 )
 
 
+#: Lifetime weights are multiples of 1/32 of a word; scaling by this makes
+#: them, and the collapsed objective's node costs, integers.
+WEIGHT_SCALE = 32
+
+
 def _lifetime_weight(source: Hashable) -> float:
     """Width-proportional weight of a dependence edge's lifetime (bits
     carried across a cycle boundary), normalized to a 32-bit word."""

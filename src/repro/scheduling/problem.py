@@ -25,7 +25,7 @@ it as is.  :meth:`Problem.check` rejects a backward dependence.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, List, Optional, Tuple
 
 INFINITY = float("inf")
 
@@ -198,6 +198,13 @@ class ChainingProblem(Problem):
 class LongnailProblem(ChainingProblem):
     """Adds the interface window constraints from the virtual datasheet:
     ``earliest <= startTime <= latest`` for every operation (Table 2)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: The flow that proves ``start_time`` optimal
+        #: (:mod:`repro.scheduling.certificate`); None when the engine
+        #: that solved the problem gives no certificate.
+        self.flow: Optional[Tuple[Tuple[int, int, int], ...]] = None
 
     def verify(self) -> None:
         super().verify()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, Hashable, List, Optional, Union
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.dialects import comb, lil
 from repro.ir.core import Graph, Operation
@@ -33,6 +33,7 @@ from repro.scheduling.cache import (
     global_schedule_cache,
     schedule_fingerprint,
 )
+from repro.scheduling.certificate import ROOT, Flow, check_certificate
 from repro.scheduling.chaining import (
     compute_chain_breakers,
     compute_start_times_in_cycle,
@@ -316,12 +317,17 @@ def solve_problem(problem: LongnailProblem, engine: str = "auto",
 
     ``engine="auto"`` (``"fastpath"``) runs the LP-free exact fast path
     per weakly connected component through the cross-sweep schedule
-    cache; ``"milp"`` runs the Figure 7 formulation per component with
-    HiGHS and never touches the cache, so it stays an independent oracle;
-    ``"asap"`` keeps the heuristic baseline (neither decomposed nor
-    cached — it is already linear-time).  ``cache`` may be a
-    :class:`ScheduleCache`, ``None`` (the process-wide default) or
-    ``False`` (disabled).
+    cache, merges the components' flows into ``problem.flow`` and checks
+    that certificate against the whole problem
+    (:func:`repro.scheduling.certificate.check_certificate`): a cache hit
+    whose certificate fails counts as a miss and is solved again, and a
+    schedule that fails raises :class:`ScheduleError`.  ``"milp"`` runs
+    the Figure 7 formulation per component with HiGHS and never touches
+    the cache, so it stays an independent oracle; ``"asap"`` keeps the
+    heuristic baseline (neither decomposed nor cached — it is already
+    linear-time).  Neither gives a certificate: ``problem.flow`` is
+    None.  ``cache`` may be a :class:`ScheduleCache`, ``None`` (the
+    process-wide default) or ``False`` (disabled).
     """
     begin = time.perf_counter()
     resolved = "fastpath" if engine == "auto" else engine
@@ -335,6 +341,7 @@ def solve_problem(problem: LongnailProblem, engine: str = "auto",
         dependences=len(problem.dependences),
         components=len(components),
     )
+    problem.flow = None
     if resolved == "asap":
         problem.start_time = ilp.solve_asap(problem)
         stats.solve_seconds = time.perf_counter() - begin
@@ -344,25 +351,51 @@ def solve_problem(problem: LongnailProblem, engine: str = "auto",
     if resolved == "milp":
         for sub in components:
             merged.update(ilp.solve_milp(sub))
-    else:
-        live_cache = _resolve_cache(cache)
-        for sub in components:
-            if live_cache is None:
-                merged.update(solve_fastpath(sub))
-                continue
+        problem.start_time = merged
+        stats.solve_seconds = time.perf_counter() - begin
+        return stats
+
+    live_cache = _resolve_cache(cache)
+    position = {op: i for i, op in enumerate(problem.operations)}
+    flow: List[Tuple[int, int, int]] = []
+    for sub in components:
+        entry = None
+        if live_cache is not None:
             key = schedule_fingerprint(sub)
-            hit = live_cache.get(key)
-            if hit is not None:
-                stats.cache_hits += 1
-                merged.update(zip(sub.operations, hit))
-                continue
-            stats.cache_misses += 1
-            start_time = solve_fastpath(sub)
-            live_cache.put(key, [start_time[op] for op in sub.operations])
-            merged.update(start_time)
+            entry = live_cache.get(
+                key, lambda hit: check_certificate(
+                    sub, dict(zip(sub.operations, hit.start_times)),
+                    hit.flow) is None)
+        if entry is not None:
+            stats.cache_hits += 1
+            start_time = dict(zip(sub.operations, entry.start_times))
+            sub_flow = entry.flow
+        else:
+            start_time, sub_flow = solve_fastpath(sub)
+            if live_cache is not None:
+                stats.cache_misses += 1
+                live_cache.put(key, [start_time[op] for op in sub.operations],
+                               sub_flow)
+        merged.update(start_time)
+        flow.extend(sub_flow if sub is problem
+                    else _reindex(sub_flow, sub.operations, position))
+    failure = check_certificate(problem, merged, flow)
+    if failure is not None:
+        raise ScheduleError(
+            f"fast-path schedule failed its certificate: {failure}")
     problem.start_time = merged
+    problem.flow = tuple(flow)
     stats.solve_seconds = time.perf_counter() - begin
     return stats
+
+
+def _reindex(flow: Flow, ops: List[Hashable],
+             position: Dict[Hashable, int]) -> List[Tuple[int, int, int]]:
+    """A component's flow, its arcs renumbered from the component's
+    operation order to the whole problem's."""
+    return [(u if u == ROOT else position[ops[u]],
+             v if v == ROOT else position[ops[v]], units)
+            for u, v, units in flow]
 
 
 class LongnailScheduler:

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.dialects import comb
 from repro.dialects.hw import HWModule
-from repro.ir.core import IRError, Operation
+from repro.ir.core import IRError, Operation, Value
 from repro.utils.bits import mask
 
 #: Engine selector values accepted by RTLSimulator/cosim/CLI/server.
@@ -300,20 +300,24 @@ def random_stimulus(module: HWModule, cycles: int,
 def crosscheck_engines(module: HWModule, cycles: int = 32,
                        seed: int = 0,
                        engines: Sequence[str] = ("interp", "compiled"),
+                       values: Optional[List[Dict[Value, int]]] = None,
                        ) -> Optional[str]:
     """Run the selected engines over the same random stimulus.
 
     Returns ``None`` when the output traces, register counts and final
     register states agree exactly, else a human-readable mismatch
     description.  This is the standing engine-equivalence oracle used by
-    the tests and the fuzz campaigns.
+    the tests and the fuzz campaigns.  ``values``, when given, receives
+    the SSA values of every cycle of the reference run, which then runs
+    on the interpreter (:meth:`RTLSimulator.run`), so that the
+    ``rangesound`` oracle can check them without a run of its own.
     """
     from repro.sim.rtl_sim import RTLSimulator
 
     stimulus = random_stimulus(module, cycles, seed)
     reference_name = engines[0]
     reference = RTLSimulator(module, engine=reference_name)
-    ref_trace = reference.run(stimulus)
+    ref_trace = reference.run(stimulus, values)
     for engine in engines[1:]:
         sim = RTLSimulator(module, engine=engine)
         if reference.register_count != sim.register_count:

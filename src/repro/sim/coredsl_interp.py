@@ -418,7 +418,7 @@ class _Translator:
             value = self.expr(stmt.value)
         else:
             value = self.binary(stmt.op[:-1], self.expr(target),
-                                self.expr(stmt.value))
+                                self.expr(stmt.value), stmt.value.ctype)
         local = (self.lookup(target.name)
                  if isinstance(target, ast.Identifier) else None)
         if local is not None:
@@ -470,7 +470,10 @@ class _Translator:
                         info.element.width)
 
     # -- expressions -------------------------------------------------------------
-    def binary(self, op: str, lhs: str, rhs: str) -> str:
+    def binary(self, op: str, lhs: str, rhs: str, rhs_type: IntType) -> str:
+        if op in ("<<", ">>") and rhs_type.is_signed:
+            # The RTL shifts by the amount's bit pattern.
+            rhs = f"({rhs} & {mask(rhs_type.width):#x})"
         if op in _INFIX:
             return f"({lhs} {op} {rhs})"
         if op in _COMPARE:
@@ -525,7 +528,11 @@ class _Translator:
                 lw, rw = expr.lhs.ctype.width, expr.rhs.ctype.width
                 return (f"(({lhs} & {mask(lw):#x}) << {rw} "
                         f"| {rhs} & {mask(rw):#x})")
-            return self.binary(expr.op, lhs, rhs)
+            code = self.binary(expr.op, lhs, rhs, expr.rhs.ctype)
+            if expr.op == "<<" and expr.rhs.ctype.is_signed:
+                # A negative amount's pattern may outgrow the result type.
+                return _wrap(code, expr.ctype)
+            return code
         if isinstance(expr, ast.UnaryOp):
             operand = self.expr(expr.operand)
             if expr.op == "-":

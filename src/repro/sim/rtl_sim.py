@@ -129,9 +129,19 @@ class RTLSimulator:
                 regs[index] = data
         return outputs
 
-    def run(self, input_trace: List[Dict[str, int]]) -> List[Dict[str, int]]:
-        """Apply a sequence of input vectors; returns the output trace."""
-        return [self.step(vector) for vector in input_trace]
+    def run(self, input_trace: List[Dict[str, int]],
+            values: Optional[List[Dict[Value, int]]] = None
+            ) -> List[Dict[str, int]]:
+        """Apply a sequence of input vectors; returns the output trace.
+        ``values``, when given, receives one dict of SSA values per cycle
+        (see :meth:`step`)."""
+        if values is None:
+            return [self.step(vector) for vector in input_trace]
+        trace = []
+        for vector in input_trace:
+            values.append({})
+            trace.append(self.step(vector, values[-1]))
+        return trace
 
     def output(self, name: str) -> int:
         """Last sampled value of an output port."""

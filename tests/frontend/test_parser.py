@@ -125,12 +125,12 @@ class TestEncodings:
 
 
 class TestStatements:
+    #: The source text before a wrapped body.
+    PREFIX = ("InstructionSet A { instructions { foo {"
+              " encoding: 25'd0 :: 7'b0001011; behavior: { ")
+
     def wrap(self, body):
-        text = (
-            "InstructionSet A { instructions { foo {"
-            " encoding: 25'd0 :: 7'b0001011;"
-            f" behavior: {{ {body} }} }} }} }}"
-        )
+        text = f"{self.PREFIX}{body} }} }} }} }}"
         iset = parse_single_set(text)
         return iset.body.instructions[0].behavior.statements
 
@@ -176,6 +176,28 @@ class TestStatements:
     def test_range_assignment(self):
         (stmt,) = self.wrap("MEM[addr+3:addr] = val;")
         assert isinstance(stmt.target, ast.RangeExpr)
+
+    @pytest.mark.parametrize("keyword, body, declaration", [
+        ("if", "if (X[rs1] == 0) unsigned<8> x = 5; X[rd] = x;",
+         "unsigned<8> x"),
+        ("else", "if (a) b = 1; else signed<4> c = 2;", "signed<4> c"),
+        ("for", "for (int i = 0; i < 4; i += 1) int j = i;", "int j"),
+        ("while", "while (a) bool done = 1;", "bool done"),
+        ("do", "do unsigned<2> k = 1; while (a);", "unsigned<2> k"),
+    ], ids=["if", "else", "for", "while", "do"])
+    def test_declaration_as_unbraced_body_rejected(self, keyword, body,
+                                                   declaration):
+        """As in C, a declaration is no statement: an unbraced body of a
+        control statement cannot be one, and the error points at it."""
+        with pytest.raises(CoreDSLError, match=f"body of '{keyword}'") as err:
+            self.wrap(body)
+        assert err.value.loc is not None
+        assert (err.value.loc.line, err.value.loc.column) == \
+            (1, len(self.PREFIX) + body.index(declaration) + 1)
+
+    def test_braced_declaration_in_body_accepted(self):
+        (stmt,) = self.wrap("if (a) { unsigned<8> x = 5; X[rd] = x; }")
+        assert isinstance(stmt.then_body.statements[0], ast.VarDecl)
 
 
 class TestExpressions:

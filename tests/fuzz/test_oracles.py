@@ -55,7 +55,8 @@ def test_cosim_oracle_catches_broken_comb_op(monkeypatch):
 
 def test_schedule_oracle_catches_suboptimal_engine(monkeypatch):
     """If the fast path silently degraded to ASAP (no lifetime
-    minimization), the weighted-objective cross-check must flag it."""
+    minimization), the schedule oracle must flag it: an ASAP schedule
+    carries no certificate."""
     real_compile = oracles_module.compile_isax
 
     def degraded(source, core, engine="auto", **kwargs):
@@ -66,18 +67,20 @@ def test_schedule_oracle_catches_suboptimal_engine(monkeypatch):
     monkeypatch.setattr(oracles_module, "compile_isax", degraded)
     source = generate_program(3).source
     report = run_oracles(source, cores=("VexRiscv",), trials=1)
-    assert any(f.kind == "schedule" for f in report.failures)
+    assert any(f.kind == "schedule" and "no certificate" in f.detail
+               for f in report.failures)
 
 
-def test_schedule_oracle_reports_a_failed_milp_resolve(monkeypatch):
-    """A MILP re-solve that raises is a schedule failure for each
+def test_milp_oracle_reports_a_failed_resolve(monkeypatch):
+    """A MILP re-solve that raises is a milp failure for each
     functionality, not a compile failure, and run_oracles returns."""
     def failing(problem):
         raise ScheduleError("ILP solver failed: planted")
 
     monkeypatch.setattr(oracles_module.ilp, "solve_milp", failing)
-    report = run_oracles(XOR_ISAX, cores=("VexRiscv",), trials=1)
-    assert report.kinds == ("schedule",)
+    report = run_oracles(XOR_ISAX, cores=("VexRiscv",), trials=1,
+                         oracles=("milp",))
+    assert report.kinds == ("milp",)
     assert len(report.failures) == report.functionalities == 1
     assert "planted" in report.failures[0].detail
 
@@ -174,6 +177,40 @@ def test_batchsim_runs_no_cosim(monkeypatch):
                          oracles=("batchsim",))
     assert report.ok, [str(f) for f in report.failures]
     assert calls == []
+
+
+@pytest.mark.parametrize("selected", [("rangesound",),
+                                      ("batchsim", "rangesound")])
+def test_rangesound_oracle_catches_an_unsound_transfer(monkeypatch,
+                                                       selected):
+    """A planted unsound absint transfer fails rangesound, alone or on
+    the interpreter run it shares with batchsim."""
+    from repro.analysis import absint
+
+    monkeypatch.setitem(absint._TRANSFER, "comb.xor",
+                        lambda op, val, width: absint.AbsVal.const(width, 0))
+    report = run_oracles(XOR_ISAX + "// unsound xor\n", cores=("VexRiscv",),
+                         trials=2, oracles=selected)
+    assert report.kinds == ("rangesound",)
+
+
+def test_batchsim_and_rangesound_share_one_interpreter_run(monkeypatch):
+    """With both selected, each module is interpreted once: rangesound
+    checks the values of batchsim's reference run."""
+    from repro.sim.rtl_sim import RTLSimulator
+
+    engines = []
+    real_init = RTLSimulator.__init__
+
+    def recording(self, module, engine="auto"):
+        engines.append(engine)
+        real_init(self, module, engine)
+
+    monkeypatch.setattr(RTLSimulator, "__init__", recording)
+    report = run_oracles(XOR_ISAX, cores=("VexRiscv",), trials=2,
+                         oracles=("batchsim", "rangesound"))
+    assert report.ok, [str(f) for f in report.failures]
+    assert engines == ["interp", "compiled"]
 
 
 def test_discover_oracle_is_opt_in_and_passes():

@@ -23,6 +23,7 @@ from repro.scheduling import (
     solve_problem,
 )
 from repro.scheduling import ilp
+from repro.scheduling.certificate import check_certificate
 from repro.scheduling.chaining import compute_start_times_in_cycle
 
 ALL_CORES = CORES + EXPERIMENTAL_CORES
@@ -63,7 +64,7 @@ class TestBenchmarkGrid:
         objective on all 8 ISAXes x this core x a 3-point cycle grid."""
         for label, problem in benchmark_problems(core):
             exact = ilp.solve_milp(problem)
-            fast = solve_fastpath(problem)
+            fast, _flow = solve_fastpath(problem)
             want = ilp.weighted_objective_of(problem, exact)
             got = ilp.weighted_objective_of(problem, fast)
             assert got == pytest.approx(want), label
@@ -73,7 +74,7 @@ class TestBenchmarkGrid:
         (the canonical earliest point of the optimal face)."""
         for label, problem in benchmark_problems(core):
             exact = ilp.solve_milp(problem)
-            fast = solve_fastpath(problem)
+            fast, _flow = solve_fastpath(problem)
             problem.start_time = fast
             compute_start_times_in_cycle(problem)
             problem.verify()
@@ -170,10 +171,11 @@ class TestRandomDAGs:
             with pytest.raises(ScheduleError):
                 solve_fastpath(problem)
             return
-        fast = solve_fastpath(problem)
+        fast, flow = solve_fastpath(problem)
         want = ilp.weighted_objective_of(problem, exact)
         got = ilp.weighted_objective_of(problem, fast)
         assert got == pytest.approx(want)
+        assert check_certificate(problem, fast, flow) is None
         problem.start_time = fast
         compute_start_times_in_cycle(problem)
         problem.verify()

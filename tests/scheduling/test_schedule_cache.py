@@ -83,7 +83,7 @@ class TestScheduleCache:
         cache = ScheduleCache()
         assert cache.get("k") is None
         cache.put("k", [0, 1, 2])
-        assert cache.get("k") == (0, 1, 2)
+        assert cache.get("k").start_times == (0, 1, 2)
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == pytest.approx(0.5)
         stats = cache.stats()
@@ -93,10 +93,11 @@ class TestScheduleCache:
         cache = ScheduleCache(max_entries=2)
         cache.put("a", [0])
         cache.put("b", [1])
-        assert cache.get("a") == (0,)   # refresh "a": "b" is now oldest
+        # Refresh "a": "b" is now oldest.
+        assert cache.get("a").start_times == (0,)
         cache.put("c", [2])
         assert cache.get("b") is None
-        assert cache.get("a") == (0,)
+        assert cache.get("a").start_times == (0,)
         assert cache.evictions == 1
 
     def test_clear_resets_counters(self):
