@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence
 
 from repro.dialects import comb
 from repro.ir.core import Graph, IRError, Operation, Value
@@ -44,6 +44,7 @@ from repro.utils.bits import mask
 from repro.utils.diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:                              # imports used only in hints
+    from repro.analysis.absint import RangeFacts
     from repro.dialects.hw import HWModule
     from repro.hls.longnail import IsaxArtifact
     from repro.scheduling.scheduler import ScheduleResult
@@ -240,11 +241,9 @@ def _is_constant_value(value: Value) -> bool:
     return owner is not None and owner.name == "comb.constant"
 
 
-def _check_ranges(graph: Graph) -> Iterator[Diagnostic]:
+def _check_ranges(graph: Graph, facts: "RangeFacts") -> Iterator[Diagnostic]:
     """Range findings proved by the abstract-interpretation engine
-    (IV008-IV009)."""
-    from repro.analysis.absint import analyze_graph
-    facts = analyze_graph(graph)
+    (IV008-IV009), read from ``graph``'s ``facts``."""
     shift_check = IR_CHECKS["IV008"]
     rom_check = IR_CHECKS["IV009"]
     for index, op in enumerate(graph.operations):
@@ -282,11 +281,18 @@ def verify_graph(graph: Graph) -> List[Diagnostic]:
     range checks run only on a graph in block order: the analysis is one
     forward pass, and its slice forwarding follows producers, which would
     not end on a cycle of wiring ops."""
+    from repro.analysis.absint import analyze_graph
+    return _verify_body(graph, lambda: analyze_graph(graph))
+
+
+def _verify_body(graph: Graph,
+                 analyze: Callable[[], "RangeFacts"]) -> List[Diagnostic]:
+    """:func:`verify_graph`, the range facts coming from ``analyze()``."""
     diagnostics = list(_check_ssa(graph))
     ordered = not diagnostics
     diagnostics.extend(_check_op_invariants(graph))
     if ordered:
-        diagnostics.extend(_check_ranges(graph))
+        diagnostics.extend(_check_ranges(graph, analyze()))
     else:
         diagnostics.extend(_check_acyclic(graph))
     return diagnostics
@@ -346,8 +352,14 @@ def verify_schedule(schedule: "ScheduleResult") -> List[Diagnostic]:
 
 def verify_module(module: "HWModule") -> List[Diagnostic]:
     """Check one generated hardware module: the body graph's structural
-    invariants plus port wiring (IV007)."""
-    diagnostics = verify_graph(module.body)
+    invariants plus port wiring (IV007).
+
+    The range checks of a body in block order read the module's memoized
+    facts (:func:`~repro.analysis.absint.analyze_module`), which freezes
+    the module: it is complete once generated, and later range users
+    (the ``rangesound`` fuzz oracle) then hit the memo."""
+    from repro.analysis.absint import analyze_module
+    diagnostics = _verify_body(module.body, lambda: analyze_module(module))
     check = IR_CHECKS["IV007"]
     declared = {port.name for port in module.outputs}
     driven: Dict[str, int] = {}

@@ -163,11 +163,13 @@ def bitwise_result(lhs: IntType, rhs: IntType) -> IntType:
 
 def shl_result(lhs: IntType, rhs: IntType, shift_const: Optional[int] = None) -> IntType:
     """Left shift grows the value; with a compile-time constant shift amount
-    the growth is exact, otherwise we assume the maximum encodable shift."""
+    the growth is exact, otherwise we assume the maximum encodable shift.
+    A shift amount counts as its bit pattern, so a signed amount can
+    shift by up to ``2**width - 1`` like an unsigned one."""
     if shift_const is not None:
         width = lhs.width + max(0, shift_const)
     else:
-        width = lhs.width + rhs.max_value
+        width = lhs.width + (1 << rhs.width) - 1
     _check_width(width, "left-shift result")
     return IntType(width, lhs.is_signed)
 

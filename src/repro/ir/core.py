@@ -77,6 +77,8 @@ def lookup_op(name: str) -> OpDef:
 class Value:
     """An SSA value: result of an operation or a block argument."""
 
+    __slots__ = ("width", "signed", "owner", "index", "name", "uses")
+
     def __init__(self, width: int, signed: Optional[bool] = None,
                  owner: Optional["Operation"] = None, index: int = 0,
                  name: Optional[str] = None) -> None:
@@ -117,6 +119,9 @@ class Operation:
     ``result_types`` is a list of ``(width, signed)`` pairs; the constructed
     results are available as ``op.results`` (and ``op.result`` when single).
     """
+
+    __slots__ = ("name", "opdef", "attributes", "operands", "parent",
+                 "regions", "results")
 
     def __init__(self, name: str, operands: Optional[List[Value]] = None,
                  result_types: Optional[List[Tuple[int, Optional[bool]]]] = None,

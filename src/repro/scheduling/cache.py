@@ -34,11 +34,11 @@ oracle always solves, so it never sees a fast-path answer.
 
 from __future__ import annotations
 
+import array
 import collections
 import hashlib
 import threading
-from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.scheduling.certificate import Flow
 from repro.scheduling.fastpath import scaled_weight
@@ -46,23 +46,34 @@ from repro.scheduling.problem import INFINITY, LongnailProblem
 
 
 def schedule_fingerprint(problem: LongnailProblem) -> str:
-    """Canonical digest of everything the exact solution depends on."""
-    index: Dict[Hashable, int] = {
-        op: i for i, op in enumerate(problem.operations)
-    }
-    op_parts: List[Tuple[int, int, int, int]] = []
-    for op in problem.operations:
-        lot = problem.linked_operator_type(op)
-        latest = -1 if lot.latest == INFINITY else int(lot.latest)
-        op_parts.append(
-            (lot.latency, lot.earliest, latest, scaled_weight(op))
-        )
-    dep_parts = sorted(
-        (index[d.source], index[d.target], 1 if d.is_chain_breaker else 0)
-        for d in problem.dependences
-    )
-    blob = repr((op_parts, dep_parts)).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """Canonical digest of everything the exact solution depends on.
+
+    Distinct ``(latency, earliest, latest)`` windows are numbered in
+    order of first use and spelled out once; then come each operation's
+    window number, each operation's lifetime weight, and one integer
+    ``(source * n + target) * 2 + breaker`` per dependence, sorted so
+    that the dependences' order does not count.
+    """
+    ops = problem.operations
+    count = len(ops)
+    lots = problem.linked_types
+    windows: Dict[Tuple[int, int, int], int] = {}
+    numbered: Dict[int, int] = {}      # id(operator type) -> window number
+    for lot in {id(lot): lot for lot in lots}.values():
+        key = (lot.latency, lot.earliest,
+               -1 if lot.latest == INFINITY else int(lot.latest))
+        numbered[id(lot)] = windows.setdefault(key, len(windows))
+    position = problem.position
+    digest = hashlib.sha256(repr((count, list(windows))).encode("utf-8"))
+    digest.update(b"\0")
+    for part in ([numbered[id(lot)] for lot in lots],
+                 [scaled_weight(op) for op in ops],
+                 sorted((position[source] * count + position[target]) * 2
+                        + (1 if is_chain_breaker else 0)
+                        for source, target, is_chain_breaker
+                        in problem.dependences)):
+        digest.update(array.array("q", part).tobytes())
+    return digest.hexdigest()
 
 
 class ScheduleEntry(NamedTuple):

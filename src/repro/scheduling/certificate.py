@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.scheduling.ilp import WEIGHT_SCALE, _lifetime_weight
-from repro.scheduling.problem import INFINITY, LongnailProblem, OperatorType
+from repro.scheduling.problem import INFINITY, LongnailProblem
 
 #: The virtual time-zero node of a flow arc.
 ROOT = -1
@@ -54,35 +54,31 @@ def check_certificate(problem: LongnailProblem,
     else which of the four checks failed, and where."""
     ops = problem.operations
     count = len(ops)
-    index: Dict[Hashable, int] = {}
-    times: List[int] = []
-    lots: List[OperatorType] = []
-    weights: List[int] = []
-    for i, op in enumerate(ops):
-        index[op] = i
-        time = start_time.get(op)
-        lot = problem.linked_operator_type(op)
+    lots = problem.linked_types
+    times = [start_time.get(op) for op in ops]
+    for op, time, lot in zip(ops, times, lots):
         if type(time) is not int:
             return f"feasibility: {op} has no integer start time"
         if not 0 <= lot.earliest <= time <= lot.latest:
             return (f"feasibility: {op} starts at {time}, outside its "
                     f"window [{lot.earliest}, {lot.latest}]")
+    weights: List[int] = []
+    for op in ops:
         weight = _lifetime_weight(op) * WEIGHT_SCALE
         if weight != int(weight):
             return (f"conservation: lifetime weight of {op} is not a "
                     f"multiple of 1/{WEIGHT_SCALE}")
-        times.append(time)
-        lots.append(lot)
         weights.append(int(weight))
 
+    position = problem.position
     gaps: Dict[Tuple[int, int], int] = {}
     balance = [WEIGHT_SCALE] * count
-    for dep in problem.dependences:
-        u, v = index[dep.source], index[dep.target]
-        gap = lots[u].latency + (1 if dep.is_chain_breaker else 0)
+    for source, target, is_chain_breaker in problem.dependences:
+        u, v = position[source], position[target]
+        gap = lots[u].latency + (1 if is_chain_breaker else 0)
         if times[v] - times[u] < gap:
-            return (f"feasibility: {dep.target} starts {times[v] - times[u]} "
-                    f"cycle(s) after {dep.source}, needs {gap}")
+            return (f"feasibility: {target} starts {times[v] - times[u]} "
+                    f"cycle(s) after {source}, needs {gap}")
         if gaps.get((u, v), -1) < gap:
             gaps[(u, v)] = gap
         balance[v] += weights[u]

@@ -11,16 +11,19 @@ their listed order, which is dependence order
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Hashable, List, Tuple
 
 from repro.scheduling.problem import ChainingProblem, Problem, ScheduleError
 
 
-def _adjacency(problem: Problem) -> Dict[Hashable, List[Hashable]]:
-    preds: Dict[Hashable, List[Hashable]] = {op: [] for op in problem.operations}
-    for dep in problem.dependences:
-        if not dep.is_chain_breaker:
-            preds[dep.target].append(dep.source)
+def _predecessors(problem: Problem) -> List[List[int]]:
+    """Each operation's data predecessors, by position; chain breakers
+    add no data path."""
+    position = problem.position
+    preds: List[List[int]] = [[] for _ in problem.operations]
+    for source, target, is_chain_breaker in problem.dependences:
+        if not is_chain_breaker:
+            preds[position[target]].append(position[source])
     return preds
 
 
@@ -37,11 +40,11 @@ def compute_chain_breakers(problem: ChainingProblem,
     heuristic placement feasible for the exact solver while bounding the
     combinational depth of every time step.
     """
-    preds = _adjacency(problem)
-    cycle: Dict[Hashable, int] = {}
-    finish: Dict[Hashable, float] = {}
-    for op in problem.operations:
-        lot = problem.linked_operator_type(op)
+    lots = problem.linked_types
+    preds = _predecessors(problem)
+    cycle: List[int] = []
+    finish: List[float] = []
+    for v, lot in enumerate(lots):
         delay = lot.incoming_delay
         if delay > cycle_time:
             raise ScheduleError(
@@ -49,51 +52,50 @@ def compute_chain_breakers(problem: ChainingProblem,
                 f"cycle time {cycle_time} ns"
             )
         c, t = 0, 0.0
-        for pred in preds[op]:
-            pred_lot = problem.linked_operator_type(pred)
+        for u in preds[v]:
+            pred_lot = lots[u]
             if pred_lot.latency > 0:
                 # Result comes out of a register at the start of the cycle
                 # after the predecessor finishes.
-                pc = cycle[pred] + pred_lot.latency
+                pc = cycle[u] + pred_lot.latency
                 pt = pred_lot.outgoing_delay
             else:
-                pc = cycle[pred]
-                pt = finish[pred]
+                pc = cycle[u]
+                pt = finish[u]
             if pc > c:
                 c, t = pc, pt
-            elif pc == c:
-                t = max(t, pt)
+            elif pc == c and pt > t:
+                t = pt
         if t + delay > cycle_time:
             c, t = c + 1, 0.0
-        cycle[op] = c
-        finish[op] = t + delay
+        cycle.append(c)
+        finish.append(t + delay)
+    position = problem.position
     breakers: List[Tuple[Hashable, Hashable]] = []
-    for dep in problem.dependences:
-        if dep.is_chain_breaker:
+    for source, target, is_chain_breaker in problem.dependences:
+        if is_chain_breaker:
             continue
-        pred_lot = problem.linked_operator_type(dep.source)
-        if pred_lot.latency == 0 and cycle[dep.target] > cycle[dep.source]:
-            breakers.append((dep.source, dep.target))
+        u = position[source]
+        if lots[u].latency == 0 and cycle[position[target]] > cycle[u]:
+            breakers.append((source, target))
     return breakers
 
 
 def compute_start_times_in_cycle(problem: ChainingProblem) -> None:
     """Fill the ``startTimeInCycle`` property for a problem whose
     ``startTime`` values are already computed (CIRCT utility equivalent)."""
-    preds = _adjacency(problem)
-    for op in problem.operations:
-        lot = problem.linked_operator_type(op)
-        start = 0.0
-        for pred in preds[op]:
-            pred_lot = problem.linked_operator_type(pred)
+    lots = problem.linked_types
+    preds = _predecessors(problem)
+    start = [problem.start_time[op] for op in problem.operations]
+    in_cycle: List[float] = []
+    for v, at in enumerate(start):
+        begin = 0.0
+        for u in preds[v]:
+            pred_lot = lots[u]
             if pred_lot.latency == 0:
-                if problem.start_time[pred] == problem.start_time[op]:
-                    start = max(
-                        start,
-                        problem.start_time_in_cycle[pred]
-                        + pred_lot.outgoing_delay,
-                    )
-            elif (problem.start_time[pred] + pred_lot.latency
-                  == problem.start_time[op]):
-                start = max(start, pred_lot.outgoing_delay)
-        problem.start_time_in_cycle[op] = start
+                if start[u] == at:
+                    begin = max(begin, in_cycle[u] + pred_lot.outgoing_delay)
+            elif start[u] + pred_lot.latency == at:
+                begin = max(begin, pred_lot.outgoing_delay)
+        in_cycle.append(begin)
+    problem.start_time_in_cycle.update(zip(problem.operations, in_cycle))

@@ -18,65 +18,54 @@ uncapacitated min-cost flow, which this module solves exactly:
   point and doubles as a dual-feasible initial potential function,
 * at ASAP the tight constraints span an arborescence from the virtual
   root, so a bottom-up pass over it (:func:`_warm_start`) serves the
-  bulk of the flow demand in linear time before any search runs,
+  bulk of the flow demand in linear time before any search runs; when it
+  leaves no surplus, ASAP is optimal and, as the least feasible point,
+  already the earliest optimum,
 * the remainder drains through primal-dual phases
   (:func:`_solve_flow`): flow is pushed away from operations with
   ``c_i < 0`` — ones whose outgoing values are wider than what they
   consume plus their own start-time cost — i.e. the algorithm *delays
   groups of operations exactly while the width-weighted register-bit
-  saving exceeds the start-time cost*,
+  saving exceeds the start-time cost*.  Each phase prices nodes with a
+  bucket queue (:func:`_distances`) that stops at the last deficit,
 * on termination the node potentials are an optimal integral schedule
   whose weighted objective equals :func:`solve_milp`'s (complementary
   slackness + strong duality); the flow is returned with the schedule as
   its certificate, and :func:`repro.scheduling.certificate.check_certificate`
   proves each returned schedule optimal from it,
-* a final longest-path pass over the flow-tight arcs canonicalizes the
-  answer to the componentwise-earliest *optimal* schedule, which makes
-  the engine deterministic and cache-friendly.
+* one more bucket-queue pass over every residual arc's slack
+  (:func:`_earliest_optimal`) canonicalizes the answer to the
+  componentwise-earliest *optimal* schedule, which makes the engine
+  deterministic and cache-friendly.
 
 All arithmetic is integer: lifetime weights are multiples of 1/32
 (width-proportional, one 32-bit word == 1.0), so scaling the node costs
-by 32 keeps every flow supply integral.
+by 32 keeps every flow supply integral.  The engine reads the problem's
+index (``problem.position``, ``problem.linked_types``) and works on
+integer arrays over operation positions, the virtual root being node
+``n``.  docs/scheduling.md ("Why no LP solver is needed") has the
+arguments in full.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.scheduling.certificate import ROOT, Flow
-from repro.scheduling.ilp import WEIGHT_SCALE, _lifetime_weight, solve_asap
+from repro.scheduling.ilp import WEIGHT_SCALE, _lifetime_weight, asap_times
 from repro.scheduling.problem import (
     INFINITY,
     LongnailProblem,
     ScheduleError,
 )
 
+#: Residual capacity of an uncapacitated constraint arc.
+UNBOUNDED = 1 << 62
+
 
 def scaled_weight(op: Hashable) -> int:
     """``_lifetime_weight`` as an exact integer (bits, clamped to >= 1)."""
     return round(_lifetime_weight(op) * WEIGHT_SCALE)
-
-
-def _constraint_arcs(problem: LongnailProblem,
-                     index: Dict[Hashable, int],
-                     root: int) -> Dict[Tuple[int, int], int]:
-    """All difference constraints ``t_v - t_u >= gap`` as a (u, v) -> gap
-    map.  Parallel dependence edges only constrain through their largest
-    gap; window bounds become arcs to/from the virtual root (pinned at 0).
-    """
-    gaps: Dict[Tuple[int, int], int] = {}
-    for dep in problem.dependences:
-        u, v = index[dep.source], index[dep.target]
-        gap = problem.latency(dep.source) + (1 if dep.is_chain_breaker else 0)
-        if gaps.get((u, v), -1) < gap:
-            gaps[(u, v)] = gap
-    for op, i in index.items():
-        lot = problem.linked_operator_type(op)
-        gaps[(root, i)] = lot.earliest
-        if lot.latest != INFINITY:
-            gaps[(i, root)] = -int(lot.latest)
-    return gaps
 
 
 def solve_fastpath(problem: LongnailProblem
@@ -90,65 +79,76 @@ def solve_fastpath(problem: LongnailProblem
         return {}, ()
     # ASAP validates feasibility (window conflicts raise here with a
     # readable message) and seeds the dual potentials below.
-    asap = solve_asap(problem)
+    asap = asap_times(problem)
 
     n = len(ops)
     root = n
-    index = {op: i for i, op in enumerate(ops)}
+    lots, position = problem.linked_types, problem.position
 
-    # Node costs of the collapsed objective, scaled to integers.  The
-    # virtual root absorbs the balance so supplies sum to zero.
+    # Node costs of the collapsed objective, scaled to integers, and the
+    # difference constraints t_v - t_u >= gap: parallel dependence edges
+    # only constrain through their largest gap.  The virtual root
+    # absorbs the balance so supplies sum to zero.
+    weights = [scaled_weight(op) for op in ops]
     node_cost = [WEIGHT_SCALE] * n + [0]
-    for dep in problem.dependences:
-        w = scaled_weight(dep.source)
-        node_cost[index[dep.target]] += w
-        node_cost[index[dep.source]] -= w
+    gaps: Dict[Tuple[int, int], int] = {}
+    for source, target, is_chain_breaker in problem.dependences:
+        u, v = position[source], position[target]
+        node_cost[v] += weights[u]
+        node_cost[u] -= weights[u]
+        gap = lots[u].latency + (1 if is_chain_breaker else 0)
+        if gaps.get((u, v), -1) < gap:
+            gaps[(u, v)] = gap
     node_cost[root] = -sum(node_cost[:n])
 
-    gaps = _constraint_arcs(problem, index, root)
+    # Constraint arcs: the dependences, then the window bounds as arcs
+    # from and to the virtual root (pinned at 0).
+    tails = [u for u, _ in gaps]
+    heads = [v for _, v in gaps]
+    lengths = list(gaps.values())
+    bounded = [i for i, lot in enumerate(lots) if lot.latest != INFINITY]
+    tails += [root] * n + bounded
+    heads += list(range(n)) + [root] * len(bounded)
+    lengths += [lot.earliest for lot in lots]
+    lengths += [-int(lots[i].latest) for i in bounded]
 
-    # Residual network (standard paired-arc layout: arc a and a ^ 1 are
-    # each other's reverses).  Constraint arcs are uncapacitated.
-    head: List[int] = []
-    cost: List[int] = []
-    cap: List[float] = []
-    adj: List[List[int]] = [[] for _ in range(n + 1)]
-    arc_id: Dict[Tuple[int, int], int] = {}
-
-    for (u, v), gap in gaps.items():
-        arc_id[(u, v)] = len(head)
-        adj[u].append(len(head))
-        head.append(v)
-        cost.append(-gap)
-        cap.append(float("inf"))
-        adj[v].append(len(head))
-        head.append(u)
-        cost.append(gap)
-        cap.append(0)
+    # Residual network in the paired-arc layout: arc 2k is constraint k,
+    # uncapacitated, and arc 2k + 1 its reverse, whose capacity is the
+    # flow on constraint k.
+    head = [0] * (2 * len(lengths))
+    head[0::2] = heads
+    head[1::2] = tails
+    cost = head[:]
+    cost[0::2] = [-gap for gap in lengths]
+    cost[1::2] = lengths
+    cap = [UNBOUNDED, 0] * len(lengths)
 
     # Dual supplies: node k must ship -c_k units.  Potentials from any
     # feasible primal point are dual-feasible; use ASAP (root pinned at 0).
     excess = [-c for c in node_cost]
-    pot = [0] * (n + 1)
-    for op, i in index.items():
-        pot[i] = -asap[op]
+    pot = [-t for t in asap] + [0]
 
-    _warm_start(excess, pot, gaps, arc_id, cap, root)
-    _solve_flow(excess, pot, head, cost, cap, adj)
+    if _warm_start(excess, pot, head, cost, cap):
+        start = asap
+    else:
+        adj: List[List[int]] = [[] for _ in range(n + 1)]
+        for k, (tail, v) in enumerate(zip(tails, heads)):
+            adj[tail].append(2 * k)
+            adj[v].append(2 * k + 1)
+        _solve_flow(excess, pot, head, cost, cap, adj)
+        start = _earliest_optimal(pot, head, cost, cap, adj)
 
-    # Flow on a constraint arc shows up as capacity on its reverse.
-    flow = tuple((ROOT if u == root else u, ROOT if v == root else v,
-                  int(cap[a ^ 1]))
-                 for (u, v), a in arc_id.items() if cap[a ^ 1] > 0)
-    return (_earliest_optimal(problem, index, root, gaps, head, cap, adj),
-            flow)
+    flow = tuple((ROOT if tail == root else tail, ROOT if v == root else v,
+                  units)
+                 for tail, v, units in zip(tails, heads, cap[1::2])
+                 if units > 0)
+    return dict(zip(ops, start)), flow
 
 
-def _warm_start(excess: List[int], pot: List[int],
-                gaps: Dict[Tuple[int, int], int],
-                arc_id: Dict[Tuple[int, int], int],
-                cap: List[float], root: int) -> None:
-    """Serve the bulk of the demand without any shortest-path search.
+def _warm_start(excess: List[int], pot: List[int], head: List[int],
+                cost: List[int], cap: List[int]) -> bool:
+    """Serve the bulk of the demand without any shortest-path search;
+    True if no surplus is left, i.e. the ASAP potentials are optimal.
 
     At ASAP, every operation is tight on at least one incoming constraint
     — a critical predecessor or its ``earliest`` bound — so the tight
@@ -157,250 +157,214 @@ def _warm_start(excess: List[int], pot: List[int],
     pushing it down the tree is an admissible pseudo-flow that satisfies
     every deficit in O(n + m); only subtrees with a clamped *surplus*
     (wide producers whose savings must flow against the tree) are left
-    for the successive-shortest-path loop, which is usually none.
+    for the primal-dual phases.  Every tree arc points from a lower
+    position (or the root) to a higher one, so descending positions is a
+    bottom-up order.
     """
-    total = len(excess)
-    parent = [-1] * total
-    parent_arc = [-1] * total
-    for (u, v), gap in gaps.items():
+    root = len(excess) - 1
+    parent_arc = [-1] * root
+    for a in range(0, len(head), 2):
         # Tightness in potential form: reduced cost 0 <=> the constraint
         # t_v - t_u >= gap holds with equality at ASAP (pot = -asap).
-        if v != root and parent[v] < 0 and pot[u] - pot[v] == gap:
-            parent[v] = u
-            parent_arc[v] = arc_id[(u, v)]
-    children: List[List[int]] = [[] for _ in range(total)]
-    for v in range(total):
-        if v != root:
-            assert parent[v] >= 0, "ASAP left a node with no tight arc"
-            children[parent[v]].append(v)
-
-    order: List[int] = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(children[u])
-
-    pushed_up = [0] * total     # demand each node forwards to its parent
-    for v in reversed(order):
-        if v == root:
-            continue
+        v = head[a]
+        if (v != root and parent_arc[v] < 0
+                and cost[a] + pot[head[a + 1]] - pot[v] == 0):
+            parent_arc[v] = a
+    pushed_up = [0] * (root + 1)    # demand each node forwards to its parent
+    balanced = True
+    for v in range(root - 1, -1, -1):
+        a = parent_arc[v]
+        assert a >= 0, "ASAP left a node with no tight arc"
         demand = -excess[v] + pushed_up[v]
         if demand > 0:
-            a = parent_arc[v]
-            cap[a ^ 1] += demand    # forward cap is infinite; flow shows
-            pushed_up[parent[v]] += demand  # up as reverse capacity
+            cap[a + 1] += demand    # forward cap is unbounded; flow shows
+            pushed_up[head[a + 1]] += demand    # up as reverse capacity
             excess[v] = 0
         else:
-            excess[v] = -demand     # clamped surplus, handled by SSP
+            excess[v] = -demand     # clamped surplus, left to the phases
+            balanced = balanced and demand == 0
     excess[root] -= pushed_up[root]
+    return balanced
 
 
 def _solve_flow(excess: List[int], pot: List[int], head: List[int],
-                cost: List[int], cap: List[float],
+                cost: List[int], cap: List[int],
                 adj: List[List[int]]) -> None:
     """Drain all remaining excess with primal-dual phases: one multi-source
-    Dijkstra prices every node at once, then a blocking-flow pass pushes
-    along *all* the zero-reduced-cost shortest paths it uncovered, so many
-    source/deficit pairs settle per shortest-path computation instead of
-    one.  A phase whose DFS finds nothing (possible, since it skips arcs
-    closing zero-cost cycles) falls back to a single classic augmentation,
-    which guarantees progress and hence termination."""
+    bucket-queue Dijkstra prices the nodes up to the last deficit, then a
+    blocking-flow pass pushes along *all* the zero-reduced-cost paths it
+    uncovered, so many source/deficit pairs settle per shortest-path
+    computation instead of one.
+
+    Pricing stops once every deficit is finalized, at distance ``D``.
+    Finalized nodes take ``dist - D`` onto their potentials, the others
+    keep theirs, which is Johnson's update shifted by the constant ``-D``:
+    an arc from a finalized ``u`` to an unfinalized ``v`` has
+    ``dist(u) + c̄ >= D``, so every reduced cost stays >= 0, and the
+    shortest-path tree into each deficit becomes admissible.
+    """
     total = len(adj)
     while True:
         sources = [v for v in range(total) if excess[v] > 0]
         if not sources:
             return
-        dist: List[Optional[int]] = [None] * total
-        finalized = [False] * total
-        heap: List[Tuple[int, int]] = [(0, s) for s in sources]
-        for s in sources:
-            dist[s] = 0
-        heapq.heapify(heap)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if finalized[u]:
-                continue
-            finalized[u] = True
-            for a in adj[u]:
-                if cap[a] <= 0:
-                    continue
-                v = head[a]
-                if finalized[v]:
-                    continue
-                nd = d + cost[a] + pot[u] - pot[v]
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        if not any(finalized[v] and excess[v] < 0 for v in range(total)):
-            # pragma: no cover - guarded by ASAP feasibility
+        dist, priced = _distances(sources, pot, head, cost, cap, adj, excess)
+        reach = dist[priced[-1]]
+        for u in priced:
+            pot[u] += dist[u] - reach
+        if not _blocking_flow(sources, excess, pot, head, cost, cap, adj):
+            # pragma: no cover - the shortest-path tree into a deficit is
+            # admissible, so the first search of a phase finds a path
             raise ScheduleError(
-                "fast-path scheduler: no augmenting path (internal "
-                "error, the problem should be bounded)"
-            )
-        horizon = max(d for d, f in zip(dist, finalized) if f)
-        for v in range(total):
-            dv = dist[v]
-            pot[v] += dv if finalized[v] and dv is not None else horizon
-        if _blocking_flow(sources, excess, pot, head, cost, cap, adj) == 0:
-            # pragma: no cover - cycle-skipping starved the DFS
-            for s in sources:
-                if excess[s] > 0:
-                    _augment(s, excess, pot, head, cost, cap, adj)
-                    break
+                "fast-path scheduler: a phase pushed no flow (internal "
+                "error)")
+
+
+def _distances(sources: List[int], pot: List[int], head: List[int],
+               cost: List[int], cap: List[int], adj: List[List[int]],
+               excess: Optional[List[int]] = None
+               ) -> Tuple[List[int], List[int]]:
+    """Dijkstra over reduced costs from ``sources`` (at distance 0).
+
+    Reduced costs are small non-negative integers, so a bucket queue
+    indexed by distance replaces the heap.  With ``excess``, the search
+    stops as soon as every node with a deficit is finalized, the last one
+    as soon as it is reached at the distance being scanned; without it,
+    it runs until every reachable node is.  Returns the tentative
+    distances (-1 for unseen nodes) and the finalized nodes in order of
+    distance."""
+    total = len(adj)
+    dist = [-1] * total
+    done = [False] * total
+    priced: List[int] = []
+    left = -1
+    if excess is not None:
+        left = sum(1 for e in excess if e < 0)
+    for s in sources:
+        dist[s] = 0
+    buckets: Dict[int, List[int]] = {0: list(sources)}
+    d = 0
+    while buckets:
+        bucket = buckets.get(d)
+        if bucket is None:
+            d = min(buckets)
+            continue
+        # Zero reduced-cost arcs append to the bucket being scanned, and
+        # the loop reaches what they append.
+        for u in bucket:
+            if done[u] or dist[u] != d:
+                continue
+            done[u] = True
+            priced.append(u)
+            if left > 0 and excess[u] < 0:     # type: ignore[index]
+                left -= 1
+                if left == 0:
+                    return dist, priced
+            base = d + pot[u]
+            for a in adj[u]:
+                if cap[a] > 0:
+                    v = head[a]
+                    nd = base + cost[a] - pot[v]
+                    if not done[v] and (dist[v] < 0 or nd < dist[v]):
+                        dist[v] = nd
+                        if nd != d:
+                            buckets.setdefault(nd, []).append(v)
+                        elif left == 1 and excess[v] < 0:  # type: ignore[index]
+                            # The last deficit, reached at the level being
+                            # scanned: no node is closer, so it is final.
+                            priced.append(v)
+                            return dist, priced
+                        else:
+                            bucket.append(v)
+        del buckets[d]
+    if left > 0:
+        # pragma: no cover - guarded by ASAP feasibility
+        raise ScheduleError(
+            "fast-path scheduler: no augmenting path (internal "
+            "error, the problem should be bounded)"
+        )
+    return dist, priced
 
 
 def _blocking_flow(sources: List[int], excess: List[int], pot: List[int],
-                   head: List[int], cost: List[int], cap: List[float],
+                   head: List[int], cost: List[int], cap: List[int],
                    adj: List[List[int]]) -> int:
     """Push as much excess as an iterative DFS finds through the admissible
     (zero reduced-cost, positive-capacity) arcs; current-arc pointers make
-    the pass near-linear.  Arcs leading back onto the active path (zero
-    reduced-cost 2-cycles between an arc and its pushed reverse) are
-    skipped, which may leave flow for the next phase — never wrong, at
-    worst one extra Dijkstra."""
+    the pass near-linear.  After a push the search retreats only past the
+    first arc the push saturated, or stays at a deficit it filled,
+    instead of starting over at the source.  Arcs leading back onto the
+    active path (zero reduced-cost 2-cycles between an arc and its pushed
+    reverse) are skipped, which may leave flow for the next phase — never
+    wrong, at worst one extra pricing."""
     total_pushed = 0
     ptr = [0] * len(adj)
     onpath = [False] * len(adj)
     for s in sources:
-        exhausted = False
-        while excess[s] > 0 and not exhausted:
-            path: List[int] = []
-            onpath[s] = True
-            u = s
-            while True:
-                if excess[u] < 0:
-                    amount = min(excess[s], -excess[u])
-                    for a in path:
-                        if cap[a] < amount:
-                            amount = int(cap[a])
-                    for a in path:
-                        cap[a] -= amount
-                        cap[a ^ 1] += amount
+        path: List[int] = []
+        onpath[s] = True
+        u = s
+        while excess[s] > 0:
+            if excess[u] < 0:
+                amount = min(excess[s], -excess[u])
+                for a in path:
+                    if cap[a] < amount:
+                        amount = cap[a]
+                cut = -1
+                for k, a in enumerate(path):
+                    cap[a] -= amount
+                    cap[a ^ 1] += amount
+                    if cut < 0 and cap[a] == 0:
+                        cut = k
+                excess[s] -= amount
+                excess[u] += amount
+                total_pushed += amount
+                if cut >= 0:
+                    # Retreat to the tail of the first saturated arc.
+                    for a in path[cut:]:
                         onpath[head[a]] = False
-                    onpath[s] = False
-                    excess[s] -= amount
-                    excess[u] += amount
-                    total_pushed += amount
+                    u = head[path[cut] ^ 1]
+                    del path[cut:]
+                continue
+            edges = adj[u]
+            k, end, level = ptr[u], len(edges), pot[u]
+            while k < end:
+                a = edges[k]
+                v = head[a]
+                if cap[a] > 0 and not onpath[v] and cost[a] + level == pot[v]:
                     break
-                advanced = False
-                while ptr[u] < len(adj[u]):
-                    a = adj[u][ptr[u]]
-                    v = head[a]
-                    if (cap[a] > 0 and not onpath[v]
-                            and cost[a] + pot[u] - pot[v] == 0):
-                        path.append(a)
-                        onpath[v] = True
-                        u = v
-                        advanced = True
-                        break
-                    ptr[u] += 1
-                if advanced:
-                    continue
+                k += 1
+            ptr[u] = k
+            if k == end:
                 if u == s:
-                    onpath[s] = False
-                    exhausted = True
                     break
                 a = path.pop()
                 onpath[u] = False
                 u = head[a ^ 1]
                 ptr[u] += 1
+                continue
+            path.append(a)
+            onpath[v] = True
+            u = v
+        for a in path:
+            onpath[head[a]] = False
+        onpath[s] = False
     return total_pushed
 
 
-def _augment(source: int, excess: List[int], pot: List[int],
-             head: List[int], cost: List[int], cap: List[float],
-             adj: List[List[int]]) -> int:
-    """One successive-shortest-path augmentation from ``source`` to the
-    nearest node with a deficit; returns that node (or -1)."""
-    total = len(adj)
-    dist: List[Optional[int]] = [None] * total
-    parent_arc = [-1] * total
-    finalized = [False] * total
-    dist[source] = 0
-    heap: List[Tuple[int, int]] = [(0, source)]
-    target = -1
-    while heap:
-        d, u = heapq.heappop(heap)
-        if finalized[u]:
-            continue
-        finalized[u] = True
-        if excess[u] < 0:
-            target = u
-            break
-        for a in adj[u]:
-            if cap[a] <= 0:
-                continue
-            v = head[a]
-            if finalized[v]:
-                continue
-            nd = d + cost[a] + pot[u] - pot[v]
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                parent_arc[v] = a
-                heapq.heappush(heap, (nd, v))
-    if target < 0:
-        return -1
-    reach = dist[target]
-    assert reach is not None
-    # Keep all residual reduced costs non-negative for the next round.
-    for v in range(total):
-        dv = dist[v]
-        pot[v] += reach if dv is None or dv > reach else dv
-
-    # Bottleneck: the source's excess, the target's deficit, and any
-    # reverse (finite) residual capacity along the path.
-    amount = min(excess[source], -excess[target])
-    v = target
-    while v != source:
-        a = parent_arc[v]
-        amount = min(amount, cap[a])
-        v = head[a ^ 1]
-    amount = int(amount)
-    v = target
-    while v != source:
-        a = parent_arc[v]
-        cap[a] -= amount
-        cap[a ^ 1] += amount
-        v = head[a ^ 1]
-    excess[source] -= amount
-    excess[target] += amount
-    return target
-
-
-def _earliest_optimal(problem: LongnailProblem, index: Dict[Hashable, int],
-                      root: int, gaps: Dict[Tuple[int, int], int],
-                      head: List[int], cap: List[float],
-                      adj: List[List[int]]) -> Dict[Hashable, int]:
-    """Canonicalize the optimum: by complementary slackness the optimal
+def _earliest_optimal(pot: List[int], head: List[int], cost: List[int],
+                      cap: List[int], adj: List[List[int]]) -> List[int]:
+    """Canonicalize the optimum.  By complementary slackness the optimal
     face is exactly the feasible points that keep every flow-carrying arc
-    tight, so adding the matching equalities and taking longest paths from
-    the root yields the componentwise-earliest optimal schedule."""
-    total = len(adj)
-    relaxation: List[Tuple[int, int, int]] = [
-        (u, v, gap) for (u, v), gap in gaps.items()
-    ]
-    for u in range(total):
-        for a in adj[u]:
-            # Even arc ids are the forward constraint arcs; flow on one
-            # shows up as capacity on its odd-id reverse.
-            if a % 2 == 0 and cap[a ^ 1] > 0:
-                (cu, cv) = (u, head[a])
-                relaxation.append((cv, cu, -gaps[(cu, cv)]))
-
-    dist: List[float] = [float("-inf")] * total
-    dist[root] = 0
-    for _ in range(total + 1):
-        changed = False
-        for u, v, gap in relaxation:
-            if dist[u] != float("-inf") and dist[u] + gap > dist[v]:
-                dist[v] = dist[u] + gap
-                changed = True
-        if not changed:
-            break
-    else:  # pragma: no cover - the face is non-empty by construction
-        raise ScheduleError(
-            "fast-path scheduler: optimal face has no earliest point "
-            "(internal error)"
-        )
-    return {op: int(dist[i]) for op, i in index.items()}
+    tight, so its earliest point is the longest root path in the graph of
+    the constraint arcs plus the equality reversals of flow-carrying arcs
+    — the residual arcs with capacity.  The potentials give an optimal
+    schedule ``t = pot[root] - pot``; along any root path, the arc
+    lengths add up to ``t_v`` minus the slacks ``t_head - t_tail - gap``,
+    which are the residual reduced costs and so are >= 0.  The longest
+    path to ``v`` is therefore ``t_v`` minus the shortest slack path,
+    one bucket-queue pass from the root."""
+    root = len(adj) - 1
+    slack, _ = _distances([root], pot, head, cost, cap, adj)
+    top = pot[root]
+    return [top - pot[v] - slack[v] for v in range(root)]

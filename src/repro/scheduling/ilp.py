@@ -50,25 +50,31 @@ def solve_asap(problem: LongnailProblem) -> Dict[Hashable, int]:
     met (ASAP is componentwise minimal, so failure implies infeasibility).
     Operations are listed in dependence order, so one forward pass
     suffices."""
-    preds: Dict[Hashable, List[Tuple[Hashable, int]]] = {
-        op: [] for op in problem.operations
-    }
-    for dep in problem.dependences:
-        extra = 1 if dep.is_chain_breaker else 0
-        preds[dep.target].append((dep.source, extra))
+    return dict(zip(problem.operations, asap_times(problem)))
 
-    start: Dict[Hashable, int] = {}
-    for op in problem.operations:
-        lot = problem.linked_operator_type(op)
+
+def asap_times(problem: LongnailProblem) -> List[int]:
+    """:func:`solve_asap`'s start times, aligned with
+    ``problem.operations``."""
+    lots, position = problem.linked_types, problem.position
+    preds: List[List[Tuple[int, int]]] = [[] for _ in lots]
+    for source, target, is_chain_breaker in problem.dependences:
+        u = position[source]
+        preds[position[target]].append(
+            (u, lots[u].latency + (1 if is_chain_breaker else 0)))
+
+    start: List[int] = []
+    for v, lot in enumerate(lots):
         time = lot.earliest
-        for pred, extra in preds[op]:
-            time = max(time, start[pred] + problem.latency(pred) + extra)
+        for u, gap in preds[v]:
+            if start[u] + gap > time:
+                time = start[u] + gap
         if time > lot.latest:
             raise ScheduleError(
-                f"infeasible: {op} cannot start before {time} but its "
-                f"window closes at {lot.latest}"
+                f"infeasible: {problem.operations[v]} cannot start before "
+                f"{time} but its window closes at {lot.latest}"
             )
-        start[op] = time
+        start.append(time)
     return start
 
 
@@ -84,7 +90,7 @@ def solve_milp(problem: LongnailProblem) -> Dict[Hashable, int]:
     n, m = len(ops), len(deps)
     if n == 0:
         return {}
-    index = {op: i for i, op in enumerate(ops)}
+    lots, index = problem.linked_types, problem.position
 
     # Objective: sum of start times plus sum of lifetimes.  Lifetimes are
     # weighted by the carried value's width: the objective minimizes
@@ -95,14 +101,13 @@ def solve_milp(problem: LongnailProblem) -> Dict[Hashable, int]:
         cost[n + k] = _lifetime_weight(dep.source)
 
     # A finite horizon keeps the solver comfortable.
-    horizon = sum(problem.latency(op) + 1 for op in ops) + max(
-        (problem.linked_operator_type(op).earliest for op in ops), default=0
+    horizon = sum(lot.latency + 1 for lot in lots) + max(
+        (lot.earliest for lot in lots), default=0
     )
 
     lower = np.zeros(n + m)
     upper = np.full(n + m, float(horizon))
-    for op, i in index.items():
-        lot = problem.linked_operator_type(op)
+    for i, (op, lot) in enumerate(zip(ops, lots)):
         lower[i] = lot.earliest
         if lot.latest != INFINITY:
             upper[i] = min(upper[i], lot.latest)
@@ -115,7 +120,7 @@ def solve_milp(problem: LongnailProblem) -> Dict[Hashable, int]:
     bound = np.zeros(2 * m)
     for k, dep in enumerate(deps):
         i, j = index[dep.source], index[dep.target]
-        latency = problem.latency(dep.source) + (1 if dep.is_chain_breaker else 0)
+        latency = lots[i].latency + (1 if dep.is_chain_breaker else 0)
         matrix[2 * k, i] = 1.0
         matrix[2 * k, j] = -1.0
         bound[2 * k] = -float(latency)
@@ -134,7 +139,7 @@ def solve_milp(problem: LongnailProblem) -> Dict[Hashable, int]:
     if not result.success:
         raise ScheduleError(f"ILP solver failed: {result.message}")
     values = result.x
-    return {op: int(round(values[index[op]])) for op in ops}
+    return {op: int(round(values[i])) for i, op in enumerate(ops)}
 
 
 def objective_value(problem: LongnailProblem) -> int:

@@ -20,14 +20,25 @@ A problem lists its operations in dependence order: every dependence
 points from an earlier operation to a later one, so the list is a
 topological order and every pass over a problem (ASAP, chaining) walks
 it as is.  :meth:`Problem.check` rejects a backward dependence.
+
+A problem is indexed once, as its operations are added:
+:attr:`Problem.position` maps each operation to its place in
+:attr:`Problem.operations`, and :attr:`Problem.linked_types` holds each
+operation's linked :class:`OperatorType` in that order.  The passes over
+a problem (chain breaking, ASAP, decomposition, the fast path, its
+certificate, the cache fingerprint and the in-cycle times) read these
+integer-indexed arrays instead of re-deriving them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import (Dict, Hashable, List, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar)
 
 INFINITY = float("inf")
+
+_P = TypeVar("_P", bound="Problem")
 
 
 class ScheduleError(Exception):
@@ -70,8 +81,7 @@ class OperatorType:
             )
 
 
-@dataclasses.dataclass(frozen=True)
-class Dependence:
+class Dependence(NamedTuple):
     """An edge in the dependence graph.  ``is_chain_breaker`` marks the
     auxiliary edges used to split over-long combinational chains
     (Section 4.3, constraint C5)."""
@@ -89,12 +99,18 @@ class Problem:
         self.operations: List[Hashable] = []
         self.dependences: List[Dependence] = []
         self.operator_types: Dict[str, OperatorType] = {}
-        self._linked: Dict[Hashable, str] = {}
+        #: Each operation's index in :attr:`operations`.
+        self.position: Dict[Hashable, int] = {}
+        #: Each operation's linked operator type, aligned with
+        #: :attr:`operations`.
+        self.linked_types: List[OperatorType] = []
         self.start_time: Dict[Hashable, int] = {}
 
     # -- construction --------------------------------------------------------
     def add_operator_type(self, operator_type: OperatorType) -> OperatorType:
         existing = self.operator_types.get(operator_type.name)
+        if existing is operator_type:
+            return operator_type
         if existing is not None and existing != operator_type:
             raise ScheduleError(
                 f"conflicting redefinition of operator type "
@@ -104,20 +120,37 @@ class Problem:
         return operator_type
 
     def add_operation(self, operation: Hashable, operator_type: str) -> None:
-        if operator_type not in self.operator_types:
+        lot = self.operator_types.get(operator_type)
+        if lot is None:
             raise ScheduleError(f"unknown operator type '{operator_type}'")
-        if operation in self._linked:
+        if operation in self.position:
             raise ScheduleError("operation registered twice")
+        self.position[operation] = len(self.operations)
         self.operations.append(operation)
-        self._linked[operation] = operator_type
+        self.linked_types.append(lot)
 
     def add_dependence(self, source: Hashable, target: Hashable,
                        is_chain_breaker: bool = False) -> None:
         self.dependences.append(Dependence(source, target, is_chain_breaker))
 
+    def subproblem(self: _P, indices: Sequence[int],
+                   dependences: List[Dependence]) -> _P:
+        """A problem of this class over the operations at ``indices``
+        (ascending, so dependence order is kept) and ``dependences``,
+        which must join only those operations."""
+        sub = type(self)()
+        for i in indices:
+            lot = self.linked_types[i]
+            sub.operator_types[lot.name] = lot
+            sub.position[self.operations[i]] = len(sub.operations)
+            sub.operations.append(self.operations[i])
+            sub.linked_types.append(lot)
+        sub.dependences = dependences
+        return sub
+
     # -- properties ---------------------------------------------------------------
     def linked_operator_type(self, operation: Hashable) -> OperatorType:
-        return self.operator_types[self._linked[operation]]
+        return self.linked_types[self.position[operation]]
 
     def latency(self, operation: Hashable) -> int:
         return self.linked_operator_type(operation).latency
@@ -127,14 +160,10 @@ class Problem:
         """Input constraints: every operation has a linked operator type,
         every dependence endpoint is registered, and every dependence
         points forward in :attr:`operations`."""
-        registered = set(self._linked)
+        position = self.position
         for dep in self.dependences:
-            if dep.source not in registered or dep.target not in registered:
+            if dep.source not in position or dep.target not in position:
                 raise ScheduleError("dependence endpoint is not registered")
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        position = {op: index for index, op in enumerate(self.operations)}
         for dep in self.dependences:
             if position[dep.source] >= position[dep.target]:
                 raise ScheduleError(
@@ -147,9 +176,10 @@ class Problem:
         for op in self.operations:
             if op not in self.start_time:
                 raise ScheduleError("operation has no start time")
+        lots, position = self.linked_types, self.position
         for dep in self.dependences:
             i, j = dep.source, dep.target
-            lhs = self.start_time[i] + self.latency(i)
+            lhs = self.start_time[i] + lots[position[i]].latency
             if dep.is_chain_breaker:
                 lhs += 1
             if lhs > self.start_time[j]:
@@ -168,16 +198,23 @@ class ChainingProblem(Problem):
 
     def verify(self) -> None:
         super().verify()
+        self.verify_chaining()
+
+    def verify_chaining(self) -> None:
+        """The chaining constraints alone: in-cycle start times exist, are
+        non-negative, and leave room for each combinational predecessor's
+        delay."""
         for op in self.operations:
             if op not in self.start_time_in_cycle:
                 raise ScheduleError("operation has no start time in cycle")
             if self.start_time_in_cycle[op] < 0:
                 raise ScheduleError("negative start time in cycle")
+        lots, position = self.linked_types, self.position
         for dep in self.dependences:
             if dep.is_chain_breaker:
                 continue
             i, j = dep.source, dep.target
-            lot_i = self.linked_operator_type(i)
+            lot_i = lots[position[i]]
             # Combinational predecessor in the same cycle.
             if lot_i.latency == 0 and self.start_time[i] == self.start_time[j]:
                 if (self.start_time_in_cycle[i] + lot_i.outgoing_delay
@@ -208,8 +245,7 @@ class LongnailProblem(ChainingProblem):
 
     def verify(self) -> None:
         super().verify()
-        for op in self.operations:
-            lot = self.linked_operator_type(op)
+        for op, lot in zip(self.operations, self.linked_types):
             start = self.start_time[op]
             if not lot.earliest <= start <= lot.latest:
                 raise ScheduleError(
@@ -221,6 +257,7 @@ class LongnailProblem(ChainingProblem):
     def makespan(self) -> int:
         """Last finish time over all operations."""
         return max(
-            (self.start_time[op] + self.latency(op) for op in self.operations),
+            (self.start_time[op] + lot.latency
+             for op, lot in zip(self.operations, self.linked_types)),
             default=0,
         )

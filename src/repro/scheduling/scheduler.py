@@ -21,6 +21,7 @@ Building the problem:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
@@ -40,6 +41,7 @@ from repro.scheduling.chaining import (
 )
 from repro.scheduling.fastpath import solve_fastpath
 from repro.scheduling.problem import (
+    Dependence,
     LongnailProblem,
     OperatorType,
     ScheduleError,
@@ -172,6 +174,22 @@ def _interface_operator_type(op: Operation, datasheet: VirtualDatasheet,
     )
 
 
+@functools.lru_cache(maxsize=4096)
+def _logic_operator_type(name: str, width: int, delay: float,
+                         always: bool) -> OperatorType:
+    """The operator type of a non-interface operation, one shared object
+    per (op name, result width, delay, block kind)."""
+    earliest, latest = (0, 0) if always else (0, INFINITY)
+    return OperatorType(
+        name=f"{name}_{width}_d{delay:g}",
+        latency=0,
+        incoming_delay=delay,
+        outgoing_delay=delay,
+        earliest=earliest,
+        latest=latest,
+    )
+
+
 def build_problem(graph: Graph, datasheet: VirtualDatasheet,
                   delay_model: Optional[DelayModel] = None,
                   cycle_time_ns: Optional[float] = None) -> LongnailProblem:
@@ -190,23 +208,14 @@ def build_problem(graph: Graph, datasheet: VirtualDatasheet,
         if lil.is_interface_op(op):
             lot = _interface_operator_type(op, datasheet, delay, always)
         else:
-            earliest, latest = (0, 0) if always else (0, INFINITY)
-            lot = OperatorType(
-                name=f"{op.name}_{op.results[0].width if op.results else 0}"
-                     f"_d{delay:g}",
-                latency=0,
-                incoming_delay=delay,
-                outgoing_delay=delay,
-                earliest=earliest,
-                latest=latest,
-            )
+            lot = _logic_operator_type(
+                op.name, op.results[0].width if op.results else 0, delay,
+                always)
         problem.add_operator_type(lot)
         problem.add_operation(op, lot.name)
 
-    registered = set(problem.operations)
-    for op in graph.operations:
-        if op not in registered:
-            continue
+    registered = problem.position
+    for op in problem.operations:
         for operand in op.operands:
             producer = operand.owner
             if producer is not None and producer in registered:
@@ -261,7 +270,7 @@ def decompose(problem: LongnailProblem) -> List[LongnailProblem]:
     ops = problem.operations
     if not ops:
         return []
-    index = {op: i for i, op in enumerate(ops)}
+    position = problem.position
     parent = list(range(len(ops)))
 
     def find(i: int) -> int:
@@ -270,34 +279,22 @@ def decompose(problem: LongnailProblem) -> List[LongnailProblem]:
             i = parent[i]
         return i
 
-    for dep in problem.dependences:
-        a, b = find(index[dep.source]), find(index[dep.target])
+    for source, target, _ in problem.dependences:
+        a, b = find(position[source]), find(position[target])
         if a != b:
             parent[a] = b
 
-    roots = {find(i) for i in range(len(ops))}
-    if len(roots) == 1:
+    label = [find(i) for i in range(len(ops))]
+    if label.count(label[0]) == len(label):
         return [problem]
-
-    members: Dict[int, List[Hashable]] = {root: [] for root in roots}
-    for i, op in enumerate(ops):
-        members[find(i)].append(op)
-    deps_of: Dict[int, List] = {root: [] for root in roots}
+    members: Dict[int, List[int]] = {}
+    for i, root in enumerate(label):
+        members.setdefault(root, []).append(i)
+    deps_of: Dict[int, List[Dependence]] = {root: [] for root in members}
     for dep in problem.dependences:
-        deps_of[find(index[dep.source])].append(dep)
-
-    subs: List[LongnailProblem] = []
-    for root in sorted(roots):
-        sub = LongnailProblem()
-        for op in members[root]:
-            lot = problem.linked_operator_type(op)
-            sub.add_operator_type(lot)
-            sub.add_operation(op, lot.name)
-        for dep in deps_of[root]:
-            sub.add_dependence(dep.source, dep.target,
-                               is_chain_breaker=dep.is_chain_breaker)
-        subs.append(sub)
-    return subs
+        deps_of[label[position[dep.source]]].append(dep)
+    return [problem.subproblem(members[root], deps_of[root])
+            for root in sorted(members)]
 
 
 def _resolve_cache(cache: Union[ScheduleCache, None, bool]
@@ -356,8 +353,9 @@ def solve_problem(problem: LongnailProblem, engine: str = "auto",
         return stats
 
     live_cache = _resolve_cache(cache)
-    position = {op: i for i, op in enumerate(problem.operations)}
+    position = problem.position
     flow: List[Tuple[int, int, int]] = []
+    certified = False
     for sub in components:
         entry = None
         if live_cache is not None:
@@ -370,6 +368,9 @@ def solve_problem(problem: LongnailProblem, engine: str = "auto",
             stats.cache_hits += 1
             start_time = dict(zip(sub.operations, entry.start_times))
             sub_flow = entry.flow
+            # A hit is checked against its component on the way out of
+            # the cache; a one-component problem needs no second check.
+            certified = sub is problem
         else:
             start_time, sub_flow = solve_fastpath(sub)
             if live_cache is not None:
@@ -379,7 +380,7 @@ def solve_problem(problem: LongnailProblem, engine: str = "auto",
         merged.update(start_time)
         flow.extend(sub_flow if sub is problem
                     else _reindex(sub_flow, sub.operations, position))
-    failure = check_certificate(problem, merged, flow)
+    failure = None if certified else check_certificate(problem, merged, flow)
     if failure is not None:
         raise ScheduleError(
             f"fast-path schedule failed its certificate: {failure}")
@@ -427,7 +428,12 @@ class LongnailScheduler:
                 ) from err
             raise
         compute_start_times_in_cycle(problem)
-        problem.verify()
+        if problem.flow is None:
+            problem.verify()
+        else:
+            # solve_problem has just certified C1, C3 and C5 on these
+            # start times; only the chaining constraints are new.
+            problem.verify_chaining()
         breakers = sum(1 for d in problem.dependences if d.is_chain_breaker)
         return ScheduleResult(
             graph=graph,

@@ -528,11 +528,7 @@ class _Translator:
                 lw, rw = expr.lhs.ctype.width, expr.rhs.ctype.width
                 return (f"(({lhs} & {mask(lw):#x}) << {rw} "
                         f"| {rhs} & {mask(rw):#x})")
-            code = self.binary(expr.op, lhs, rhs, expr.rhs.ctype)
-            if expr.op == "<<" and expr.rhs.ctype.is_signed:
-                # A negative amount's pattern may outgrow the result type.
-                return _wrap(code, expr.ctype)
-            return code
+            return self.binary(expr.op, lhs, rhs, expr.rhs.ctype)
         if isinstance(expr, ast.UnaryOp):
             operand = self.expr(expr.operand)
             if expr.op == "-":

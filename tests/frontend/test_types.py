@@ -92,6 +92,11 @@ class TestOperatorResults:
         # Unknown 3-bit shift amount: up to 7 extra bits.
         assert ty.shl_result(unsigned(8), unsigned(3)) == unsigned(15)
 
+    def test_shift_left_by_signed_amount_counts_its_pattern(self):
+        # -1 as a signed<2> amount shifts by its pattern, 3.
+        assert ty.shl_result(signed(2), signed(2)) == signed(5)
+        assert ty.shl_result(unsigned(8), signed(3)) == unsigned(15)
+
     def test_shift_right_keeps_type(self):
         assert ty.shr_result(signed(32), unsigned(5)) == signed(32)
 

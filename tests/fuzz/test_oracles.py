@@ -213,6 +213,19 @@ def test_batchsim_and_rangesound_share_one_interpreter_run(monkeypatch):
     assert engines == ["interp", "compiled"]
 
 
+def test_rangesound_reuses_the_facts_irverify_computed():
+    """The default stack analyzes each hardware module once: irverify's
+    range checks fill the module's memo and rangesound hits it."""
+    from repro.analysis.absint import absint_cache_stats, clear_facts_cache
+
+    clear_facts_cache()
+    report = run_oracles(XOR_ISAX, cores=("VexRiscv",), trials=2)
+    assert report.ok, [str(f) for f in report.failures]
+    stats = absint_cache_stats()
+    assert stats["cache_hits"] > 0
+    assert stats["cache_hits"] == stats["analyses"]
+
+
 def test_discover_oracle_is_opt_in_and_passes():
     from repro.fuzz.oracles import ALL_ORACLES, DEFAULT_ORACLES
 

@@ -17,7 +17,6 @@ from repro.scheduling import (
     build_problem,
     decompose,
     fastpath,
-    ilp,
     scheduler,
     solve_problem,
 )
@@ -56,25 +55,35 @@ def skip_solve_flow(monkeypatch):
 def warm_start_loses_a_unit(monkeypatch):
     real = fastpath._warm_start
 
-    def lossy(excess, pot, gaps, arc_id, cap, root):
-        real(excess, pot, gaps, arc_id, cap, root)
-        arc = next(a for a in arc_id.values() if cap[a ^ 1] > 0)
-        cap[arc ^ 1] -= 1
+    def lossy(excess, pot, head, cost, cap):
+        balanced = real(excess, pot, head, cost, cap)
+        # Flow on a constraint arc shows up on its odd-id reverse.
+        arc = next(a for a in range(1, len(cap), 2) if cap[a] > 0)
+        cap[arc] -= 1
+        return balanced
 
     monkeypatch.setattr(fastpath, "_warm_start", lossy)
 
 
 def earliest_returns_asap(monkeypatch):
+    real = fastpath.asap_times
+    asap = []
+
+    def recorded(problem):
+        asap[:] = real(problem)
+        return asap
+
+    monkeypatch.setattr(fastpath, "asap_times", recorded)
     monkeypatch.setattr(fastpath, "_earliest_optimal",
-                        lambda problem, *args: ilp.solve_asap(problem))
+                        lambda *args: list(asap))
 
 
 def earliest_delays_last_op(monkeypatch):
     real = fastpath._earliest_optimal
 
-    def late(problem, *args):
-        start = real(problem, *args)
-        start[problem.operations[-1]] += 1
+    def late(*args):
+        start = real(*args)
+        start[-1] += 1
         return start
 
     monkeypatch.setattr(fastpath, "_earliest_optimal", late)

@@ -190,3 +190,97 @@ class TestRandomDAGs:
         except ScheduleError:
             return
         assert solve_fastpath(problem) == first
+
+
+def two_group_problem(rng, n):
+    """A random problem in at least two components (even and odd
+    operations never share a dependence), with finite ``latest`` windows
+    and chain breakers."""
+    problem = LongnailProblem()
+    ops = []
+    for i in range(n):
+        latency = rng.choice([0, 0, 1, 2])
+        earliest = rng.choice([0, 0, 1, 2])
+        latest = rng.choice([float("inf"), earliest + rng.randint(2, 8)])
+        lot = OperatorType(
+            f"t{i}", latency=latency, earliest=earliest, latest=latest,
+            incoming_delay=0.0 if latency else 0.5, outgoing_delay=0.5,
+        )
+        problem.add_operator_type(lot)
+        op = FakeOp(i, rng.choice([1, 8, 32, 64, 128]))
+        ops.append(op)
+        problem.add_operation(op, lot.name)
+    for i in range(n):
+        for j in range(i + 2, n, 2):
+            if rng.random() < 0.4:
+                problem.add_dependence(
+                    ops[i], ops[j], is_chain_breaker=rng.random() < 0.25)
+    return problem, ops
+
+
+def earliest_optimum(problem):
+    """Each operation's least start time over the Figure 7 optima, by
+    HiGHS: one MILP for the optimum, then one per operation minimizing
+    its start time with the objective held at the optimum (the optimal
+    face is closed under componentwise min, so these minima form one
+    optimal schedule).  ``None`` if the problem is infeasible."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    ops, deps = problem.operations, problem.dependences
+    n, m = len(ops), len(deps)
+    index = {op: i for i, op in enumerate(ops)}
+    # Variables t_0..t_{n-1}, l_0..l_{m-1}; the objective scaled by 32.
+    cost = np.array([ilp.WEIGHT_SCALE] * n
+                    + [ilp._lifetime_weight(dep.source) * ilp.WEIGHT_SCALE
+                       for dep in deps])
+    rows, low = [], []
+    for k, dep in enumerate(deps):
+        i, j = index[dep.source], index[dep.target]
+        precedence = np.zeros(n + m)
+        precedence[j], precedence[i] = 1, -1
+        rows.append(precedence)
+        low.append(problem.latency(dep.source) + dep.is_chain_breaker)
+        lifetime = np.zeros(n + m)
+        lifetime[n + k], lifetime[j], lifetime[i] = 1, -1, 1
+        rows.append(lifetime)
+        low.append(0)
+    lots = [problem.linked_operator_type(op) for op in ops]
+    bounds = Bounds([lot.earliest for lot in lots] + [0] * m,
+                    [lot.latest for lot in lots] + [np.inf] * m)
+    exact = {"integrality": np.ones(n + m), "bounds": bounds,
+             "options": {"mip_rel_gap": 0}}
+    constraints = [LinearConstraint(np.array(rows), low, np.inf)] \
+        if rows else []
+    best = milp(cost, constraints=constraints, **exact)
+    if best.status == 2:
+        return None
+    assert best.success, best.message
+    at_optimum = constraints + [
+        LinearConstraint(cost[np.newaxis, :], -np.inf, round(best.fun) + 0.5)]
+    earliest = []
+    for i in range(n):
+        target = np.zeros(n + m)
+        target[i] = 1
+        least = milp(target, constraints=at_optimum, **exact)
+        assert least.success, least.message
+        earliest.append(round(least.fun))
+    return earliest
+
+
+class TestEarliestOptimum:
+    """The fast path returns the componentwise-earliest optimal schedule,
+    checked against HiGHS operation by operation, not only by objective."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10_000), st.integers(2, 10))
+    def test_schedule_is_the_earliest_optimum(self, seed, n):
+        problem, ops = two_group_problem(random.Random(seed), n)
+        want = earliest_optimum(problem)
+        if want is None:
+            with pytest.raises(ScheduleError):
+                solve_problem(problem, "fastpath", cache=False)
+            return
+        stats = solve_problem(problem, "fastpath", cache=False)
+        assert stats.components >= 2
+        assert [problem.start_time[op] for op in ops] == want

@@ -59,13 +59,6 @@ def common_type(lhs, rhs):
     return lhs[0], max(lhs[1], rhs[1])
 
 
-def shift_left(a, b, ta, tb):
-    """``a`` shifted by ``b``'s bit pattern, as the RTL does, in the result
-    type, which is ``ta`` grown by the largest value of ``tb``."""
-    grown = ta[1] + max(values(tb))
-    return reinterpret(a << pattern(b, tb[1]), (ta[0], grown))
-
-
 def c_div(lhs, rhs):
     quotient = abs(lhs) // abs(rhs)
     return quotient if (lhs < 0) == (rhs < 0) else -quotient
@@ -101,7 +94,7 @@ BINARY = {
     "::": lambda a, b, ta, tb: pattern(a, ta[1]) << tb[1] | pattern(b, tb[1]),
     # A shift amount counts as its bit pattern, so a negative signed
     # amount shifts far; ``>>`` of a signed value is arithmetic.
-    "<<": shift_left,
+    "<<": lambda a, b, ta, tb: a << pattern(b, tb[1]),
     ">>": lambda a, b, ta, tb: a >> pattern(b, tb[1]),
 }
 DIVISION = {
