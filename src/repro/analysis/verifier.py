@@ -7,10 +7,11 @@ their type's range, acyclic combinational dataflow, schedule legality
 (precedence and datasheet windows) and module port wiring.
 Findings are the same structured :class:`~repro.utils.diagnostics.Diagnostic`
 records the frontend linter emits, with ``IVxxx`` codes; structural
-findings (IV001-IV007) are errors — a violated invariant means a later
-stage (or the generated RTL) is silently wrong — while the range checks
-(IV008-IV009, proved by :mod:`repro.analysis.absint`) are warnings:
-the behaviour is well-defined, just almost certainly unintended.
+findings (IV001-IV007, IV010) are errors — a violated invariant means a
+later stage (or the generated RTL) is silently wrong — while the range
+checks (IV008-IV009, proved by :mod:`repro.analysis.absint`) are
+warnings: the behaviour is well-defined, just almost certainly
+unintended.
 
 ========  ========================  =======================================
 code      check                     invariant
@@ -24,6 +25,7 @@ IV006     schedule-window           start times inside [earliest, latest]
 IV007     module-ports              every declared output port is driven
 IV008     shift-always-flushed      non-const shift amounts can stay < width
 IV009     rom-index-out-of-range    some ROM index can land inside the table
+IV010     use-list                  use lists equal the operand slots read
 ========  ========================  =======================================
 
 The pipeline (:func:`repro.hls.longnail.compile_isax`) runs these between
@@ -34,6 +36,7 @@ fuzz oracle stack always runs them (oracle kind ``irverify``), and
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence
@@ -54,9 +57,9 @@ if TYPE_CHECKING:                              # imports used only in hints
 class IRCheck:
     """Metadata for one verifier check (mirrors :class:`LintRule`).
 
-    Structural invariants (IV001-IV007) are errors — a violation means a
-    later stage is silently wrong.  Range findings (IV008-IV009) prove a
-    *well-defined but almost certainly unintended* behaviour from the
+    Structural invariants (IV001-IV007, IV010) are errors — a violation
+    means a later stage is silently wrong.  Range findings (IV008-IV009)
+    prove a *well-defined but almost certainly unintended* behaviour from the
     abstract-interpretation engine, so they carry warning severity and
     never fail :func:`require_valid` or the fuzz ``irverify`` oracle.
     """
@@ -115,6 +118,12 @@ IR_CHECKS: Dict[str, IRCheck] = {
                 "beyond the table reads the out-of-range default (0) on "
                 "every cycle; the table contents are dead.",
                 severity=Severity.WARNING),
+        IRCheck("IV010", "use-list",
+                "Each value's use list must hold exactly the operand slots "
+                "of the graph's operations that read it, one entry per "
+                "slot. A stale or missing entry makes the single-use "
+                "rewrites misfire, lets an op with readers be erased, and "
+                "hides readers from replace-all-uses-with."),
     )
 }
 
@@ -151,7 +160,7 @@ def require_valid(stage: str, diagnostics: Sequence[Diagnostic]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Graph-level checks (IV001-IV004)
+# Graph-level checks (IV001-IV004, IV010)
 # ---------------------------------------------------------------------------
 
 def _op_label(graph: Graph, op: Operation, index: int) -> str:
@@ -159,14 +168,28 @@ def _op_label(graph: Graph, op: Operation, index: int) -> str:
 
 
 def _check_ssa(graph: Graph) -> Iterator[Diagnostic]:
+    """IV001, and IV010 from the operand slots the same walk reads."""
     check = IR_CHECKS["IV001"]
-    position = {op: index for index, op in enumerate(graph.operations)}
+    operations = graph.operations
+    position = {op: index for index, op in enumerate(operations)}
     block_args = set(map(id, graph.block.arguments))
-    for index, op in enumerate(graph.operations):
+    #: value -> the ops reading it, one entry per operand slot.
+    readers: Dict[Value, List[Operation]] = {}
+    #: This graph's values whose use lists are not empty.
+    used = [arg for arg in graph.block.arguments if arg.uses]
+    for index, op in enumerate(operations):
+        for result in op.results:
+            if result.uses:
+                used.append(result)
         # A register samples its data and enable at the clock edge, so a
         # feedback loop through it may read a value defined after it.
         sampled = op.name == "seq.compreg"
         for operand_index, operand in enumerate(op.operands):
+            slots = readers.get(operand)
+            if slots is None:
+                readers[operand] = [op]
+            else:
+                slots.append(op)
             if operand.owner is None:
                 if id(operand) not in block_args:
                     yield check.diagnostic(
@@ -185,6 +208,48 @@ def _check_ssa(graph: Graph) -> Iterator[Diagnostic]:
                     f"operand {operand_index} of "
                     f"{_op_label(graph, op, index)} is defined later, by "
                     f"'{operand.owner.name}' (#{defined})")
+    for value in used:
+        expected = readers.pop(value, [])
+        if value.uses != expected:
+            yield from _check_use_list(graph, position, value, expected)
+    # Read by ops of this graph, yet listing none of them.  IV001 has
+    # reported the foreign values among these.
+    for value, expected in readers.items():
+        owner = value.owner
+        if (owner in position if owner is not None
+                else id(value) in block_args):
+            yield from _check_use_list(graph, position, value, expected)
+
+
+def _check_use_list(graph: Graph, position: Dict[Operation, int],
+                    value: Value, expected: List[Operation]
+                    ) -> Iterator[Diagnostic]:
+    """IV010 for one value whose use list differs from ``expected`` at
+    least in order: a finding if it differs as a multiset."""
+    listed = collections.Counter(value.uses)
+    reading = collections.Counter(expected)
+    if listed == reading:
+        return
+
+    def label(op: Operation) -> str:
+        index = position.get(op)
+        if index is None:
+            return f"'{op.name}' (not in graph '{graph.name}')"
+        return _op_label(graph, op, index)
+
+    owner = value.owner
+    if owner is None:
+        subject = f"block argument {value.index} of graph '{graph.name}'"
+    else:
+        subject = f"result {value.index} of {label(owner)}"
+    problems = [f"{count} stale entr{'y' if count == 1 else 'ies'} for "
+                f"{label(op)}" for op, count in (listed - reading).items()]
+    problems.extend(
+        f"{count} slot{'' if count == 1 else 's'} of {label(op)} "
+        "missing" for op, count in (reading - listed).items())
+    yield IR_CHECKS["IV010"].diagnostic(
+        f"the use list of {subject} does not match the operand slots "
+        f"that read it: {'; '.join(problems)}")
 
 
 def _check_op_invariants(graph: Graph) -> Iterator[Diagnostic]:
@@ -273,7 +338,7 @@ def _check_ranges(graph: Graph, facts: "RangeFacts") -> Iterator[Diagnostic]:
 
 
 def verify_graph(graph: Graph) -> List[Diagnostic]:
-    """Run the structural checks (IV001-IV004) and the range checks
+    """Run the structural checks (IV001-IV004, IV010) and the range checks
     (IV008-IV009) over one dataflow graph.
 
     A graph in block order (IV001) has no combinational cycle, so IV004

@@ -55,7 +55,8 @@ class _ModuleBuilder:
 
     # ------------------------------------------------------------- plumbing
     def _append(self, name: str, operands, result_types, attrs=None) -> Operation:
-        op = Operation(name, operands, result_types, attrs or {})
+        # ``Operation`` copies ``attrs``: callers pass a source op's own.
+        op = Operation(name, operands, result_types, attrs)
         self.module.body.append(op)
         return op
 
@@ -111,7 +112,7 @@ class _ModuleBuilder:
         new = self._append(
             recipe.op.name, operands,
             [(r.width, None) for r in recipe.op.results],
-            dict(recipe.op.attributes),
+            recipe.op.attributes,
         )
         recipe.instances[stage] = new.result
         return new.result
@@ -131,7 +132,7 @@ class _ModuleBuilder:
             elif op.name == "comb.constant":
                 new = self._append(
                     "comb.constant", [], [(op.result.width, None)],
-                    dict(op.attributes),
+                    op.attributes,
                 )
                 self.record(op.result, new.result, stage, is_constant=True)
             elif op.name in comb.WIRING_OPS:
@@ -154,7 +155,7 @@ class _ModuleBuilder:
                 new = self._append(
                     op.name, operands,
                     [(r.width, None) for r in op.results],
-                    dict(op.attributes),
+                    op.attributes,
                 )
                 for old, fresh in zip(op.results, new.results):
                     self.record(old, fresh, stage)

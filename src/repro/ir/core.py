@@ -2,8 +2,18 @@
 
 The model mirrors MLIR's: an :class:`Operation` has SSA operands and results,
 a dictionary of attributes, and may carry nested :class:`Region`s of
-:class:`Block`s.  Def-use chains are maintained eagerly so rewrites
-(replace-all-uses-with, erase) are cheap and safe.
+:class:`Block`s.  Def-use chains are maintained eagerly: every
+:class:`Value` keeps a use list, the operations that read it with one
+entry per operand slot, so replace-all-uses-with and erase touch only the
+operations involved.
+
+While :func:`repro.ir.rewrite.apply_rules` drains, a block defers its
+structural edits (:meth:`Block.deferred_edits`): erasing an operation
+leaves a tombstone (its ``parent`` is ``None``) in
+:attr:`Block.operations`, and inserting one records it against its
+anchor.  The end of the drain rebuilds the list in one pass, so a drain
+that erases or inserts k operations costs O(k + n), not O(k * n).
+Outside a drain both edits are immediate.
 
 Values carry a ``width`` (bits) and an optional ``signed`` flag: ``None``
 means *signless* (the ``comb``/``lil``/``hw`` dialects, like CIRCT's), while
@@ -12,9 +22,10 @@ means *signless* (the ``comb``/``lil``/``hw`` dialects, like CIRCT's), while
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NoReturn,
-                    Optional, Set, Tuple)
+                    Optional, Sequence, Tuple)
 
 
 class IRError(Exception):
@@ -89,14 +100,37 @@ class Value:
         self.owner = owner
         self.index = index
         self.name = name
-        #: Set of (operation, operand_index) pairs using this value.
-        self.uses: Set[Tuple["Operation", int]] = set()
+        #: The operations reading this value, one entry per operand slot
+        #: (an op reading it twice is listed twice), in the order the
+        #: slots were attached: ``len(uses)`` counts slots.
+        self.uses: List["Operation"] = []
 
     def replace_all_uses_with(self, other: "Value") -> None:
-        if other is self:
+        """Make every operand slot that reads this value read ``other``.
+
+        A frozen user refuses before anything changes; a draining block's
+        listener hears once, with every user."""
+        users = self.uses
+        if other is self or not users:
             return
-        for operation, idx in list(self.uses):
-            operation.set_operand(idx, other)
+        listener: Optional[Callable[[Iterable[Operation]], None]] = None
+        for user in users:
+            block = user.parent
+            if block is not None:
+                if block.frozen:
+                    raise IRError(
+                        f"cannot edit '{user.name}': its graph is frozen")
+                if block.listener is not None:
+                    listener = block.listener
+        # One entry per slot: each entry rewires the first slot of its
+        # user that still reads this value.
+        for user in users:
+            operands = user.operands
+            operands[operands.index(self)] = other
+        self.uses = []
+        other.uses.extend(users)
+        if listener is not None:
+            listener(users)
 
     @property
     def type_str(self) -> str:
@@ -113,11 +147,16 @@ class Value:
 # Operations
 # ---------------------------------------------------------------------------
 
+#: The regions of every operation built without any: one shared tuple.
+_NO_REGIONS: Tuple["Region", ...] = ()
+
+
 class Operation:
     """An instruction in the IR.
 
     ``result_types`` is a list of ``(width, signed)`` pairs; the constructed
     results are available as ``op.results`` (and ``op.result`` when single).
+    ``attributes`` is copied; ``regions`` is kept as given.
     """
 
     __slots__ = ("name", "opdef", "attributes", "operands", "parent",
@@ -127,37 +166,45 @@ class Operation:
                  result_types: Optional[List[Tuple[int, Optional[bool]]]] = None,
                  attributes: Optional[Dict[str, Any]] = None,
                  regions: Optional[List["Region"]] = None) -> None:
+        opdef = _REGISTRY.get(name)
+        if opdef is None:
+            raise IRError(f"unregistered operation '{name}'")
         self.name = name
-        self.opdef = lookup_op(name)
-        self.attributes: Dict[str, Any] = dict(attributes or {})
-        self.operands: List[Value] = []
+        self.opdef = opdef
+        self.attributes: Dict[str, Any] = (dict(attributes) if attributes
+                                           else {})
         self.parent: Optional[Block] = None
-        self.regions: List[Region] = regions or []
-        for region in self.regions:
-            region.parent_op = self
-        self.results: List[Value] = [
-            Value(width, signed, owner=self, index=i)
-            for i, (width, signed) in enumerate(result_types or [])
-        ]
-        for value in (operands or []):
-            self.append_operand(value)
+        self.regions: Sequence[Region] = _NO_REGIONS
+        if regions:
+            self.regions = regions
+            for region in regions:
+                region.parent_op = self
+        results: List[Value] = []
+        if result_types:
+            index = 0
+            for width, signed in result_types:
+                results.append(Value(width, signed, self, index))
+                index += 1
+        self.results = results
+        self.operands: List[Value] = list(operands) if operands else []
+        for value in self.operands:
+            value.uses.append(self)
 
     # -- operand maintenance -----------------------------------------------
     def append_operand(self, value: Value) -> None:
         if self.parent is not None and self.parent.frozen:
             raise IRError(f"cannot edit '{self.name}': its graph is frozen")
-        idx = len(self.operands)
         self.operands.append(value)
-        value.uses.add((self, idx))
+        value.uses.append(self)
 
     def set_operand(self, index: int, value: Value) -> None:
         block = self.parent
         if block is not None and block.frozen:
             raise IRError(f"cannot edit '{self.name}': its graph is frozen")
-        old = self.operands[index]
-        old.uses.discard((self, index))
-        self.operands[index] = value
-        value.uses.add((self, index))
+        operands = self.operands
+        operands[index].uses.remove(self)
+        operands[index] = value
+        value.uses.append(self)
         if block is not None and block.listener is not None:
             block.listener((self,))
 
@@ -170,7 +217,10 @@ class Operation:
 
     @property
     def has_uses(self) -> bool:
-        return any(r.uses for r in self.results)
+        for result in self.results:
+            if result.uses:
+                return True
+        return False
 
     # -- attributes ----------------------------------------------------------------
     def attr(self, key: str, default: Any = None) -> Any:
@@ -178,22 +228,29 @@ class Operation:
 
     # -- structural edits ----------------------------------------------------------
     def erase(self) -> None:
+        """Detach this unused op from its operands and its block.  Inside
+        :meth:`Block.deferred_edits` the op stays in the block's
+        ``operations`` as a tombstone until the deferral ends."""
         block = self.parent
         if block is not None and block.frozen:
             raise IRError(f"cannot erase '{self.name}': its graph is frozen")
         if self.has_uses:
             raise IRError(f"cannot erase '{self.name}': results still in use")
-        for idx, operand in enumerate(self.operands):
-            operand.uses.discard((self, idx))
+        operands = self.operands
+        for operand in operands:
+            operand.uses.remove(self)
+        self.operands = []
         if block is not None:
-            block.operations.remove(self)
             self.parent = None
+            if block._inserted is None:
+                block.operations.remove(self)
+            else:
+                block._stale += 1
             if block.listener is not None:
                 # Every operand lost a use, which may let a single-use
                 # rule fire on one of its remaining users.
-                block.listener([use_op for operand in self.operands
-                                for use_op, _ in operand.uses])
-        self.operands = []
+                block.listener([user for operand in operands
+                                for user in operand.uses])
 
     def verify(self) -> None:
         if self.opdef.verifier is not None:
@@ -225,6 +282,11 @@ class Block:
         #: Set by :meth:`Graph.freeze`: every edit of the block or of one
         #: of its operations raises.
         self.frozen = False
+        #: Inside :meth:`deferred_edits`: anchor -> the ops inserted
+        #: before it, in insertion order; ``None`` when edits are immediate.
+        self._inserted: Optional[Dict[Operation, List[Operation]]] = None
+        #: Deferred edits (tombstones and inserts) not yet settled.
+        self._stale = 0
 
     def append(self, operation: Operation) -> Operation:
         if self.frozen:
@@ -236,12 +298,69 @@ class Block:
     def insert_before(self, anchor: Operation, operation: Operation) -> Operation:
         if self.frozen:
             raise IRError("cannot insert into a frozen block")
-        idx = self.operations.index(anchor)
+        # Checked up front: a deferred insert before a foreign or erased
+        # anchor would otherwise vanish when the block settles.
+        if anchor.parent is not self:
+            raise IRError(f"cannot insert before '{anchor.name}': it is not "
+                          "an operation of this block")
         operation.parent = self
-        self.operations.insert(idx, operation)
+        inserted = self._inserted
+        if inserted is None:
+            operations = self.operations
+            operations.insert(operations.index(anchor), operation)
+        else:
+            before = inserted.get(anchor)
+            if before is None:
+                inserted[anchor] = [operation]
+            else:
+                before.append(operation)
+            self._stale += 1
         if self.listener is not None:
             self.listener((operation,))
         return operation
+
+    @contextlib.contextmanager
+    def deferred_edits(self) -> Iterator[None]:
+        """Defer erase and insert inside the ``with`` body: an erased op
+        stays in :attr:`operations` as a tombstone (``parent is None``),
+        and an inserted op (``parent`` set) enters the list only at the
+        end, which rebuilds the list in one pass, also when the body
+        raises.  Until then no code may read :attr:`operations` for the
+        block's order or size."""
+        if self._inserted is not None:
+            raise IRError("the edits of this block are already deferred")
+        inserted: Dict[Operation, List[Operation]] = {}
+        self._inserted = inserted
+        try:
+            yield
+        finally:
+            self._inserted = None
+            if self._stale:
+                self._stale = 0
+                self._rebuild(inserted)
+
+    def _rebuild(self, inserted: Dict[Operation, List[Operation]]) -> None:
+        """Drop tombstones, and put every op of ``inserted`` right before
+        its anchor, after those inserted before that anchor earlier (an
+        op inserted before an inserted op lands in front of it)."""
+        settled: List[Operation] = []
+        keep = settled.append
+        for anchor in self.operations:
+            if anchor not in inserted:
+                if anchor.parent is self:
+                    keep(anchor)
+                continue
+            stack = [anchor]
+            while stack:
+                op = stack.pop()
+                before = inserted.pop(op, None)
+                if before is None:
+                    if op.parent is self:
+                        keep(op)
+                else:
+                    stack.append(op)
+                    stack.extend(reversed(before))
+        self.operations[:] = settled
 
     def __iter__(self) -> Iterator["Operation"]:
         return iter(list(self.operations))
@@ -334,14 +453,17 @@ class Graph:
 
         Block order is def-before-use (IV001), so one reverse sweep visits
         every user before the owners of its operands and removes whole
-        dead trees."""
+        dead trees; the block is compacted once, after the sweep."""
         removed = 0
-        for op in reversed(list(self.operations)):
-            if op.opdef.has_side_effects or op.opdef.is_terminator \
-                    or op.has_uses:
-                continue
-            op.erase()
-            removed += 1
+        block = self.block
+        with block.deferred_edits():
+            for op in reversed(block.operations):
+                opdef = op.opdef
+                if opdef.has_side_effects or opdef.is_terminator \
+                        or op.has_uses:
+                    continue
+                op.erase()
+                removed += 1
         return removed
 
     def __repr__(self) -> str:

@@ -146,20 +146,22 @@ _CLEANUP_RULES = {name: (_fold,) for name in comb.FOLDED_OPS}
 
 
 def dedupe_constants(graph: Graph) -> int:
-    """Merge identical ``comb.constant`` operations."""
+    """Merge identical ``comb.constant`` operations into the first in block
+    order, in one sweep; the block is compacted once, after it."""
     seen: Dict[tuple, Value] = {}
     removed = 0
-    for op in list(graph.operations):
-        if op.name != "comb.constant":
-            continue
-        key = (op.attr("value"), op.result.width)
-        existing = seen.get(key)
-        if existing is None:
-            seen[key] = op.result
-        else:
-            op.result.replace_all_uses_with(existing)
-            op.erase()
-            removed += 1
+    with graph.block.deferred_edits():
+        for op in graph.operations:
+            if op.name != "comb.constant":
+                continue
+            key = (op.attr("value"), op.result.width)
+            existing = seen.get(key)
+            if existing is None:
+                seen[key] = op.result
+            else:
+                op.result.replace_all_uses_with(existing)
+                op.erase()
+                removed += 1
     return removed
 
 

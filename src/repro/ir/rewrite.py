@@ -17,6 +17,13 @@ users of every value that lost a use when an op was erased.  Eager
 dead-tree erasure drops uses deep inside a feeder tree, and a single-use
 rule on a far user may fire because of it.  So one drain reaches the
 fixpoint without sweeping the graph again.
+
+The block defers erase and insert while the queue drains
+(:meth:`repro.ir.core.Block.deferred_edits`): an erased op stays in
+``graph.operations`` as a tombstone, and an inserted op joins the list
+only when the drain ends, in one rebuild.  A rule therefore never reads
+``graph.operations`` for order or size; it reads the op it was given and
+that op's operands and uses, which are always current.
 """
 
 from __future__ import annotations
@@ -52,22 +59,26 @@ def apply_rules(graph: Graph, rules: RuleTable,
     block = graph.block
     block.listener = push
     try:
-        while pending:
-            op = pending.popleft()
-            queued.discard(op)
-            if op.parent is None:
-                continue
-            for rule in rules[op.name]:
-                if rule(graph, op):
-                    break
-            else:
-                continue
-            fired += 1
-            # A replaced op's users were queued when their operand changed.
-            if op.parent is not None:
-                push([use_op for value in op.results
-                      for use_op, _ in value.uses])
-                push((op,))
+        # Erase and insert are deferred until the queue is empty: each
+        # costs O(1), and the block is rebuilt once, also if a rule raises.
+        with block.deferred_edits():
+            while pending:
+                op = pending.popleft()
+                queued.discard(op)
+                if op.parent is None:
+                    continue
+                for rule in rules[op.name]:
+                    if rule(graph, op):
+                        break
+                else:
+                    continue
+                fired += 1
+                # A replaced op's users were queued when their operand
+                # changed.
+                if op.parent is not None:
+                    for value in op.results:
+                        push(value.uses)
+                    push((op,))
     finally:
         block.listener = None
     return fired

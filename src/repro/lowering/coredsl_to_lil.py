@@ -120,8 +120,11 @@ class _LilConverter:
         if self.instr_word is None:
             instr_op = Operation("lil.instr_word", [], [(XLEN, None)])
             # Keep the instruction word at the top of the graph.
-            self.graph.block.operations.insert(0, instr_op)
-            instr_op.parent = self.graph.block
+            block = self.graph.block
+            if block.operations:
+                block.insert_before(block.operations[0], instr_op)
+            else:
+                block.append(instr_op)
             self.instr_word = instr_op.result
         return self.instr_word
 

@@ -52,7 +52,8 @@ def _erase_dead_tree(root: Operation) -> None:
         if current.parent is None or current.has_uses \
                 or not _is_pure(current):
             continue
-        operands = list(current.operands)
+        # ``erase`` gives the op a fresh operand list; this one stays.
+        operands = current.operands
         current.erase()
         for operand in operands:
             owner = operand.owner
@@ -351,7 +352,7 @@ def _narrow_through_extract(graph: Graph, op: Operation) -> bool:
     if src.opdef.has_side_effects or src.regions:
         return False
     uses = src.result.uses
-    if len(uses) != 1 or next(iter(uses))[0] is not op:
+    if len(uses) != 1 or uses[0] is not op:
         return False
     low = op.attr("low", 0)
     width = op.result.width

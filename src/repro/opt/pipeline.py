@@ -19,9 +19,10 @@ entries, whose fingerprint covers every input of the fast path's optimum.
 Every pass reports a :class:`PassStats` record (runs, ops removed and
 rewritten, wall time) which is aggregated into an :class:`OptimizerReport`
 and flows through ``service/metrics.py`` into batch/server metrics JSON
-under ``"optimizer"``.  With ``REPRO_IR_VERIFY=1`` the IV001–IV004 checks
-run after every pass application, pinpointing the offending pass by stage
-name (``opt:<pass>:<graph>``).
+under ``"optimizer"``.  With ``REPRO_IR_VERIFY=1`` the graph checks
+(IV001–IV004, IV010 and the range findings) run after every pass
+application, pinpointing the offending pass by stage name
+(``opt:<pass>:<graph>``).
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ def _attrs_key(op: Operation) -> Tuple[Tuple[str, str], ...]:
 
 def _only_use_is(value_op: Operation, user: Operation) -> bool:
     uses = value_op.result.uses
-    return len(uses) >= 1 and all(use_op is user for use_op, _ in uses)
+    return len(uses) >= 1 and all(use_op is user for use_op in uses)
 
 
 def _push_mux(graph: Graph, op: Operation) -> bool:
@@ -81,7 +81,7 @@ def _push_mux(graph: Graph, op: Operation) -> bool:
             shared_operands.append(steer.result)
     shared = Operation(
         t_op.name, shared_operands, [(op.result.width, op.result.signed)],
-        dict(t_op.attributes))
+        t_op.attributes)
     graph.block.insert_before(op, shared)
     op.result.replace_all_uses_with(shared.result)
     op.erase()

@@ -15,7 +15,7 @@ from repro.analysis.verifier import (
 from repro.dialects.hw import HWModule
 from repro.hls.longnail import compile_isax
 from repro.ir.builder import Builder
-from repro.ir.core import Graph, Operation
+from repro.ir.core import Block, Graph, Operation
 from repro.isaxes import DOTPROD
 from repro.scheduling.problem import LongnailProblem, OperatorType
 from repro.scheduling.scheduler import ScheduleResult
@@ -34,7 +34,7 @@ def codes(diagnostics):
 
 class TestRegistry:
     def test_all_checks_present(self):
-        assert set(IR_CHECKS) == {f"IV{n:03d}" for n in range(1, 10)}
+        assert set(IR_CHECKS) == {f"IV{n:03d}" for n in range(1, 11)}
         for check in IR_CHECKS.values():
             assert check.description
 
@@ -63,6 +63,62 @@ class TestSSA:
         # Out of block order, but acyclic: no comb cycle to name.
         assert codes(found) == ["IV001"]
         assert "defined later" in found[0].message
+
+
+class TestUseList:
+    def test_positive_operand_rewritten_behind_the_use_lists(self):
+        # ``add`` reads ``a`` twice, but ``a`` lists one slot and ``c``
+        # still lists the slot ``add`` no longer reads.
+        graph, builder = make_graph()
+        a = builder.constant(1, 8)
+        c = builder.constant(2, 8)
+        add = builder.create("comb.add", [a, c], [(8, None)])
+        assert verify_graph(graph) == []
+        add.operands[1] = a
+        found = verify_graph(graph)
+        assert codes(found) == ["IV010", "IV010"]
+        assert all(d.severity is Severity.ERROR for d in found)
+        assert "1 slot of 'comb.add' (#2 in graph 'g') missing" \
+            in found[0].message
+        assert "1 stale entry for 'comb.add' (#2 in graph 'g')" \
+            in found[1].message
+
+    def test_positive_reader_removed_from_the_block_directly(self):
+        graph, builder = make_graph()
+        a = builder.constant(1, 8)
+        gone = builder.create("comb.not", [a], [(8, None)])
+        graph.operations.remove(gone)
+        found = verify_graph(graph)
+        assert codes(found) == ["IV010"]
+        assert "not in graph 'g'" in found[0].message
+
+    def test_positive_block_argument_use_list(self):
+        graph = Graph("g")
+        graph.block = Block([(8, None)])
+        arg = graph.block.arguments[0]
+        builder = Builder.at(graph)
+        builder.create("comb.not", [arg], [(8, None)])
+        arg.uses.clear()
+        assert codes(verify_graph(graph)) == ["IV010"]
+
+    def test_negative_every_edit_keeps_use_lists(self):
+        graph, builder = make_graph()
+        a = builder.constant(1, 8)
+        b = builder.constant(2, 8)
+        add = builder.create("comb.add", [a, a], [(8, None)])
+        cat = builder.create("comb.concat", [add.result], [(16, None)])
+        add.set_operand(0, b)
+        cat.append_operand(a)
+        a.replace_all_uses_with(b)
+        assert b.uses == [add, add, cat]
+        assert verify_graph(graph) == []
+
+    def test_foreign_value_is_iv001_alone(self):
+        other, other_builder = make_graph("other")
+        foreign = other_builder.constant(1, 8)
+        graph, builder = make_graph()
+        builder.create("comb.not", [foreign], [(8, None)])
+        assert codes(verify_graph(graph)) == ["IV001"]
 
 
 class TestOpInvariant:

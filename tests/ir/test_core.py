@@ -33,8 +33,8 @@ class TestDefUse:
         a = builder.constant(1, 8)
         b = builder.constant(2, 8)
         add = builder.create("comb.add", [a, b], [(8, None)])
-        assert (add, 0) in a.uses
-        assert (add, 1) in b.uses
+        assert a.uses == [add]
+        assert b.uses == [add]
 
     def test_replace_all_uses(self):
         graph, builder = make_graph()
@@ -45,7 +45,7 @@ class TestDefUse:
         a.replace_all_uses_with(c)
         assert add.operands[0] is c
         assert not a.uses
-        assert (add, 0) in c.uses
+        assert c.uses == [add]
 
     def test_erase_with_uses_rejected(self):
         graph, builder = make_graph()
