@@ -33,6 +33,11 @@ trial, each :class:`~repro.sim.coredsl_interp.Effect` as a list, from
 whether the RTL matched, so this is what shows a change to the golden
 model itself.
 
+The ``discover`` key holds the records of :func:`discover` on
+``array_sum`` and ``audio_ml`` (default parameters, VexRiscv), without
+the run-dependent ``seconds`` and ``cached`` fields: the verdict, gate,
+cycles, baseline cycles, speedup and area of every priced variant.
+
 ``--compare BASE HEAD`` prints which top-level keys differ between two
 dumps, or that none do::
 
@@ -47,6 +52,7 @@ import hashlib
 import json
 import random
 
+from repro.discover.search import DiscoveryConfig, discover
 from repro.fuzz.generator import generate_program
 from repro.fuzz.oracles import DEFAULT_CORES, run_oracles
 from repro.hls.longnail import compile_isax
@@ -57,6 +63,7 @@ from repro.sim.cosim import cosim_lanes, draw_trials, verify_artifact
 
 ENGINES = ("interp", "compiled", "batched")
 GRID_TRIALS, FUZZ_TRIALS, FUZZ_COSIM_SEED = 25, 8, 5
+DISCOVER_KERNELS = ("array_sum", "audio_ml")
 
 
 def fuzz_corpus(programs: int = 13, pool: int = 16) -> list:
@@ -106,6 +113,15 @@ def fingerprint(artifact) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def discovery_records(kernel: str) -> list:
+    """Every priced record of a default search, minus its timing and
+    cache provenance."""
+    report = discover(DiscoveryConfig(kernel=kernel))
+    return [{key: value for key, value in record.items()
+             if key not in ("seconds", "cached")}
+            for record in report.records]
+
+
 def verdict(report) -> list:
     return [report.ok, [[f.kind, f.core, f.detail] for f in report.failures]]
 
@@ -134,6 +150,8 @@ def main() -> None:
 
     doc: dict = {"grid": {}, "fuzz": {}, "oracles": {}, "hardware": {},
                  "golden": {}}
+    doc["discover"] = {kernel: discovery_records(kernel)
+                       for kernel in DISCOVER_KERNELS}
     for isax in sorted(ALL_ISAXES):
         for core in (*CORES, *EXPERIMENTAL_CORES):
             doc["hardware"][f"{isax}@{core}/O0"] = fingerprint(

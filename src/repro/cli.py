@@ -27,6 +27,7 @@ import pathlib
 import sys
 from typing import List, Optional, Union
 
+from repro.frontend.elaboration import elaborate
 from repro.fuzz.oracles import ALL_ORACLES, DEFAULT_ORACLES, ORACLE_ALIASES
 from repro.hls.longnail import compile_isax
 from repro.isaxes import ALL_ISAXES
@@ -95,8 +96,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         datasheet = core_datasheet(args.core)
     except KeyError as err:
         raise CoreDSLError(str(err.args[0]) if err.args else str(err)) from err
+    isa = elaborate(source, top=args.top, filename=args.file)
     artifact = compile_isax(
-        source, core=datasheet, top=args.top, engine=args.engine,
+        isa, core=datasheet, engine=args.engine,
         cycle_time_ns=args.cycle_time,
         opt=OptOptions.from_flags(args.opt_level, _opt_flags(args)),
     )
@@ -280,7 +282,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         run_lints,
         verify_artifact_ir,
     )
-    from repro.frontend.elaboration import elaborate
     from repro.utils.diagnostics import (
         RENDERERS,
         count_by_severity,
@@ -397,10 +398,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.sim.cosim import verify_artifact
 
     if args.target in ALL_ISAXES:
-        source = ALL_ISAXES[args.target]
+        isa = elaborate(ALL_ISAXES[args.target])
     else:
-        source = _read_source(args.target)
-    artifact = compile_isax(source, core=args.core)
+        isa = elaborate(_read_source(args.target), filename=args.target)
+    artifact = compile_isax(isa, core=args.core)
     report = verify_artifact(artifact, trials=args.trials,
                              seed=args.cosim_seed, vcd_dir=args.vcd_dir,
                              sim_engine=args.sim_engine)

@@ -13,8 +13,8 @@ then walks the full Longnail flow:
 3. **price** it: schedule length from the fastpath scheduler, µm² and
    frequency of that same compiled artifact from the Table 4
    area/integration model (:func:`repro.eval.asic.measure_artifacts`),
-   and *measured* cycle savings by running the rewritten kernel loop
-   against the software baseline on the cycle-accurate core model;
+   and the rewritten kernel loop's *measured* cycles on the
+   cycle-accurate core model;
 4. check the rewritten program still computes the kernel's reference
    result bit-for-bit.
 
@@ -26,7 +26,11 @@ in the toolchain is a data point, not a batch failure.
 given: a :class:`~repro.service.executor.BatchExecutor` (workers +
 artifact cache: warm re-runs are pure cache hits) or a
 :class:`~repro.server.client.RemoteExecutor` (a long-lived compile server
-via ``POST /v1/tasks``).
+via ``POST /v1/tasks``).  The software baseline depends only on the
+kernel and the core, so :func:`price_candidates` runs it once per
+distinct (kernel, params, core) in the calling process, checks it
+against the kernel's reference result, and writes ``baseline_cycles`` and
+``speedup`` into every record that passed its own gates.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ DISCOVER_SEARCH_RUNNER = "repro.discover.pricing:run_discover_payload"
 #: batched simulation engine (lane-per-trial) by default.  ``discover-3``:
 #: area and frequency measure the priced ``-O2`` artifact, not an ``-O0``
 #: recompile.  ``discover-4``: the cosim gate runs the default engine, and
-#: the payload and record carry no ``sim_engine``.
-_DISCOVER_CACHE_VERSION = "discover-4"
+#: the payload and record carry no ``sim_engine``.  ``discover-5``: the
+#: runner's record carries no ``baseline_cycles`` or ``speedup``.
+_DISCOVER_CACHE_VERSION = "discover-5"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,32 +200,41 @@ def run_pricing_payload(payload: dict) -> dict:
 
     reference = run_reference(kernel)
     try:
-        base_program = codegen.baseline_program(kernel)
-        base_report, base_result = codegen.run_program(
-            kernel, base_program, core)
         cand_program = codegen.candidate_program(kernel, candidate, emitted)
         cand_report, cand_result = codegen.run_program(
             kernel, cand_program, core, artifacts=[artifact])
     except codegen.CodegenError as err:
         return _failure(record, "codegen", str(err))
-    if base_result != reference:
-        return _failure(
-            record, "baseline-result",
-            f"baseline computed 0x{base_result:08x}, "
-            f"reference 0x{reference:08x}")
     if cand_result != reference:
         return _failure(
             record, "result",
             f"candidate computed 0x{cand_result:08x}, "
             f"reference 0x{reference:08x}")
 
-    record["baseline_cycles"] = base_report.cycles
     record["cycles"] = cand_report.cycles
-    record["speedup"] = base_report.cycles / cand_report.cycles
     record["isax_busy_cycles"] = cand_report.isax_busy_cycles
     record["loop_body_words"] = cand_program.loop_body_words
     record["result"] = cand_result
     return record
+
+
+def _run_baseline(kernel_name: str, params: Dict[str, int],
+                  core: str) -> tuple:
+    """Run the kernel's software baseline on ``core`` and check its result
+    against :func:`run_reference`: ``(cycles, None)``, or ``(None, (gate,
+    detail))`` with gate ``codegen`` or ``baseline-result``."""
+    kernel = resolve_kernel(kernel_name, **params)
+    reference = run_reference(kernel)
+    try:
+        report, result = codegen.run_program(
+            kernel, codegen.baseline_program(kernel), core)
+    except codegen.CodegenError as err:
+        return None, ("codegen", str(err))
+    if result != reference:
+        return None, ("baseline-result",
+                      f"baseline computed 0x{result:08x}, "
+                      f"reference 0x{reference:08x}")
+    return report.cycles, None
 
 
 def build_specs(requests: Sequence[PricingRequest],
@@ -245,17 +259,34 @@ def price_candidates(
 
     Records keep request order.  A request that failed at the transport
     level (worker death, server error) yields a synthetic ``ok: false``
-    record with gate ``"transport"``.  ``stats`` reports executed vs
-    cache-served counts — the warm-re-run story of the benchmark.
+    record with gate ``"transport"``.  Every record that passed its own
+    gates, executed or served from a cache, gets ``baseline_cycles`` and
+    ``speedup`` from one :func:`_run_baseline` per distinct (kernel,
+    params, core); a baseline that fails fails those records with its
+    gate.  ``stats`` reports executed vs cache-served counts — the
+    warm-re-run story of the benchmark.
     """
     specs = build_specs(requests, kernel_fingerprint)
     outcomes = (executor or BatchExecutor(workers=1)).run_specs(specs)
 
+    baselines: Dict[tuple, tuple] = {}
     records: List[dict] = []
     cached = executed = failed = 0
     for request, outcome in zip(requests, outcomes):
         if outcome.ok and outcome.result is not None:
             record = dict(outcome.result)
+            if record.get("ok"):
+                key = (request.kernel, tuple(sorted(request.params.items())),
+                       request.core)
+                if key not in baselines:
+                    baselines[key] = _run_baseline(
+                        request.kernel, request.params, request.core)
+                baseline_cycles, baseline_failure = baselines[key]
+                if baseline_failure is not None:
+                    _failure(record, *baseline_failure)
+                else:
+                    record["baseline_cycles"] = baseline_cycles
+                    record["speedup"] = baseline_cycles / record["cycles"]
             record["cached"] = outcome.cached
             record["seconds"] = outcome.seconds
             cached += 1 if outcome.cached else 0

@@ -49,8 +49,12 @@ class Parser:
         self.pos = 0
 
     # -- token helpers --------------------------------------------------------
+    # ``advance`` never moves past the EOF token, so ``tokens[pos]`` is
+    # always in range; only a lookahead can run past the end.
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        tokens = self.tokens
+        index = self.pos + offset
+        return tokens[index] if index < len(tokens) else tokens[-1]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -59,7 +63,7 @@ class Parser:
         return tok
 
     def check(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind in ("op", "keyword") and tok.text == text
 
     def accept(self, text: str) -> bool:

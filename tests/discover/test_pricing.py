@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.discover import codegen
 from repro.discover.enumerate import enumerate_candidates
 from repro.discover.kernel import resolve_kernel
 from repro.discover.pricing import (
@@ -35,16 +36,24 @@ def _request(candidate, fold=False, **overrides):
 
 
 class TestRunnerRecord:
-    def test_successful_record_is_complete(self, full_cover):
+    def test_successful_record_is_complete(self, kernel, full_cover):
         record = run_pricing_payload(_request(full_cover).payload())
         assert record["ok"] is True
         assert record["failed_gate"] is None
-        for key in ("source", "speedup", "area_um2", "cycles",
-                    "baseline_cycles", "makespan", "instructions",
-                    "freq_mhz", "area_overhead_pct"):
+        for key in ("source", "area_um2", "cycles", "makespan",
+                    "instructions", "freq_mhz", "area_overhead_pct",
+                    "result"):
             assert key in record, key
-        assert record["speedup"] > 1.0
         assert record["lint_warnings"] == 0
+        # The baseline is price_candidates' business, not the runner's.
+        assert "baseline_cycles" not in record and "speedup" not in record
+
+        (priced,), _ = price_candidates([_request(full_cover)],
+                                        kernel.fingerprint())
+        assert priced["cycles"] == record["cycles"]
+        assert priced["speedup"] == priced["baseline_cycles"] / record[
+            "cycles"]
+        assert priced["speedup"] > 1.0
 
     def test_area_measures_the_priced_artifact(self, full_cover):
         """Area and frequency describe the -O2 compile that the gates and
@@ -62,7 +71,9 @@ class TestRunnerRecord:
         plain = run_pricing_payload(_request(full_cover).payload())
         fold = run_pricing_payload(_request(full_cover, fold=True).payload())
         assert fold["ok"] and plain["ok"]
-        assert fold["speedup"] > plain["speedup"]
+        # Both variants share one baseline, so fewer cycles is a higher
+        # speedup.
+        assert fold["cycles"] < plain["cycles"]
 
     def test_gate_failures_are_records_not_raises(self):
         kernel = resolve_kernel("audio_ml", words=4)
@@ -129,3 +140,92 @@ class TestFanOut:
         assert records[0]["ok"] is False
         assert records[0]["failed_gate"] == "transport"
         assert stats["failed"] == 1
+
+
+def _plant_baseline(monkeypatch, flip: int = 0) -> list:
+    """Count artifact-free (software baseline) ``run_program`` calls by
+    core; a nonzero ``flip`` corrupts the baseline's result."""
+    cores = []
+    original = codegen.run_program
+
+    def run_program(kernel, program, core, artifacts=(), **kwargs):
+        report, result = original(kernel, program, core,
+                                  artifacts=artifacts, **kwargs)
+        if not artifacts:
+            cores.append(core)
+            result ^= flip
+        return report, result
+
+    monkeypatch.setattr(codegen, "run_program", run_program)
+    return cores
+
+
+class TestBaselineOncePerSearch:
+    def test_one_baseline_run_for_many_variants(self, kernel, monkeypatch):
+        candidates = enumerate_candidates(kernel)[:2]
+        requests = [_request(c, fold=fold)
+                    for c in candidates for fold in (False, True)]
+        cores = _plant_baseline(monkeypatch)
+        records, _ = price_candidates(requests, kernel.fingerprint())
+        assert cores == ["VexRiscv"]
+        verified = [r for r in records if r["ok"]]
+        assert verified
+        assert len({r["baseline_cycles"] for r in verified}) == 1
+        for record in records:
+            assert ("speedup" in record) == record["ok"]
+
+    def test_one_baseline_run_per_core(self, kernel, full_cover,
+                                       monkeypatch):
+        requests = [_request(full_cover), _request(full_cover, fold=True),
+                    _request(full_cover, core="ORCA")]
+        cores = _plant_baseline(monkeypatch)
+        records, _ = price_candidates(requests, kernel.fingerprint())
+        assert [r["ok"] for r in records] == [True, True, True]
+        assert cores == ["VexRiscv", "ORCA"]
+
+    def _assert_baseline_failed(self, records, stats):
+        assert stats["failed"] == len(records)
+        for record in records:
+            assert record["ok"] is False
+            assert record["failed_gate"] == "baseline-result"
+            assert "baseline computed" in record["error"]
+            assert "speedup" not in record
+            assert "baseline_cycles" not in record
+
+    def test_wrong_baseline_fails_executed_records(self, kernel, full_cover,
+                                                   monkeypatch):
+        requests = [_request(full_cover), _request(full_cover, fold=True)]
+        _plant_baseline(monkeypatch, flip=1)
+        records, stats = price_candidates(requests, kernel.fingerprint())
+        assert stats["executed"] == 2
+        self._assert_baseline_failed(records, stats)
+
+    def test_wrong_baseline_fails_cached_records(self, kernel, full_cover,
+                                                 monkeypatch, tmp_path):
+        requests = [_request(full_cover), _request(full_cover, fold=True)]
+        cache = ArtifactCache(tmp_path / "c")
+        records, _ = price_candidates(
+            requests, kernel.fingerprint(),
+            executor=BatchExecutor(workers=1, cache=cache))
+        assert [r["ok"] for r in records] == [True, True]
+
+        _plant_baseline(monkeypatch, flip=1)
+        records, stats = price_candidates(
+            requests, kernel.fingerprint(),
+            executor=BatchExecutor(workers=1, cache=cache))
+        assert stats["cached"] == 2
+        self._assert_baseline_failed(records, stats)
+
+    def test_baseline_codegen_error_fails_ok_records_only(
+            self, kernel, full_cover, monkeypatch):
+        def no_baseline(kernel):
+            raise codegen.CodegenError("planted baseline failure")
+
+        monkeypatch.setattr(codegen, "baseline_program", no_baseline)
+        bad = _request(full_cover, kernel="not_registered", fold=True)
+        records, stats = price_candidates([_request(full_cover), bad],
+                                          kernel.fingerprint())
+        assert [r["failed_gate"] for r in records] == ["codegen",
+                                                       "transport"]
+        assert records[0]["error"] == "planted baseline failure"
+        assert stats["failed"] == 2

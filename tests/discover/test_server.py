@@ -125,7 +125,7 @@ def test_pricing_runner_via_tasks_route():
             label=request.label())
         assert job["state"] == "ok"
         assert job["result"]["ok"] is True
-        assert job["result"]["speedup"] > 1.0
+        assert job["result"]["cycles"] > 0
 
         # The same pricing through RemoteExecutor: the request above is a
         # memory hit, a new variant executes and reports its run time.
@@ -136,7 +136,9 @@ def test_pricing_runner_via_tasks_route():
             kernel.fingerprint(), remote)
         assert (stats["cached"], stats["executed"]) == (1, 1)
         assert records[0]["cached"]
-        assert records[0]["speedup"] == job["result"]["speedup"]
+        assert records[0]["cycles"] == job["result"]["cycles"]
+        assert records[0]["speedup"] > 1.0
+        assert records[1]["speedup"] > records[0]["speedup"]
         assert not records[1]["cached"]
         assert records[1]["seconds"] > 0
 

@@ -103,3 +103,37 @@ class TestErrors:
     def test_unterminated_string(self):
         with pytest.raises(CoreDSLError):
             tokenize('"no end')
+
+
+class TestMalformedIntegers:
+    @pytest.mark.parametrize("literal", ["010", "007", "0x_", "0b_", "0o_",
+                                         "00_1"])
+    def test_malformed_literal_is_located_error(self, literal):
+        with pytest.raises(CoreDSLError) as info:
+            tokenize(f"x = {literal};", "m.core_desc")
+        assert info.value.message == f"invalid integer literal {literal!r}"
+        assert str(info.value.loc) == "m.core_desc:1:5"
+
+    @pytest.mark.parametrize("literal", ["0", "00", "0_0", "000"])
+    def test_zero_spellings_stay_valid(self, literal):
+        tok = tokenize(literal)[0]
+        assert tok.kind == "number" and tok.value == 0
+
+    def test_octal_needs_its_prefix(self):
+        assert tokenize("0o17")[0].value == 0o17
+        assert tokenize("0O1_7")[0].value == 0o17
+
+    def test_malformed_literal_in_behavior_fails_the_compile(self):
+        from repro.frontend.elaboration import elaborate
+
+        source = """InstructionSet T extends RV32I {
+  instructions {
+    ADDO {
+      encoding: 7'd0 :: rs2[4:0] :: rs1[4:0] :: 3'd0 :: rd[4:0] :: 7'b0001011;
+      behavior: X[rd] = X[rs1] + 010;
+    }
+  }
+}
+"""
+        with pytest.raises(CoreDSLError, match="invalid integer literal '010'"):
+            elaborate(source, filename="t.core_desc")

@@ -47,6 +47,18 @@ class TestCompile:
         rc = main(["compile", str(path), "-o", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_front_end_error_names_the_file(self, command, tmp_path,
+                                            capsys):
+        path = tmp_path / "open_comment.core_desc"
+        path.write_text("InstructionSet T extends RV32I { /* never closed",
+                        encoding="utf-8")
+        argv = [command, str(path)] + (
+            ["-o", str(tmp_path)] if command == "compile" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:1:34: unterminated block comment" in err
+
 
 class TestInfoCommands:
     def test_datasheet(self, capsys):
