@@ -6,7 +6,12 @@ byte-identical output traces, and measures cycles/second.  The headline:
 the compiled engine is at least 10x faster than the interpreter
 (geometric mean across the 8 benchmark ISAXes).  A second section
 measures the end-to-end effect on the heaviest verification workload — a
-small differential fuzz campaign run once per engine.
+small differential fuzz campaign run once per engine.  A third counts
+code generation over the grid (the 8 ISAXes x 5 cores at ``-O2``) from a
+cold :func:`~repro.sim.compile.clear_compile_cache`, compiled and
+co-simulated: step functions generated, :func:`compile` calls, distinct
+step texts and the seconds their compiles take.  It fails when
+:func:`compile` runs more often than there are distinct step texts.
 
 Artifacts: ``benchmarks/out/bench_sim_engines.json`` (the BENCH JSON the
 CI job uploads) plus the human-readable ``sim_engines.txt``.
@@ -26,8 +31,14 @@ from benchmarks.conftest import write_artifact
 from repro.fuzz import FuzzConfig, run_campaign
 from repro.hls import compile_isax
 from repro.isaxes import ALL_ISAXES
-from repro.sim import RTLSimulator
-from repro.sim.compile import random_stimulus
+from repro.scaiev.cores import CORES, EXPERIMENTAL_CORES
+from repro.sim import RTLSimulator, verify_artifact
+from repro.sim.compile import (
+    clear_compile_cache,
+    compile_cache_stats,
+    compile_module,
+    random_stimulus,
+)
 
 SMOKE = os.environ.get("SIM_BENCH_SMOKE", "") not in ("", "0")
 CYCLES = 300 if SMOKE else 3000
@@ -87,6 +98,35 @@ def fuzz_wallclock(tmp_path, sim_engine):
     return seconds
 
 
+def grid_codegen():
+    """Cold codegen over the grid: every module's step is generated once,
+    every distinct step text compiled once, and cosim adds no codegen."""
+    clear_compile_cache()
+    artifacts = [compile_isax(ALL_ISAXES[name], core, opt=2)
+                 for name in sorted(ALL_ISAXES)
+                 for core in (*CORES, *EXPERIMENTAL_CORES)]
+    modules = [functionality.module for artifact in artifacts
+               for functionality in artifact.functionalities.values()]
+    texts = {compile_module(module).source for module in modules}
+    step_compiles = compile_cache_stats()["compiles"]
+    for artifact in artifacts:
+        assert verify_artifact(artifact, seed=1).passed, artifact.name
+    stats = compile_cache_stats()
+    begin = time.perf_counter()
+    for text in texts:
+        compile(text, "<rtl-sim>", "exec")
+    return {
+        "cells": len(artifacts),
+        "modules": len(modules),
+        "codegens": stats["scalar"],
+        "step_compiles": step_compiles,
+        "distinct_step_texts": len(texts),
+        "step_text_lines": sum(text.count("\n") for text in texts),
+        "golden_compiles": stats["compiles"] - step_compiles,
+        "compile_seconds": round(time.perf_counter() - begin, 4),
+    }
+
+
 def test_sim_engine_shootout(artifact_dir, tmp_path):
     isaxes = {name: bench_isax(name) for name in sorted(ALL_ISAXES)}
     geomean = math.exp(
@@ -95,6 +135,7 @@ def test_sim_engine_shootout(artifact_dir, tmp_path):
 
     interp_fuzz_s = fuzz_wallclock(tmp_path, "interp")
     compiled_fuzz_s = fuzz_wallclock(tmp_path, "compiled")
+    codegen = grid_codegen()
 
     bench = {
         "bench": "sim_engines",
@@ -110,6 +151,7 @@ def test_sim_engine_shootout(artifact_dir, tmp_path):
             "compiled_seconds": round(compiled_fuzz_s, 3),
             "speedup": round(interp_fuzz_s / compiled_fuzz_s, 2),
         },
+        "codegen": codegen,
     }
     (artifact_dir / "bench_sim_engines.json").write_text(
         json.dumps(bench, indent=2) + "\n", encoding="utf-8")
@@ -130,9 +172,19 @@ def test_sim_engine_shootout(artifact_dir, tmp_path):
         f"(required >= {MIN_GEOMEAN:.0f}x); all traces byte-identical",
         f"fuzz campaign ({FUZZ_SEEDS} seeds, {CORE}): "
         f"interp {interp_fuzz_s:.2f}s -> compiled {compiled_fuzz_s:.2f}s",
+        f"grid codegen ({codegen['cells']} cells at -O2, compiled and "
+        f"co-simulated): {codegen['codegens']} step functions for "
+        f"{codegen['modules']} modules, {codegen['step_compiles']} "
+        f"compile() calls for {codegen['distinct_step_texts']} distinct "
+        f"step texts ({codegen['step_text_lines']} lines, "
+        f"{codegen['compile_seconds'] * 1e3:.1f} ms to compile), "
+        f"{codegen['golden_compiles']} golden-model compiles",
     ]
     write_artifact(artifact_dir, "sim_engines.txt", "\n".join(lines))
 
+    assert codegen["step_compiles"] <= codegen["distinct_step_texts"], (
+        f"{codegen['step_compiles']} compile() calls for "
+        f"{codegen['distinct_step_texts']} distinct step texts")
     assert geomean >= MIN_GEOMEAN, (
         f"compiled engine only {geomean:.1f}x faster (geomean); "
         f"required {MIN_GEOMEAN:.0f}x")

@@ -39,7 +39,8 @@ from __future__ import annotations
 import collections
 import dataclasses
 import os
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    Optional, Sequence)
 
 from repro.dialects import comb
 from repro.ir.core import Graph, IRError, Operation, Value
@@ -451,12 +452,25 @@ def verify_module(module: "HWModule") -> List[Diagnostic]:
 # Whole-artifact entry point
 # ---------------------------------------------------------------------------
 
-def verify_artifact_ir(artifact: "IsaxArtifact") -> List[Diagnostic]:
+def verify_artifact_ir(
+        artifact: "IsaxArtifact",
+        graph_findings: Optional[Dict[Graph, List[Diagnostic]]] = None,
+) -> List[Diagnostic]:
     """Verify every functionality of a compiled ISAX: the lil graph, the
-    solved schedule and the generated hardware module."""
+    solved schedule and the generated hardware module.
+
+    ``graph_findings``, when given, keeps each lil graph's findings
+    across calls: artifacts of one program on several cores share their
+    graphs, which are then verified once."""
     diagnostics: List[Diagnostic] = []
     for functionality in artifact.functionalities.values():
-        diagnostics.extend(verify_graph(functionality.graph))
+        graph = functionality.graph
+        if graph_findings is None:
+            diagnostics.extend(verify_graph(graph))
+        else:
+            if graph not in graph_findings:
+                graph_findings[graph] = verify_graph(graph)
+            diagnostics.extend(graph_findings[graph])
         diagnostics.extend(verify_schedule(functionality.schedule))
         diagnostics.extend(verify_module(functionality.module))
     return diagnostics

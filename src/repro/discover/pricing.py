@@ -62,7 +62,9 @@ DISCOVER_SEARCH_RUNNER = "repro.discover.pricing:run_discover_payload"
 #: recompile.  ``discover-4``: the cosim gate runs the default engine, and
 #: the payload and record carry no ``sim_engine``.  ``discover-5``: the
 #: runner's record carries no ``baseline_cycles`` or ``speedup``.
-_DISCOVER_CACHE_VERSION = "discover-5"
+#: ``discover-6``: the key names the request's kernel and params, which
+#: the candidate's structural digest leaves out.
+_DISCOVER_CACHE_VERSION = "discover-6"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,9 +94,10 @@ class PricingRequest:
 
     def cache_key(self, kernel_fingerprint: str) -> str:
         return digest(
-            _DISCOVER_CACHE_VERSION, kernel_fingerprint,
-            self.candidate.digest, repr(self.fold), self.core,
-            repr(self.opt), repr(self.trials), repr(self.seed))
+            _DISCOVER_CACHE_VERSION, kernel_fingerprint, self.kernel,
+            repr(sorted(self.params.items())), self.candidate.digest,
+            repr(self.fold), self.core, repr(self.opt), repr(self.trials),
+            repr(self.seed))
 
     def label(self) -> str:
         fold = "+zol" if self.fold else ""

@@ -14,7 +14,7 @@ line comment, a block-comment opener, a string opener, a sized literal, a
 plain number, an identifier or keyword, and then the operators longest
 first, so the alternation munches maximally.  ``m.lastgroup`` names the
 alternative that matched.  A block comment and a string are closed by a
-scan from their opener.
+scan from their opener, which counts the newlines inside them.
 """
 
 from __future__ import annotations
@@ -144,6 +144,10 @@ def tokenize(text: str, filename: str = "<input>") -> List[Token]:
             if tail is None:
                 raise CoreDSLError("unterminated string literal", loc)
             append(Token("string", text[end:tail.end() - 1], loc))
+            last = text.rfind("\n", end, tail.end())
+            if last != -1:
+                line += text.count("\n", end, tail.end())
+                line_start = last + 1
             end = tail.end()
         else:  # block_comment
             close = text.find("*/", end)

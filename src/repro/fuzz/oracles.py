@@ -87,7 +87,8 @@ from repro.sim.cosim import verify_artifact
 if TYPE_CHECKING:                              # imports used only in hints
     from repro.dialects.hw import HWModule
     from repro.hls.longnail import IsaxArtifact
-    from repro.ir.core import Value
+    from repro.ir.core import Graph, Value
+    from repro.utils.diagnostics import Diagnostic
 
 #: Cores every program is checked against by default (the paper's four
 #: evaluation cores; CVA5 stays opt-in, as everywhere else in the repo).
@@ -306,6 +307,8 @@ def run_oracles(source: str,
     vcd_paths: List[str] = []
     functionalities = 0
     compiled: Dict[str, "IsaxArtifact"] = {}
+    # The cores share one front end, so each lil graph is verified once.
+    graph_findings: Dict["Graph", List["Diagnostic"]] = {}
     for core in cores:
         try:
             fast = compile_isax(source, core, engine="fastpath",
@@ -354,7 +357,7 @@ def run_oracles(source: str,
         # Warning-severity range notes (IV008/IV009) are legitimate on
         # generated programs; only structural errors fail the oracle.
         if "irverify" in selected:
-            for diag in verify_artifact_ir(fast):
+            for diag in verify_artifact_ir(fast, graph_findings):
                 if not diag.is_error:
                     continue
                 failures.append(OracleFailure(

@@ -5,9 +5,10 @@ The interpreting engine in :mod:`repro.sim.rtl_sim` re-walks the
 value and a dispatch per operation.  This module removes that per-cycle
 overhead: it takes the module's validated block order once and
 code-generates a single straight-line Python ``step`` function per module —
-one local variable per SSA value, constant-folded width masks, register
-state in a flat list, and the outputs dict built in one literal — then
-compiles it with :func:`compile`/``exec``.
+constants as literals, each value with one reader inlined into it,
+constant-folded width masks, register state in a flat list, and the
+outputs dict built in one literal — then compiles it with
+:func:`compile`/``exec``.
 
 The generated function has the signature ``step(inputs, regs)`` where
 ``inputs`` maps input-port names to ints (missing ports read 0) and
@@ -29,6 +30,12 @@ dozens of trials — re-codegens nothing.  The first use freezes the
 module, so an in-place netlist edit after it raises instead of running
 stale code, and the compiled code dies with its module.
 
+Code is generated once per module, and compiled once per distinct text
+(:func:`compile_text`): equal netlists on different cores, or two
+modules of one core with the same datapath, share one code object.  The
+text carries no table: ROM contents are globals of the module's own
+namespace, so the shared code reads each module's own tables.
+
 Semantics are bit-identical to the interpreter by construction (the same
 evaluation rules from :mod:`repro.dialects.comb` are either inlined or
 called as helpers), and :func:`crosscheck_engines` packages the
@@ -37,8 +44,10 @@ engine-equivalence comparison as a reusable differential oracle.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Dict, List, Optional, Sequence
+from types import CodeType
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dialects import comb
 from repro.dialects.hw import HWModule
@@ -104,16 +113,35 @@ def cached_schedule(module: HWModule) -> List[Operation]:
     return module.derived("sim.schedule", lambda: _schedule(module))
 
 
+@functools.lru_cache(maxsize=256)
+def compile_text(source: str, filename: str) -> CodeType:
+    """``compile(source, filename, "exec")``, once per distinct text.
+
+    Generated texts read every table and helper as a global of the
+    namespace they are executed in, so one code object serves every
+    module or ISA with that text.  ``filename`` is a constant per
+    generator (``<rtl-sim>``, ``<coredsl>``), naming no single module or
+    ISA.  The cache is thread-safe; two threads that miss together may
+    both compile."""
+    return compile(source, filename, "exec")
+
+
 def clear_compile_cache() -> None:
-    """Reset the codegen counters (tests and benchmarks); compiled code
-    lives on its module, so nothing process-wide is dropped."""
+    """Reset the codegen counters and empty the code memo (tests and
+    benchmarks); compiled modules keep their code, which lives on the
+    module."""
     for key in CODEGEN_COUNTS:
         CODEGEN_COUNTS[key] = 0
+    compile_text.cache_clear()
 
 
 def compile_cache_stats() -> Dict[str, int]:
-    """Snapshot of the codegen counters (for tests/benchmarks)."""
-    return dict(CODEGEN_COUNTS)
+    """Snapshot of the codegen counters (for tests/benchmarks):
+    ``scalar`` step functions generated (one per module), ``schedules``
+    checked, ``compiles`` made by :func:`compile` and ``code_hits``
+    served by the code memo."""
+    info = compile_text.cache_info()
+    return dict(CODEGEN_COUNTS, compiles=info.misses, code_hits=info.hits)
 
 
 def compile_module(module: HWModule) -> CompiledModule:
@@ -128,10 +156,20 @@ def compile_module(module: HWModule) -> CompiledModule:
         lambda: _codegen_scalar(module, cached_schedule(module)))
 
 
+#: Parentheses an inlined operand may sit inside: well below the 200 the
+#: parser accepts, and 24 levels of the templates below, whose operands
+#: sit inside at most 4 (the inlining parentheses included).
+_MAX_PARENS = 96
+
+
 def _codegen_scalar(module: HWModule,
                     order: List[Operation]) -> CompiledModule:
     CODEGEN_COUNTS["scalar"] += 1
-    names: Dict[object, str] = {}          # Value -> local variable name
+    #: Value -> its local variable name, or its literal.
+    names: Dict[Value, str] = {}
+    #: Value with one reader -> (its expression, the parentheses in it);
+    #: the reader inlines it, or names it when too deep.
+    pending: Dict[Value, Tuple[str, int]] = {}
     env: Dict[str, object] = {
         "_divu": comb._eval_divu,
         "_divs": comb._eval_divs,
@@ -140,53 +178,79 @@ def _codegen_scalar(module: HWModule,
         "_shrs": comb._eval_shrs,
     }
     lines: List[str] = []
-    outputs: List[str] = []                # "'name': vN" dict entries
+    outputs: List[str] = []                # "'name': text" dict entries
     register_ops: List[Operation] = []
+    #: Parentheses the current reader puts around an operand, and the
+    #: most parentheses an operand inlined into it sits inside.
+    around = deepest = 0
+
+    def define(value, text: str) -> str:
+        name = f"v{len(names)}"
+        names[value] = name
+        lines.append(f"    {name} = {text}")
+        return name
+
+    def name(value) -> str:
+        """A local or literal for ``value``, naming a pending one."""
+        known = names.get(value)
+        if known is not None:
+            return known
+        if value not in pending:
+            raise IRError(
+                f"module '{module.name}': operand of unscheduled origin")
+        return define(value, pending.pop(value)[0])
 
     def ref(value) -> str:
-        try:
-            return names[value]
-        except KeyError:
-            raise IRError(
-                f"module '{module.name}': operand of unscheduled origin"
-            ) from None
-
-    def define(op: Operation) -> str:
-        name = f"v{len(names)}"
-        names[op.result] = name
-        return name
+        """``value`` inlined in parentheses when it has one reader and
+        fits under the cap, else by name."""
+        nonlocal deepest
+        entry = pending.get(value)
+        if entry is None or entry[1] + around > _MAX_PARENS:
+            return name(value)
+        del pending[value]
+        deepest = max(deepest, entry[1] + around)
+        return f"({entry[0]})"
 
     for op in order:
         kind = op.name
         if kind == "hw.input":
             port = module.port(op.attr("name"))
-            lines.append(
-                f"    {define(op)} = inputs.get({port.name!r}, 0)"
-                f" & {mask(port.width):#x}"
-            )
+            define(op.result, f"inputs.get({port.name!r}, 0)"
+                              f" & {mask(port.width):#x}")
         elif kind == "hw.output":
+            around = 2                     # "{'name': (...)}"
             outputs.append(f"{op.attr('name')!r}: {ref(op.operands[0])}")
         elif kind == "seq.compreg":
-            lines.append(f"    {define(op)} = regs[{len(register_ops)}]")
+            define(op.result, f"regs[{len(register_ops)}]")
             register_ops.append(op)
+        elif kind == "comb.constant":
+            names[op.result] = f"{op.attr('value') & mask(op.result.width):#x}"
         else:
-            lines.append(f"    {define(op)} = {_expression(op, ref, env)}")
+            around = (len(op.operands) + 2 if kind == "comb.concat"
+                      else 4)
+            deepest = 0
+            text = _expression(op, ref, name, env)
+            uses = op.result.uses
+            if len(uses) == 1 and uses[0].name != "seq.compreg":
+                pending[op.result] = (text, deepest)
+            else:
+                define(op.result, text)
 
     body = lines or ["    pass"]
     body.append("    _outputs = {" + ", ".join(outputs) + "}")
     # Clock edge: every register's cycle value is already in a local, so
     # in-place updates cannot disturb other registers' data expressions.
     for index, op in enumerate(register_ops):
-        data = ref(op.operands[0])
+        data = name(op.operands[0])
         if len(op.operands) == 2:
-            body.append(f"    if {ref(op.operands[1])}:")
+            body.append(f"    if {name(op.operands[1])}:")
             body.append(f"        regs[{index}] = {data}")
         else:
             body.append(f"    regs[{index}] = {data}")
     body.append("    return _outputs")
     source = "def _step(inputs, regs):\n" + "\n".join(body) + "\n"
 
-    code = compile(source, f"<rtl-sim:{module.name}>", "exec")
+    code = compile_text(source, "<rtl-sim>")
     exec(code, env)  # noqa: S102 - generated from the verified netlist only
     return CompiledModule(source, env["_step"], register_ops)
 
@@ -196,10 +260,14 @@ def _codegen_scalar(module: HWModule,
 _codegen_batch = _codegen_scalar
 
 
-def _expression(op: Operation, ref, env: Dict[str, object]) -> str:
+def _expression(op: Operation, ref, name, env: Dict[str, object]) -> str:
     """Python expression computing ``op`` from already-masked operands.
 
-    Invariant: every local holds its value masked to its width, so purely
+    ``ref(value)`` may inline an operand's expression; an operand the
+    template reads twice goes through ``name(value)``, a local or
+    literal, so that no expression is copied.
+
+    Invariant: every value is masked to its width, so purely
     width-preserving operators (and/or/xor/mux/...) need no re-masking and
     the masks that remain are folded to literals at compile time.
     Signed compares XOR each side with its own sign bit, which maps two's-
@@ -209,42 +277,42 @@ def _expression(op: Operation, ref, env: Dict[str, object]) -> str:
     kind = op.name
     width = op.result.width
     m = f"{mask(width):#x}"
-    operands = [ref(value) for value in op.operands]
-    if kind == "comb.constant":
-        return f"{op.attr('value') & mask(width):#x}"
+    operands = op.operands
     if kind in ("comb.add", "comb.sub", "comb.mul"):
-        return f"({operands[0]} {comb.INFIX[kind]} {operands[1]}) & {m}"
+        return (f"({ref(operands[0])} {comb.INFIX[kind]} "
+                f"{ref(operands[1])}) & {m}")
     if kind in comb.INFIX:                 # and/or/xor keep the width
-        return f"{operands[0]} {comb.INFIX[kind]} {operands[1]}"
+        return f"{ref(operands[0])} {comb.INFIX[kind]} {ref(operands[1])}"
     if kind == "comb.not":
-        return f"{operands[0]} ^ {m}"
+        return f"{ref(operands[0])} ^ {m}"
     if kind == "comb.divu":
-        return f"({operands[0]} // {operands[1]} if {operands[1]} else {m})"
+        a, b = ref(operands[0]), name(operands[1])
+        return f"({a} // {b} if {b} else {m})"
     if kind == "comb.modu":
-        return (f"({operands[0]} % {operands[1]} if {operands[1]} "
-                f"else {operands[0]})")
+        a, b = name(operands[0]), name(operands[1])
+        return f"({a} % {b} if {b} else {a})"
     if kind in ("comb.divs", "comb.mods", "comb.shrs"):
         helper = {"comb.divs": "_divs", "comb.mods": "_mods",
                   "comb.shrs": "_shrs"}[kind]
-        return f"{helper}({operands[0]}, {operands[1]}, {width})"
+        return f"{helper}({ref(operands[0])}, {ref(operands[1])}, {width})"
     if kind == "comb.shl":
-        return (f"(({operands[0]} << {operands[1]}) & {m} "
-                f"if {operands[1]} < {width} else 0)")
+        a, b = ref(operands[0]), name(operands[1])
+        return f"(({a} << {b}) & {m} if {b} < {width} else 0)"
     if kind == "comb.shru":
-        return (f"({operands[0]} >> {operands[1]} "
-                f"if {operands[1]} < {width} else 0)")
+        a, b = ref(operands[0]), name(operands[1])
+        return f"({a} >> {b} if {b} < {width} else 0)"
     if kind == "comb.icmp":
         predicate = comb.ICMP[op.attr("predicate")]
         symbol = predicate.symbol
-        a, b = operands
+        a, b = ref(operands[0]), ref(operands[1])
         if not predicate.signed:
             return f"(1 if {a} {symbol} {b} else 0)"
         # Per-operand sign bits: operand widths are equal on verified IR,
         # but ops are simulated before verification too (hand-built and
         # fuzz-reduced netlists), and borrowing operand 0's sign bit for
         # operand 1 would silently mis-sign the comparison.
-        wa = op.operands[0].width
-        wb = op.operands[1].width
+        wa = operands[0].width
+        wb = operands[1].width
         sign_a = f"{1 << (wa - 1):#x}"
         sign_b = f"{1 << (wb - 1):#x}"
         if wa == wb:
@@ -256,29 +324,35 @@ def _expression(op: Operation, ref, env: Dict[str, object]) -> str:
         return (f"(1 if (({a} ^ {sign_a}) - {sign_a}) {symbol} "
                 f"(({b} ^ {sign_b}) - {sign_b}) else 0)")
     if kind == "comb.mux":
-        return f"({operands[1]} if {operands[0]} else {operands[2]})"
+        return (f"({ref(operands[1])} if {ref(operands[0])} "
+                f"else {ref(operands[2])})")
     if kind == "comb.extract":
         low = op.attr("low")
-        shifted = operands[0] if low == 0 else f"({operands[0]} >> {low})"
-        if low + width == op.operands[0].width:
-            return shifted if low else operands[0]
+        source = ref(operands[0])
+        shifted = source if low == 0 else f"({source} >> {low})"
+        if low + width == operands[0].width:
+            return shifted if low else source
         return f"{shifted} & {m}"
     if kind == "comb.concat":
-        out = operands[0]
-        for value, text in zip(op.operands[1:], operands[1:]):
-            out = f"({out} << {value.width} | {text})"
+        out = ref(operands[0])
+        for value in operands[1:]:
+            out = f"({out} << {value.width} | {ref(value)})"
         return out
     if kind == "comb.replicate":
         # value * 0b...0001_0001 concatenates the copies in one multiply.
-        chunk_width = op.operands[0].width
+        chunk_width = operands[0].width
         times = width // chunk_width
         repunit = sum(1 << (chunk_width * i) for i in range(times))
-        return f"{operands[0]} * {repunit:#x}"
+        return f"{ref(operands[0])} * {repunit:#x}"
     if kind == "comb.rom":
+        # The table is a global of the module's namespace, never part of
+        # the text, so modules that differ only in ROM contents share
+        # one code object.
         table_name = f"_rom{len(env)}"
         env[table_name] = tuple(v & mask(width) for v in op.attr("values"))
-        return (f"({table_name}[{operands[0]}] "
-                f"if {operands[0]} < {len(env[table_name])} else 0)")
+        index = name(operands[0])
+        return (f"({table_name}[{index}] "
+                f"if {index} < {len(env[table_name])} else 0)")
     raise IRError(f"no compilation rule for '{kind}'")
 
 
@@ -345,6 +419,7 @@ __all__ = [
     "clear_compile_cache",
     "compile_cache_stats",
     "compile_module",
+    "compile_text",
     "crosscheck_engines",
     "random_stimulus",
     "resolve_engine",

@@ -10,8 +10,8 @@ overflow; casts truncate/reinterpret).  Serves as:
 
 The model is translated, not walked: on the first execution, every
 instruction behavior, always-block and function of the ISA becomes one
-Python ``def``, the module is compiled with :func:`compile`, and the result
-is kept for as long as the :class:`ElaboratedISA` lives.  The translation
+Python ``def``, each compiled once per distinct text, and the result is
+kept for as long as the :class:`ElaboratedISA` lives.  The translation
 reads only the typed AST, never the lowered IR, so co-simulation still
 compares two paths that share just the parser and the type checker.
 
@@ -29,6 +29,7 @@ from repro.frontend import ast_nodes as ast
 from repro.frontend.elaboration import ElaboratedISA
 from repro.frontend.typecheck import FunctionSig, StateInfo, range_width
 from repro.frontend.types import IntType
+from repro.sim.compile import compile_text
 from repro.utils.bits import mask, to_signed, to_unsigned
 from repro.utils.diagnostics import CoreDSLError
 
@@ -221,27 +222,42 @@ _INFIX = ("+", "-", "*", "&", "|", "^", "<<", ">>")
 _COMPARE = ("==", "!=", "<", "<=", ">", ">=")
 
 
+#: The def name of every compiled behavior and always-block.
+_BEHAVIOR = "_run"
+
+
 def _translate(isa: ElaboratedISA) -> Translation:
     """Compile every behavior, always-block and function of ``isa``.
 
+    Each definition is its own text, compiled once per distinct text by
+    :func:`~repro.sim.compile.compile_text` and executed into the ISA's
+    one namespace: helpers and tables first, then functions, then
+    behaviors.  Tables and callees are globals of that namespace, so a
+    text shared by two ISAs reads each ISA's own.
+
     No CoreDSL name can capture a generated one: locals become
-    ``l<n>_<name>``, encoding fields ``e_<name>`` and functions
-    ``f_<name>``, while the parameters ``S`` (state), ``E`` (effects),
-    ``F`` (fields) and ``sp`` (spawned), the helpers and the temporaries
-    carry no such prefix."""
+    ``l<n>_<name>``, encoding fields ``e_<name>``, functions
+    ``f_<name>`` and ROM tables ``_t_<name>``, while the parameters ``S``
+    (state), ``E`` (effects), ``F`` (fields) and ``sp`` (spawned), the
+    helpers and the temporaries carry no such prefix."""
     emit = _Translator(isa)
-    for sig in isa.functions.values():
-        emit.function(sig)
-    defs = ({name: emit.behavior(f"i{k}", instr.behavior, instr.fields)
-             for k, (name, instr) in enumerate(isa.instructions.items())},
-            {name: emit.behavior(f"a{k}", block.body, None)
-             for k, (name, block) in enumerate(isa.always_blocks.items())})
+    functions = [emit.function(sig) for sig in isa.functions.values()]
+    behaviors = ({name: emit.behavior(instr.behavior, instr.fields)
+                  for name, instr in isa.instructions.items()},
+                 {name: emit.behavior(block.body, None)
+                  for name, block in isa.always_blocks.items()})
     namespace = dict(_HELPERS, **emit.tables)
-    code = compile("\n".join(emit.lines) + "\n", f"<coredsl:{isa.name}>",
-                   "exec")
-    exec(code, namespace)  # noqa: S102 - generated from the typed AST only
-    instructions, always = ({name: namespace[d] for name, d in group.items()}
-                            for group in defs)
+
+    def load(text: str) -> Optional[Callable]:
+        """Execute one definition; the behavior it defines, if any."""
+        code = compile_text(text, "<coredsl>")
+        exec(code, namespace)  # noqa: S102 - generated from the typed AST only
+        return namespace.pop(_BEHAVIOR, None)
+
+    for text in functions:
+        load(text)
+    instructions, always = ({name: load(text) for name, text in group.items()}
+                            for group in behaviors)
     return instructions, always
 
 
@@ -259,9 +275,10 @@ def _wrap(code: str, type_: IntType) -> str:
 
 
 class _Translator:
-    """Emits one ``def`` per behavior, always-block and function.  Its
-    scopes mirror the type checker's, so every name resolves statically:
-    local, encoding field, parameter, then scalar register."""
+    """Emits one ``def`` per behavior, always-block and function, each as
+    its own text with its own local numbering.  Its scopes mirror the
+    type checker's, so every name resolves statically: local, encoding
+    field, parameter, then scalar register."""
 
     def __init__(self, isa: ElaboratedISA):
         self.isa = isa
@@ -274,23 +291,27 @@ class _Translator:
         #: The function's return type, "void", or None outside functions.
         self.returns: object = None
 
-    def behavior(self, name: str, body: ast.Stmt,
+    def behavior(self, body: ast.Stmt,
                  fields: Optional[Dict[str, IntType]]) -> str:
         self.scopes, self.spawned, self.returns = [], "False", None
         self.fields = {field: f"e_{field}" for field in fields or {}}
-        self.lines.append(f"def {name}(S, E{'' if fields is None else ', F'}):")
+        self.names = 0
+        self.lines = [
+            f"def {_BEHAVIOR}(S, E{'' if fields is None else ', F'}):"]
         for field, local in self.fields.items():
             self.line(f"{local} = F[{field!r}]")
         self.block(body)
-        return name
+        return "\n".join(self.lines) + "\n"
 
-    def function(self, sig: FunctionSig) -> None:
+    def function(self, sig: FunctionSig) -> str:
         self.scopes, self.fields, self.spawned = [{}], {}, "sp"
         self.returns = sig.return_type or "void"
+        self.names = 0
         params = "".join(f", {self.declare(name, type_)}"
                          for name, type_ in sig.params)
-        self.lines.append(f"def f_{sig.name}(S, E, sp{params}):")
+        self.lines = [f"def f_{sig.name}(S, E, sp{params}):"]
         self.block(sig.definition.body)
+        return "\n".join(self.lines) + "\n"
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
@@ -502,7 +523,7 @@ class _Translator:
             values = dict(enumerate(info.init_values or ()))
             if index is None:
                 return _const(values.get(0, 0))
-            table = f"_t{len(self.tables)}"
+            table = f"_t_{info.name}"
             self.tables[table] = values
             return f"{table}.get({index}, 0)"
         return f"S.read_custom({info.name!r}, {index or 0})"

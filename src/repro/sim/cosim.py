@@ -115,53 +115,120 @@ def draw_trials(artifact: IsaxArtifact, name: str, trials: int,
     return drawn
 
 
-def _initial_inputs(module, state: ArchState, fields: Dict[str, int],
-                    word: int) -> Dict[str, int]:
+#: One write's ports: the data and valid prefixes, and the first output
+#: named with each (``None`` when the module has none).
+_WritePorts = Tuple[str, str, Optional[str], Optional[str]]
+
+
+class _PortPlan:
+    """Where cosim reads and drives one module's ports, resolved once per
+    module from the SCAIE-V port-name prefixes; the prefix convention is
+    written here and nowhere else in this module."""
+
+    __slots__ = ("initial", "mem_raddr", "mem_rdata", "mem_bytes",
+                 "custom_reads", "mem_write", "mem_waddr", "_output_names",
+                 "_reg_writes")
+
+    def __init__(self, module) -> None:
+        inputs = [port.name for port in module.inputs]
+        #: (input port, "rs1" | "rs2" | "pc" | "word" | "custom", custom
+        #: register), in port order.
+        self.initial: List[Tuple[str, str, Optional[str]]] = []
+        for name in inputs:
+            if name.startswith("rs1_data"):
+                self.initial.append((name, "rs1", None))
+            elif name.startswith("rs2_data"):
+                self.initial.append((name, "rs2", None))
+            elif name.startswith("pc_data"):
+                self.initial.append((name, "pc", None))
+            elif name.startswith("instr_word"):
+                self.initial.append((name, "word", None))
+            elif name.startswith("rd") and "_data_" in name:
+                self.initial.append(
+                    (name, "custom", name[2:name.index("_data_")]))
+        # The step's outputs dict lists the hw.output ops in body order,
+        # so the first name with a prefix here is the first key there.
+        self._output_names = [op.attr("name")
+                              for op in module.body.operations
+                              if op.name == "hw.output"]
+        self.mem_raddr = self._first("mem_raddr")
+        rdata = [port for port in module.inputs
+                 if port.name.startswith("mem_rdata")]
+        self.mem_rdata = [port.name for port in rdata]
+        self.mem_bytes = (rdata[0].width if rdata else 32) // 8
+        #: (read-address output, custom register, its read-data inputs).
+        self.custom_reads: List[Tuple[str, str, List[str]]] = []
+        for port in module.outputs:
+            if port.name.startswith("rd") and "_addr_" in port.name:
+                reg = port.name[2:port.name.index("_addr_")]
+                self.custom_reads.append((port.name, reg, [
+                    name for name in inputs
+                    if name.startswith(f"rd{reg}_data")]))
+        self.mem_write = self._write("mem_wdata", "mem_wvalid")
+        self.mem_waddr = self._first("mem_waddr")
+        self._reg_writes: Dict[str, _WritePorts] = {}
+
+    def _first(self, prefix: str) -> Optional[str]:
+        return next((name for name in self._output_names
+                     if name.startswith(prefix)), None)
+
+    def _write(self, data: str, valid: str) -> _WritePorts:
+        return data, valid, self._first(data), self._first(valid)
+
+    def reg_write(self, reg: str) -> _WritePorts:
+        """The ports of a write to register ``reg``: ``rd`` (the GPR
+        destination), ``pc`` or a custom register."""
+        ports = self._reg_writes.get(reg)
+        if ports is None:
+            ports = self._reg_writes[reg] = self._write(
+                f"wr{reg}_data", f"wr{reg}_valid")
+        return ports
+
+
+def _port_plan(module) -> _PortPlan:
+    return module.derived("cosim.ports", lambda: _PortPlan(module))
+
+
+def _initial_inputs(plan: _PortPlan, state: ArchState,
+                    fields: Dict[str, int], word: int) -> Dict[str, int]:
     """RTL input vector of one trial before any read feedback."""
     inputs: Dict[str, int] = {}
-    for port in module.inputs:
-        if port.name.startswith("rs1_data"):
-            inputs[port.name] = state.read_x(fields.get("rs1", 0))
-        elif port.name.startswith("rs2_data"):
-            inputs[port.name] = state.read_x(fields.get("rs2", 0))
-        elif port.name.startswith("pc_data"):
-            inputs[port.name] = state.pc
-        elif port.name.startswith("instr_word"):
-            inputs[port.name] = word
-        elif port.name.startswith("rd") and "_data_" in port.name:
+    for port, source, reg in plan.initial:
+        if source == "rs1":
+            inputs[port] = state.read_x(fields.get("rs1", 0))
+        elif source == "rs2":
+            inputs[port] = state.read_x(fields.get("rs2", 0))
+        elif source == "pc":
+            inputs[port] = state.pc
+        elif source == "word":
+            inputs[port] = word
+        elif reg in state.custom:
             # Custom-register read data: scalar reads have no address port,
             # so resolve them immediately from the pre-state.
-            reg = port.name[2:port.name.index("_data_")]
-            if reg in state.custom:
-                inputs[port.name] = state.read_custom(reg)
+            inputs[port] = state.read_custom(reg)
     return inputs
 
 
-def _feed_reads(module, state: ArchState, inputs: Dict[str, int],
+def _feed_reads(plan: _PortPlan, state: ArchState, inputs: Dict[str, int],
                 outputs: Dict[str, int]) -> bool:
     """Drive the read-data inputs with the data the read-address outputs
     request (memory loads, indexed custom-register reads); True when an
     input changed."""
     changed = False
 
-    def feed(prefix: str, data: int) -> None:
+    def feed(ports: List[str], data: int) -> None:
         nonlocal changed
-        for port in module.inputs:
-            if port.name.startswith(prefix) and inputs.get(port.name) != data:
-                inputs[port.name] = data
+        for port in ports:
+            if inputs.get(port) != data:
+                inputs[port] = data
                 changed = True
 
-    read_addr = _find_output(outputs, "mem_raddr")
-    if read_addr is not None:
-        size = next((p.width for p in module.inputs
-                     if p.name.startswith("mem_rdata")), 32)
-        feed("mem_rdata", state.read_mem(read_addr, size // 8))
-    for port in module.outputs:
-        if port.name.startswith("rd") and "_addr_" in port.name:
-            reg = port.name[2:port.name.index("_addr_")]
-            if reg in state.custom:
-                feed(f"rd{reg}_data",
-                     state.read_custom(reg, outputs[port.name]))
+    if plan.mem_raddr is not None:
+        feed(plan.mem_rdata,
+             state.read_mem(outputs[plan.mem_raddr], plan.mem_bytes))
+    for address, reg, ports in plan.custom_reads:
+        if reg in state.custom:
+            feed(ports, state.read_custom(reg, outputs[address]))
     return changed
 
 
@@ -191,6 +258,7 @@ def cosim_lanes(artifact: IsaxArtifact, name: str, trials: Sequence[Trial],
     re-simulate only the lanes whose read data changed."""
     functionality = artifact.artifact(name)
     module = functionality.module
+    plan = _port_plan(module)
     isa = artifact.isa
     is_instr = functionality.kind == "instruction"
     interp = CoreDSLInterpreter(isa)
@@ -205,7 +273,7 @@ def cosim_lanes(artifact: IsaxArtifact, name: str, trials: Sequence[Trial],
         else:
             word = 0
             effects.append(interp.execute_always(golden_state, name))
-        lanes.append(_initial_inputs(module, state, fields or {}, word))
+        lanes.append(_initial_inputs(plan, state, fields or {}, word))
 
     # An instruction runs until its pipeline drains; an always-block is
     # one combinational cycle.
@@ -215,7 +283,7 @@ def cosim_lanes(artifact: IsaxArtifact, name: str, trials: Sequence[Trial],
     pending = list(range(len(lanes)))
     for _round in range(3):
         pending = [lane for lane in pending
-                   if _feed_reads(module, trials[lane][0], lanes[lane],
+                   if _feed_reads(plan, trials[lane][0], lanes[lane],
                                   outputs[lane])]
         if not pending:
             break
@@ -223,7 +291,7 @@ def cosim_lanes(artifact: IsaxArtifact, name: str, trials: Sequence[Trial],
         for lane, lane_outputs in zip(pending, resimulated):
             outputs[lane] = lane_outputs
     return [
-        _compare(functionality, lane_effects, lane_outputs, inputs)
+        _compare(functionality, plan, lane_effects, lane_outputs, inputs)
         for lane_effects, lane_outputs, inputs
         in zip(effects, outputs, lanes)
     ]
@@ -244,15 +312,16 @@ def cosim_always(artifact: IsaxArtifact, name: str,
     return cosim_lanes(artifact, name, [(state, None)], sim_engine)[0]
 
 
-def _compare(functionality: FunctionalityArtifact, effects: List[Effect],
-             outputs: Dict[str, int],
+def _compare(functionality: FunctionalityArtifact, plan: _PortPlan,
+             effects: List[Effect], outputs: Dict[str, int],
              inputs: Dict[str, int]) -> CosimResult:
     mismatches: List[Mismatch] = []
 
-    def check(kind: str, expect_value: Optional[int], data_prefix: str,
-              valid_prefix: str, width: int = 32) -> None:
-        valid = _find_output(outputs, valid_prefix)
-        data = _find_output(outputs, data_prefix)
+    def check(kind: str, expect_value: Optional[int], ports: _WritePorts,
+              width: int = 32) -> None:
+        data_prefix, valid_prefix, data_port, valid_port = ports
+        valid = None if valid_port is None else outputs[valid_port]
+        data = None if data_port is None else outputs[data_port]
         if expect_value is None:
             if valid not in (None, 0):
                 mismatches.append(Mismatch(
@@ -274,28 +343,27 @@ def _compare(functionality: FunctionalityArtifact, effects: List[Effect],
                       f"golden={to_unsigned(expect_value, width):#x}"))
 
     gpr = next((e for e in effects if e.kind == "gpr"), None)
-    check("gpr", gpr.value if gpr else None, "wrrd_data", "wrrd_valid")
+    check("gpr", gpr.value if gpr else None, plan.reg_write("rd"))
 
     pc = next((e for e in effects if e.kind == "pc"), None)
-    check("pc", pc.value if pc else None, "wrpc_data", "wrpc_valid")
+    check("pc", pc.value if pc else None, plan.reg_write("pc"))
 
     mem = next((e for e in effects if e.kind == "mem"), None)
     if mem is not None:
-        check("mem.data", mem.value, "mem_wdata", "mem_wvalid",
-              width=mem.width)
-        waddr = _find_output(outputs, "mem_waddr")
-        if waddr is not None and waddr != mem.index:
-            mismatches.append(Mismatch(
-                "mem.addr", f"rtl={waddr:#x} golden={mem.index:#x}"))
+        check("mem.data", mem.value, plan.mem_write, width=mem.width)
+        if plan.mem_waddr is not None:
+            waddr = outputs[plan.mem_waddr]
+            if waddr != mem.index:
+                mismatches.append(Mismatch(
+                    "mem.addr", f"rtl={waddr:#x} golden={mem.index:#x}"))
     else:
-        check("mem", None, "mem_wdata", "mem_wvalid")
+        check("mem", None, plan.mem_write)
 
     for effect in effects:
         if effect.kind != "custom":
             continue
         check(f"custom.{effect.name}", effect.value,
-              f"wr{effect.name}_data", f"wr{effect.name}_valid",
-              width=effect.width)
+              plan.reg_write(effect.name), width=effect.width)
 
     return CosimResult(
         functionality=functionality.name,

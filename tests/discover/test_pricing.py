@@ -101,6 +101,9 @@ class TestCacheKeys:
         assert _request(full_cover, fold=True).cache_key("fp") != base
         assert _request(full_cover, core="ORCA").cache_key("fp") != base
         assert _request(full_cover).cache_key("other-fp") != base
+        assert _request(full_cover, kernel="k2").cache_key("fp") != base
+        assert _request(full_cover,
+                        params={"n": 64}).cache_key("fp") != base
 
     def test_specs_carry_keys_and_labels(self, full_cover):
         specs = build_specs([_request(full_cover, fold=True)], "fp")
@@ -131,6 +134,23 @@ class TestFanOut:
         assert warm_stats == {"requested": 2, "executed": 0, "cached": 2,
                               "failed": 0}
         assert warm_records[0]["speedup"] == records[0]["speedup"]
+
+    def test_each_kernel_size_is_priced_on_its_own(self, kernel,
+                                                   full_cover, tmp_path):
+        """One candidate of one kernel at two sizes shares its structural
+        digest and the call's one fingerprint; each request still gets
+        the cycles of its own size."""
+        requests = [_request(full_cover, params={"n": 64}),
+                    _request(full_cover)]
+        records, stats = price_candidates(
+            requests, kernel.fingerprint(),
+            executor=BatchExecutor(workers=1,
+                                   cache=ArtifactCache(tmp_path / "c")))
+        assert stats["executed"] == 2
+        expected = [run_pricing_payload(r.payload())["cycles"]
+                    for r in requests]
+        assert expected[0] != expected[1]
+        assert [r["cycles"] for r in records] == expected
 
     def test_transport_failure_becomes_synthetic_record(self, full_cover,
                                                         kernel):

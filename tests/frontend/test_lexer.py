@@ -54,6 +54,12 @@ class TestBasics:
         assert toks[0].loc.line == 1 and toks[0].loc.column == 1
         assert toks[1].loc.line == 2 and toks[1].loc.column == 3
 
+    def test_locations_after_a_multiline_string(self):
+        toks = tokenize('import "a\nb";\nx')
+        assert toks[1].text == "a\nb"
+        assert (toks[2].loc.line, toks[2].loc.column) == (2, 3)
+        assert (toks[3].loc.line, toks[3].loc.column) == (3, 1)
+
 
 class TestNumbers:
     def test_decimal(self):

@@ -78,10 +78,12 @@ def sized_literals(draw):
 
 @st.composite
 def strings(draw):
-    plain = st.text(st.characters(blacklist_characters='"\\\n',
+    plain = st.text(st.characters(blacklist_characters='"\\',
                                   blacklist_categories=("Cs",)), max_size=6)
-    escape = st.sampled_from(['\\"', "\\\\", "\\n", "\\t", "\\x"])
-    parts = draw(st.lists(st.one_of(plain, escape), max_size=5))
+    escape = st.sampled_from(['\\"', "\\\\", "\\n", "\\t", "\\x", "\\\n"])
+    # A raw newline in a string moves the lines of every later token.
+    parts = draw(st.lists(st.one_of(plain, escape, st.just("\n")),
+                          max_size=5))
     return ("string", "".join(parts), None, None, False)
 
 

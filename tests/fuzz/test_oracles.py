@@ -213,6 +213,30 @@ def test_batchsim_and_rangesound_share_one_interpreter_run(monkeypatch):
     assert engines == ["interp", "compiled"]
 
 
+def test_irverify_verifies_each_shared_graph_once(monkeypatch):
+    """The cores share one front end: each lil graph is verified once, and
+    its error is still reported on every core."""
+    from repro.analysis import verifier
+    from repro.fuzz.oracles import DEFAULT_CORES
+    from repro.utils.diagnostics import Diagnostic, Severity
+
+    verified = []
+    real = verifier.verify_graph
+
+    def planted(graph):
+        verified.append(graph)
+        return real(graph) + [Diagnostic("IV999", Severity.ERROR,
+                                         "planted finding")]
+
+    monkeypatch.setattr(verifier, "verify_graph", planted)
+    report = run_oracles(XOR_ISAX, trials=2, oracles=("irverify",))
+    assert len(verified) == len(set(map(id, verified))) == 1
+    assert [(f.kind, f.core) for f in report.failures] == [
+        ("irverify", core) for core in DEFAULT_CORES]
+    assert len({f.detail for f in report.failures}) == 1
+    assert "planted finding [IV999]" in report.failures[0].detail
+
+
 def test_rangesound_reuses_the_facts_irverify_computed():
     """The default stack analyzes each hardware module once: irverify's
     range checks fill the module's memo and rangesound hits it."""

@@ -7,6 +7,10 @@ must bring that down to one codegen per module, across an
 arbitrary number of trials and simulator constructions.  The memo freezes
 the module on first use, so an edit after simulating raises, and it dies
 with the module, so simulating leaks nothing.
+
+Equal step texts share one code object (:func:`compile_text`), which must
+carry no table of any one module; and the inlined step text must keep
+the netlist's evaluation under any nesting.
 """
 
 import gc
@@ -17,14 +21,16 @@ import weakref
 import pytest
 
 from repro import compile_isax
-from repro.ir.core import IRError
-from repro.isaxes import AUTOINC
+from repro.dialects.hw import HWModule
+from repro.ir.core import IRError, Operation
+from repro.isaxes import AUTOINC, SQRT_DECOUPLED, SQRT_TIGHTLY
 from repro.sim import (
     RTLSimulator,
     clear_compile_cache,
     compile_cache_stats,
     verify_artifact,
 )
+from repro.sim.compile import compile_module, compile_text, crosscheck_engines
 
 XOR_ISAX = '''import "RV32I.core_desc"
 
@@ -144,3 +150,85 @@ def test_threads_first_simulating_one_module_agree():
     assert errors == []
     assert len(traces) == 4
     assert all(trace == traces[0] for trace in traces)
+
+
+def test_equal_step_texts_compile_once():
+    """sqrt_tightly and sqrt_decoupled generate one fsqrt step text: two
+    codegens, one compile; clearing the cache empties the memo."""
+    modules = [compile_isax(source, "VexRiscv", opt=2).artifact("fsqrt")
+               .module for source in (SQRT_TIGHTLY, SQRT_DECOUPLED)]
+    clear_compile_cache()
+    first, second = (compile_module(module) for module in modules)
+    assert first.source == second.source
+    stats = compile_cache_stats()
+    assert (stats["scalar"], stats["compiles"], stats["code_hits"]) == (
+        2, 1, 1)
+    clear_compile_cache()
+    assert compile_text.cache_info().currsize == 0
+    assert compile_cache_stats() == {"scalar": 0, "schedules": 0,
+                                     "compiles": 0, "code_hits": 0}
+
+
+def _rom_module(values):
+    module = HWModule("lookup")
+    index = module.add_input("index", 2)
+    rom = Operation("comb.rom", [index], [(8, None)], {"values": values})
+    module.body.append(rom)
+    module.add_output("data", rom.result)
+    return module
+
+
+def test_shared_code_reads_each_modules_own_table():
+    """Two ROMs of one shape give one text and one compile; each module
+    still reads its own table."""
+    tables = ([11, 22, 33, 44], [55, 66, 77, 88])
+    modules = [_rom_module(values) for values in tables]
+    clear_compile_cache()
+    sims = [RTLSimulator(module, engine="compiled") for module in modules]
+    assert compile_module(modules[0]).source == \
+        compile_module(modules[1]).source
+    assert compile_cache_stats()["compiles"] == 1
+    for sim, values in zip(sims, tables):
+        assert [sim.step({"index": i})["data"] for i in range(4)] == values
+
+
+def _chain_module(length):
+    """``length`` single-use ops in a chain, from an input and a register
+    back to that register."""
+    module = HWModule("chain")
+    value = module.add_input("a", 8)
+    reg = Operation("seq.compreg", [value], [(8, None)], {"name": "r"})
+    module.body.append(reg)
+    kinds = ("comb.xor", "comb.add", "comb.not", "comb.sub", "comb.mul")
+    for step in range(length):
+        kind = kinds[step % len(kinds)]
+        operands = [value] if kind == "comb.not" else [value, reg.result]
+        op = Operation(kind, operands, [(8, None)])
+        module.body.append(op)
+        value = op.result
+    reg.set_operand(0, value)
+    module.add_output("r", reg.result)
+    return module
+
+
+def test_long_single_use_chain_compiles_and_matches_interp():
+    """Inlining stops under the parser's nesting limit, and the chain
+    still runs cycle for cycle like the interpreter."""
+    module = _chain_module(1000)
+    assert crosscheck_engines(module, cycles=12, seed=4) is None
+    assert RTLSimulator(module, engine="compiled").engine == "compiled"
+
+
+@pytest.mark.parametrize("inner, outer", [
+    ("comb.xor", "comb.and"), ("comb.or", "comb.xor"),
+    ("comb.add", "comb.mul"), ("comb.sub", "comb.shl")])
+def test_inlined_operands_keep_their_grouping(inner, outer):
+    """``(a ^ b) & c`` and friends: an inlined operand stays grouped."""
+    module = HWModule("grouping")
+    a, b, c = (module.add_input(name, 8) for name in "abc")
+    first = Operation(inner, [a, b], [(8, None)])
+    module.body.append(first)
+    second = Operation(outer, [first.result, c], [(8, None)])
+    module.body.append(second)
+    module.add_output("y", second.result)
+    assert crosscheck_engines(module, cycles=64, seed=1) is None

@@ -12,6 +12,7 @@ from repro.frontend import elaborate
 from repro.isaxes import SPARKLE, ZOL
 from repro.scaiev.cores import CORES, EXPERIMENTAL_CORES
 from repro.sim import ArchState, CoreDSLInterpreter, coredsl_interp
+from repro.sim.compile import clear_compile_cache, compile_cache_stats
 from repro.sim.cosim import verify_artifact
 
 
@@ -128,3 +129,48 @@ def test_coredsl_names_cannot_capture_generated_ones():
                 {back.get(k, k): v for k, v in state.custom.items()}))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0], "the behavior recorded no effects"
+
+
+SHARED = """
+import "RV32I.core_desc"
+InstructionSet {isa} extends RV32I {{
+  architectural_state {{
+    const unsigned<8> T[2] = {{{table}}};
+  }}
+  functions {{
+    unsigned<32> mix(unsigned<32> x) {{
+      return (unsigned<32>) ({body});
+    }}
+  }}
+  instructions {{
+    MIX {{
+      encoding: 7'd0 :: rs2[4:0] :: rs1[4:0] :: 3'b000 :: rd[4:0]
+                :: 7'b0001011;
+      behavior: {{
+        X[rd] = (unsigned<32>) (mix(X[rs1]) + T[X[rs2][0:0]]);
+      }}
+    }}
+  }}
+}}
+"""
+
+
+def test_isas_share_an_identical_instruction_but_not_its_callees():
+    """The instruction's text is compiled once for both ISAs; each ISA's
+    copy still calls its own ``mix`` and reads its own table."""
+    isas = [elaborate(SHARED.format(isa="share_a", table="3, 5",
+                                    body="x + 1")),
+            elaborate(SHARED.format(isa="share_b", table="7, 9",
+                                    body="x ^ 0xff"))]
+    clear_compile_cache()
+    results = []
+    for isa in isas:
+        state = ArchState(isa)
+        state.xregs[1], state.xregs[2] = 0x100, 1
+        word = isa.instructions["MIX"].encoding.encode(
+            {"rs1": 1, "rs2": 2, "rd": 3})
+        CoreDSLInterpreter(isa).execute_instruction(state, "MIX", word)
+        results.append(state.xregs[3])
+    assert results == [0x100 + 1 + 5, (0x100 ^ 0xff) + 9]
+    stats = compile_cache_stats()
+    assert (stats["compiles"], stats["code_hits"]) == (3, 1)
