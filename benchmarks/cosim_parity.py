@@ -38,6 +38,12 @@ The ``discover`` key holds the records of :func:`discover` on
 the run-dependent ``seconds`` and ``cached`` fields: the verdict, gate,
 cycles, baseline cycles, speedup and area of every priced variant.
 
+The ``enumerate`` key holds the candidate lists of
+:func:`enumerate_candidates` with default limits, in order, each candidate
+with its nodes, inputs, output, carries, loads and digest: for
+``array_sum`` and ``audio_ml``, and for :func:`random_kernel` at seeds
+0-49 and sizes 4, 6 and 8.
+
 ``--compare BASE HEAD`` prints which top-level keys differ between two
 dumps, or that none do::
 
@@ -52,6 +58,8 @@ import hashlib
 import json
 import random
 
+from repro.discover.enumerate import enumerate_candidates
+from repro.discover.kernel import random_kernel, resolve_kernel
 from repro.discover.search import DiscoveryConfig, discover
 from repro.fuzz.generator import generate_program
 from repro.fuzz.oracles import DEFAULT_CORES, run_oracles
@@ -64,6 +72,7 @@ from repro.sim.cosim import cosim_lanes, draw_trials, verify_artifact
 ENGINES = ("interp", "compiled", "batched")
 GRID_TRIALS, FUZZ_TRIALS, FUZZ_COSIM_SEED = 25, 8, 5
 DISCOVER_KERNELS = ("array_sum", "audio_ml")
+ENUMERATE_SEEDS, ENUMERATE_SIZES = range(50), (4, 6, 8)
 
 
 def fuzz_corpus(programs: int = 13, pool: int = 16) -> list:
@@ -122,6 +131,12 @@ def discovery_records(kernel: str) -> list:
             for record in report.records]
 
 
+def enumeration(kernel) -> list:
+    """Every candidate of a default enumeration, in order."""
+    return [dataclasses.asdict(candidate)
+            for candidate in enumerate_candidates(kernel)]
+
+
 def verdict(report) -> list:
     return [report.ok, [[f.kind, f.core, f.detail] for f in report.failures]]
 
@@ -152,6 +167,12 @@ def main() -> None:
                  "golden": {}}
     doc["discover"] = {kernel: discovery_records(kernel)
                        for kernel in DISCOVER_KERNELS}
+    doc["enumerate"] = {kernel: enumeration(resolve_kernel(kernel))
+                        for kernel in DISCOVER_KERNELS}
+    for seed in ENUMERATE_SEEDS:
+        for size in ENUMERATE_SIZES:
+            doc["enumerate"][f"random/{seed}/{size}"] = enumeration(
+                random_kernel(seed, size))
     for isax in sorted(ALL_ISAXES):
         for core in (*CORES, *EXPERIMENTAL_CORES):
             doc["hardware"][f"{isax}@{core}/O0"] = fingerprint(

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.discover.kernel import BINARY_OPS, Kernel
+from repro.discover.kernel import BINARY_OPS, LEAF_OPS, Kernel
 
 #: operations whose operand order does not matter for isomorphism
 _COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor"})
@@ -63,64 +64,149 @@ class Candidate:
 
 
 class _Analysis:
-    """Precomputed structure shared by every subset check."""
+    """Precomputed structure shared by every subset check.
+
+    A node set is an int: node ``ids[i]`` is bit ``i``, so reading the
+    bits from low to high visits the nodes in ascending id.  Each per-node
+    list below is indexed by bit position.
+    """
 
     def __init__(self, kernel: Kernel) -> None:
-        self.kernel = kernel
-        self.by_id = kernel.node_by_id
-        self.users = kernel.users()
+        users = kernel.users()
         self.op_ids = [n.id for n in kernel.op_nodes()]
-        self.op_set = set(self.op_ids)
-        # ancestors[v] = every node reachable walking operand edges from v
-        self.ancestors: Dict[int, Set[int]] = {}
+        self.ids = sorted(node.id for node in kernel.nodes)
+        position = {node_id: i for i, node_id in enumerate(self.ids)}
+        self.position = position
+        size = len(self.ids)
+        self.operands = [0] * size      # direct operands
+        self.user_masks = [0] * size    # direct users
+        self.ancestors = [0] * size     # reachable along operand edges
+        self.descendants = [0] * size   # reachable along user edges
+        self.neighbours = [0] * size    # adjacent op nodes (connectivity)
+        self.op_mask = self.const_mask = self.load_mask = 0
+        carry_leaf: Dict[str, int] = {}
         for node in kernel.nodes:              # topological by construction
-            anc: Set[int] = set()
+            i = position[node.id]
             for operand in node.operands:
-                anc.add(operand)
-                anc |= self.ancestors[operand]
-            self.ancestors[node.id] = anc
-        self.descendants: Dict[int, Set[int]] = {n.id: set()
-                                                 for n in kernel.nodes}
+                j = position[operand]
+                self.operands[i] |= 1 << j
+                self.ancestors[i] |= (1 << j) | self.ancestors[j]
+            if node.op == "const":
+                self.const_mask |= 1 << i
+            elif node.op == "carry":
+                carry_leaf[node.attr("name")] = i
+            elif node.op not in LEAF_OPS:
+                self.op_mask |= 1 << i
+                if node.op == "load":
+                    self.load_mask |= 1 << i
         for node in reversed(kernel.nodes):
-            desc: Set[int] = set()
-            for user in self.users[node.id]:
-                desc.add(user)
-                desc |= self.descendants[user]
-            self.descendants[node.id] = desc
-        # undirected adjacency restricted to op nodes (for connectivity)
-        self.adjacent: Dict[int, Set[int]] = {i: set() for i in self.op_ids}
-        for node in kernel.op_nodes():
-            for operand in node.operands:
-                if operand in self.op_set:
-                    self.adjacent[node.id].add(operand)
-                    self.adjacent[operand].add(node.id)
-        self.carry_leaf: Dict[str, int] = {}
-        for node in kernel.nodes:
-            if node.op == "carry":
-                self.carry_leaf[node.attr("name")] = node.id
+            i = position[node.id]
+            for user in users[node.id]:
+                j = position[user]
+                self.user_masks[i] |= 1 << j
+                self.descendants[i] |= (1 << j) | self.descendants[j]
+        for node_id in self.op_ids:
+            i = position[node_id]
+            self.neighbours[i] = ((self.operands[i] | self.user_masks[i])
+                                  & self.op_mask)
+        #: per carry, in declaration order: (name, update bit, leaf bit,
+        #: readers of the leaf)
+        self.carries: List[Tuple[str, int, int, int]] = []
+        self.update_mask = 0
+        for name, spec in kernel.carries.items():
+            leaf = carry_leaf[name]
+            update = 1 << position[spec.update]
+            self.carries.append((name, update, 1 << leaf,
+                                 self.user_masks[leaf]))
+            self.update_mask |= update
 
+    # -- conversions -------------------------------------------------------
+    def mask_of(self, subset: Iterable[int]) -> int:
+        position = self.position
+        mask = 0
+        for node_id in subset:
+            mask |= 1 << position[node_id]
+        return mask
+
+    def ids_of(self, mask: int) -> List[int]:
+        """The node ids of ``mask``, ascending."""
+        ids = self.ids
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(ids[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def union(self, masks: List[int], subset: int) -> int:
+        """OR of ``masks[i]`` over the bits ``i`` of ``subset``."""
+        out = 0
+        while subset:
+            low = subset & -subset
+            out |= masks[low.bit_length() - 1]
+            subset ^= low
+        return out
+
+    # -- subset checks -----------------------------------------------------
     def is_convex(self, subset: FrozenSet[int]) -> bool:
-        # S is convex iff no node outside S lies on a path between two
-        # members: i.e. nobody outside has both an ancestor and a
-        # descendant inside S.
-        for node_id in self.op_set - subset:
-            if (self.ancestors[node_id] & subset
-                    and self.descendants[node_id] & subset):
-                return False
-        return True
+        mask = self.mask_of(subset)
+        return self.convex(mask, self.union(self.descendants, mask),
+                           self.union(self.ancestors, mask))
+
+    def convex(self, subset: int, descendants: int, ancestors: int) -> bool:
+        # S is convex iff no op node outside S lies on a path between two
+        # members: nobody outside is both a descendant of one member and
+        # an ancestor of another.
+        return not descendants & ancestors & ~subset & self.op_mask
 
     def is_connected(self, subset: FrozenSet[int]) -> bool:
+        return self.connected(self.mask_of(subset))
+
+    def connected(self, subset: int) -> bool:
         if not subset:
             return False
-        seen = set()
-        stack = [next(iter(subset))]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.adjacent[current] & subset - seen)
-        return seen == subset
+        reached = frontier = subset & -subset
+        while frontier:
+            frontier = self.union(self.neighbours, frontier) & subset \
+                & ~reached
+            reached |= frontier
+        return reached == subset
+
+    # -- interface accounting ----------------------------------------------
+    def promotion(self, subset: int,
+                  promote_state: bool) -> Tuple[List[str], int, int]:
+        """``(promoted carry names, sorted; their leaves; the carry updates
+        left unpromoted)``: a carry is promoted iff ``subset`` holds its
+        update and every reader of its leaf."""
+        promoted: List[str] = []
+        leaves = 0
+        unpromoted = self.update_mask
+        if promote_state:
+            for name, update, leaf, readers in self.carries:
+                if update & subset and not readers & ~subset:
+                    promoted.append(name)
+                    leaves |= leaf
+                    unpromoted &= ~update
+        return sorted(promoted), leaves, unpromoted
+
+    def inputs(self, subset: int, operands: int, leaves: int) -> int:
+        """External non-constant operands, promoted carry leaves aside;
+        ``operands`` is the union of the members' operands."""
+        return operands & ~subset & ~leaves & ~self.const_mask
+
+    def outputs(self, subset: int, unpromoted: int) -> int:
+        """Members read outside ``subset``, plus unpromoted carry updates:
+        such an update has no in-graph user (the carry leaf reads it next
+        iteration) but must still land in a register."""
+        outputs = subset & unpromoted
+        user_masks = self.user_masks
+        members = subset
+        while members:
+            low = members & -members
+            if user_masks[low.bit_length() - 1] & ~subset:
+                outputs |= low
+            members ^= low
+        return outputs
 
 
 def classify_io(kernel: Kernel, subset: FrozenSet[int],
@@ -130,43 +216,17 @@ def classify_io(kernel: Kernel, subset: FrozenSet[int],
     promoted_carries, loads)`` with inputs/outputs as sorted node-id lists.
     """
     analysis = analysis or _Analysis(kernel)
-    by_id = analysis.by_id
-    promoted: List[str] = []
-    if promote_state:
-        for name, spec in kernel.carries.items():
-            leaf = analysis.carry_leaf[name]
-            readers = analysis.users[leaf]
-            if spec.update in subset and all(r in subset for r in readers):
-                promoted.append(name)
-    promoted_leaves = {analysis.carry_leaf[name] for name in promoted}
-    promoted_updates = {kernel.carries[name].update for name in promoted}
+    mask = analysis.mask_of(subset)
+    promoted, leaves, unpromoted = analysis.promotion(mask, promote_state)
+    inputs = analysis.inputs(mask, analysis.union(analysis.operands, mask),
+                             leaves)
+    return (analysis.ids_of(inputs),
+            analysis.ids_of(analysis.outputs(mask, unpromoted)),
+            promoted, analysis.ids_of(mask & analysis.load_mask))
 
-    inputs: List[int] = []
-    for node_id in sorted(subset):
-        for operand in by_id[node_id].operands:
-            if operand in subset or operand in promoted_leaves:
-                continue
-            source = by_id[operand]
-            if source.op == "const":
-                continue
-            if operand not in inputs:
-                inputs.append(operand)
 
-    outputs: List[int] = []
-    carry_updates = {spec.update: name
-                     for name, spec in kernel.carries.items()}
-    for node_id in sorted(subset):
-        externally_read = any(user not in subset
-                              for user in analysis.users[node_id])
-        # An unpromoted carry update has no in-graph user (the carry leaf
-        # reads it next iteration) but must still land in a register.
-        is_result = (node_id in carry_updates
-                     and node_id not in promoted_updates)
-        if externally_read or is_result:
-            outputs.append(node_id)
-
-    loads = [i for i in sorted(subset) if by_id[i].op == "load"]
-    return sorted(inputs), outputs, sorted(promoted), loads
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
 
 
 def canonical_digest(kernel: Kernel, subset: FrozenSet[int],
@@ -238,61 +298,98 @@ def enumerate_candidates(kernel: Kernel,
     walk stays bounded on adversarial graphs.
     """
     analysis = _Analysis(kernel)
-    visited: Set[FrozenSet[int]] = set()
+    neighbours, descendants = analysis.neighbours, analysis.descendants
+    ancestors, operands = analysis.ancestors, analysis.operands
+    load_mask = analysis.load_mask
     # Bottom-up growth finds every small candidate; the near-total covers
     # (the headline material: fold the whole loop body into one
     # instruction) sit beyond any affordable breadth-first horizon, so
     # seed them directly: the full op set minus combinations of the
     # memory ops and carry updates.
-    full = frozenset(analysis.op_ids)
-    loads_all = frozenset(i for i in full
-                          if analysis.by_id[i].op == "load")
-    updates = frozenset(spec.update for spec in kernel.carries.values())
-    macro_seeds = [full, full - loads_all, full - updates,
-                   full - loads_all - updates]
-    for load_id in sorted(loads_all):
-        macro_seeds.append(full - {load_id})
-        macro_seeds.append(full - {load_id} - updates)
-    queue: List[FrozenSet[int]] = [s for s in macro_seeds if s]
-    queue.extend(frozenset({i}) for i in analysis.op_ids)
+    full, updates = analysis.op_mask, analysis.update_mask
+    macro_seeds = [full, full & ~load_mask, full & ~updates,
+                   full & ~load_mask & ~updates]
+    loads_left = load_mask
+    while loads_left:
+        load = loads_left & -loads_left
+        loads_left ^= load
+        macro_seeds.append(full & ~load)
+        macro_seeds.append(full & ~load & ~updates)
+    # A queue entry: (subset, size, unions of its members' neighbours,
+    # descendants, ancestors and operands, connected).  ``connected`` is
+    # None where unknown: a subset grown from a connected subset by an
+    # adjacent node is connected, so only the macro seeds and what grows
+    # from a disconnected one need the search.
+    queue: List[Tuple[int, int, int, int, int, int, Optional[bool]]] = []
+    seen: Set[int] = set()
+    for seed in macro_seeds:
+        if seed and seed not in seen:
+            seen.add(seed)
+            queue.append((seed, _popcount(seed),
+                          analysis.union(neighbours, seed),
+                          analysis.union(descendants, seed),
+                          analysis.union(ancestors, seed),
+                          analysis.union(operands, seed), None))
+    for node_id in analysis.op_ids:
+        i = analysis.position[node_id]
+        if 1 << i not in seen:
+            seen.add(1 << i)
+            queue.append((1 << i, 1, neighbours[i], descendants[i],
+                          ancestors[i], operands[i], True))
     by_digest: Dict[str, Candidate] = {}
 
-    while queue:
-        subset = queue.pop(0)
-        if subset in visited or len(visited) >= enum_budget:
+    # Breadth-first over distinct subsets, each queued once, in the order
+    # first reached; the walk ends after ``enum_budget`` of them.
+    head = 0
+    while head < len(queue) and head < enum_budget:
+        subset, size, nbrs, desc, anc, opnds, connected = queue[head]
+        head += 1
+        if size > max_nodes:
             continue
-        visited.add(subset)
+        if connected is None:
+            connected = analysis.connected(subset)
 
-        if len(subset) < max_nodes:
-            frontier: Set[int] = set()
-            for member in subset:
-                frontier |= analysis.adjacent[member]
-            for neighbour in sorted(frontier - subset):
-                grown = subset | {neighbour}
-                if grown not in visited:
-                    queue.append(grown)
+        if size < max_nodes:
+            grown_connected = True if connected else None
+            frontier = nbrs & ~subset
+            while frontier:              # ascending node id
+                low = frontier & -frontier
+                frontier ^= low
+                grown = subset | low
+                if grown in seen:
+                    continue
+                seen.add(grown)
+                i = low.bit_length() - 1
+                queue.append((grown, size + 1, nbrs | neighbours[i],
+                              desc | descendants[i], anc | ancestors[i],
+                              opnds | operands[i], grown_connected))
 
-        if len(subset) > max_nodes:
+        if not connected or not analysis.convex(subset, desc, anc):
             continue
-        if not analysis.is_connected(subset):
+        promoted, leaves, unpromoted = analysis.promotion(subset,
+                                                          promote_state)
+        inputs = analysis.inputs(subset, opnds, leaves)
+        if _popcount(inputs) > max_inputs:
             continue
-        if not analysis.is_convex(subset):
+        loads = subset & load_mask
+        if _popcount(loads) > max_mem:
             continue
-        inputs, outputs, promoted, loads = classify_io(
-            kernel, subset, analysis, promote_state=promote_state)
-        if len(inputs) > max_inputs or len(outputs) > max_outputs:
+        outputs = analysis.outputs(subset, unpromoted)
+        if _popcount(outputs) > max_outputs:
             continue
-        if len(loads) > max_mem:
-            continue
-        digest = canonical_digest(kernel, subset, inputs, promoted)
+        nodes = analysis.ids_of(subset)
+        input_ids = analysis.ids_of(inputs)
+        digest = canonical_digest(kernel, frozenset(nodes), input_ids,
+                                  promoted)
         if digest in by_digest:
             continue
+        output_ids = analysis.ids_of(outputs)
         by_digest[digest] = Candidate(
-            nodes=tuple(sorted(subset)),
-            inputs=tuple(inputs),
-            output=outputs[0] if outputs else None,
+            nodes=tuple(nodes),
+            inputs=tuple(input_ids),
+            output=output_ids[0] if output_ids else None,
             carries=tuple(promoted),
-            loads=tuple(loads),
+            loads=tuple(analysis.ids_of(loads)),
             digest=digest,
         )
 

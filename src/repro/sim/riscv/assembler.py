@@ -53,6 +53,17 @@ _STORE_TYPE = {"sb": 0, "sh": 1, "sw": 2}
 _BRANCH_TYPE = {"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7}
 
 
+def _fit(mnemonic: str, what: str, value: int, low: int, high: int,
+         even: bool = False) -> int:
+    """``value``, or an :class:`AssemblerError` if it lies outside
+    ``low..high`` (or is odd where an even value is required)."""
+    if not low <= value <= high or (even and value % 2):
+        parity = "an even value in " if even else ""
+        raise AssemblerError(
+            f"'{mnemonic}': {what} {value} is outside {parity}{low}..{high}")
+    return value
+
+
 def _reg(token: str) -> int:
     token = token.strip().lower()
     if token in ABI_NAMES:
@@ -164,24 +175,23 @@ class Assembler:
                 (to_unsigned(upper, 20) << 12) | (rd << 7) | 0x37,
                 self._i_type(0x13, rd, 0, rd, lower),
             ]
-        if mnemonic == "lui":
+        if mnemonic in ("lui", "auipc"):
             rd = _reg(ops[0])
-            return [(to_unsigned(self._imm(ops[1], labels, pc), 20) << 12)
-                    | (rd << 7) | 0x37]
-        if mnemonic == "auipc":
-            rd = _reg(ops[0])
-            return [(to_unsigned(self._imm(ops[1], labels, pc), 20) << 12)
-                    | (rd << 7) | 0x17]
-        if mnemonic == "j":
-            return [self._jal(0, self._imm(ops[0], labels, pc, True))]
-        if mnemonic == "jal":
-            if len(ops) == 1:
-                return [self._jal(1, self._imm(ops[0], labels, pc, True))]
-            return [self._jal(_reg(ops[0]),
-                              self._imm(ops[1], labels, pc, True))]
+            upper = _fit(mnemonic, "upper immediate",
+                         self._imm(ops[1], labels, pc), 0, 0xFFFFF)
+            return [(upper << 12) | (rd << 7)
+                    | (0x37 if mnemonic == "lui" else 0x17)]
+        if mnemonic in ("j", "jal"):
+            rd = 0 if mnemonic == "j" else 1
+            if mnemonic == "jal" and len(ops) > 1:
+                rd, ops = _reg(ops[0]), ops[1:]
+            offset = _fit(mnemonic, "offset",
+                          self._imm(ops[0], labels, pc, True),
+                          -(1 << 20), (1 << 20) - 2, even=True)
+            return [self._jal(rd, offset)]
         if mnemonic == "jalr":
             rd = _reg(ops[0])
-            base, offset = self._mem_operand(ops[1], labels, pc)
+            base, offset = self._mem_operand(mnemonic, ops[1], labels, pc)
             return [self._i_type(0x67, rd, 0, base, offset)]
         if mnemonic in _R_TYPE:
             funct3, funct7 = _R_TYPE[mnemonic]
@@ -190,28 +200,32 @@ class Assembler:
                     | (funct3 << 12) | (rd << 7) | 0x33]
         if mnemonic in _I_TYPE:
             rd, rs1 = _reg(ops[0]), _reg(ops[1])
-            imm = self._imm(ops[2], labels, pc)
+            imm = _fit(mnemonic, "immediate", self._imm(ops[2], labels, pc),
+                       -2048, 2047)
             return [self._i_type(0x13, rd, _I_TYPE[mnemonic], rs1, imm)]
         if mnemonic in _SHIFT_TYPE:
             funct3, funct7 = _SHIFT_TYPE[mnemonic]
             rd, rs1 = _reg(ops[0]), _reg(ops[1])
-            shamt = self._imm(ops[2], labels, pc) & 0x1F
+            shamt = _fit(mnemonic, "shift amount",
+                         self._imm(ops[2], labels, pc), 0, 31)
             return [(funct7 << 25) | (shamt << 20) | (rs1 << 15)
                     | (funct3 << 12) | (rd << 7) | 0x13]
         if mnemonic in _LOAD_TYPE:
             rd = _reg(ops[0])
-            base, offset = self._mem_operand(ops[1], labels, pc)
+            base, offset = self._mem_operand(mnemonic, ops[1], labels, pc)
             return [self._i_type(0x03, rd, _LOAD_TYPE[mnemonic], base, offset)]
         if mnemonic in _STORE_TYPE:
             rs2 = _reg(ops[0])
-            base, offset = self._mem_operand(ops[1], labels, pc)
+            base, offset = self._mem_operand(mnemonic, ops[1], labels, pc)
             imm = to_unsigned(offset, 12)
             return [((imm >> 5) << 25) | (rs2 << 20) | (base << 15)
                     | (_STORE_TYPE[mnemonic] << 12) | ((imm & 0x1F) << 7)
                     | 0x23]
         if mnemonic in _BRANCH_TYPE:
             rs1, rs2 = _reg(ops[0]), _reg(ops[1])
-            offset = self._imm(ops[2], labels, pc, relative=True)
+            offset = _fit(mnemonic, "offset",
+                          self._imm(ops[2], labels, pc, relative=True),
+                          -4096, 4094, even=True)
             imm = to_unsigned(offset, 13)
             return [
                 (((imm >> 12) & 1) << 31) | (((imm >> 5) & 0x3F) << 25)
@@ -253,6 +267,9 @@ class Assembler:
                 cursor += 1
         for name, value in list(field_values.items()):
             width = instr.encoding.fields[name].width
+            # A field takes any value of its width, signed or unsigned.
+            _fit(mnemonic, f"field {name}", value, -(1 << (width - 1)),
+                 (1 << width) - 1)
             field_values[name] = to_unsigned(value, width)
         return instr.encoding.encode(field_values)
 
@@ -271,13 +288,15 @@ class Assembler:
             | (rd << 7) | 0x6F
         )
 
-    def _mem_operand(self, token: str, labels: Dict[str, int],
+    def _mem_operand(self, mnemonic: str, token: str, labels: Dict[str, int],
                      pc: int) -> Tuple[int, int]:
         match = re.fullmatch(r"(.*)\(([^)]+)\)", token.strip())
         if not match:
             raise AssemblerError(f"expected offset(reg), got {token!r}")
         offset_text = match.group(1).strip() or "0"
-        return _reg(match.group(2)), self._imm(offset_text, labels, pc)
+        offset = _fit(mnemonic, "offset", self._imm(offset_text, labels, pc),
+                      -2048, 2047)
+        return _reg(match.group(2)), offset
 
 
 def assemble(text: str, isaxes: Optional[List[ElaboratedISA]] = None,

@@ -29,9 +29,10 @@ with autoinc+zol on VexRiscv); the *shape* — linear in n, ISAX ~1.6x faster
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.hls.longnail import IsaxArtifact
+from repro.hls.longnail import FunctionalityArtifact, IsaxArtifact
+from repro.scaiev.config import ScheduleEntry
 from repro.scaiev.datasheet import VirtualDatasheet
 from repro.sim.coredsl_interp import ArchState, CoreDSLInterpreter
 from repro.sim.riscv.isa import ExecutedInstr, RV32ISimulator, SimError
@@ -82,6 +83,27 @@ class TimingReport:
         return self.cycles / max(1, self.instret)
 
 
+class _InstrInfo(NamedTuple):
+    """What the cost model reads of one compiled ISAX instruction."""
+
+    artifact: IsaxArtifact
+    schedule: List[ScheduleEntry]   # its SCAIE-V interface schedule
+    uses_mem: bool                  # RdMem or WrMem in the schedule
+    reads_mem: bool                 # RdMem in the schedule
+    mode: str                       # execution mode, e.g. "decoupled"
+    makespan: int
+
+    @classmethod
+    def of(cls, artifact: IsaxArtifact,
+           functionality: FunctionalityArtifact) -> "_InstrInfo":
+        schedule = functionality.functionality.schedule
+        interfaces = {entry.interface for entry in schedule}
+        return cls(artifact, schedule,
+                   bool(interfaces & {"RdMem", "WrMem"}),
+                   "RdMem" in interfaces, functionality.mode.value,
+                   functionality.schedule.makespan)
+
+
 class CoreTimingModel:
     """Runs a program on one host core with zero or more integrated ISAXes."""
 
@@ -95,7 +117,7 @@ class CoreTimingModel:
         self.artifacts = artifacts or []
         self.state = ArchState()
         self.sim = RV32ISimulator(state=self.state)
-        self._instr_info: Dict[str, Tuple[IsaxArtifact, object]] = {}
+        self._instr_info: Dict[str, _InstrInfo] = {}
         self._always: List[Tuple[CoreDSLInterpreter, str]] = []
         for artifact in self.artifacts:
             if artifact.core_name != datasheet.core_name:
@@ -107,13 +129,17 @@ class CoreTimingModel:
             interp = CoreDSLInterpreter(artifact.isa)
             for name, functionality in artifact.functionalities.items():
                 if functionality.kind == "instruction":
-                    self._instr_info[name] = (artifact, functionality)
+                    self._instr_info[name] = _InstrInfo.of(artifact,
+                                                           functionality)
                 else:
                     self._always.append((interp, name))
         # Decoupled-unit bookkeeping: pending GPR / custom-register results.
         self._pending_x: Dict[int, int] = {}
         self._pending_custom: Dict[str, int] = {}
         self._unit_busy_until: Dict[str, int] = {}
+        # Destination of the previous instruction if it read memory, for the
+        # load-use interlock.
+        self._last_load_rd: Optional[int] = None
         self.cycles = 0
         self.stall_cycles = 0
         self.isax_busy_cycles = 0
@@ -183,11 +209,8 @@ class CoreTimingModel:
             self._last_load_rd = record.rd
         elif record.kind == "isax" and record.rd is not None:
             info = self._instr_info.get(record.isax or "")
-            uses_mem_read = info is not None and any(
-                e.interface == "RdMem"
-                for e in info[1].functionality.schedule
-            )
-            self._last_load_rd = record.rd if uses_mem_read else None
+            reads_mem = info is not None and info.reads_mem
+            self._last_load_rd = record.rd if reads_mem else None
         else:
             self._last_load_rd = None
         return cycles
@@ -195,11 +218,12 @@ class CoreTimingModel:
     def _hazard_wait(self, record: ExecutedInstr) -> int:
         wait = 0
         # Load-use interlock from the previous instruction.
-        last_load = getattr(self, "_last_load_rd", None)
+        last_load = self._last_load_rd
         if (last_load is not None and self.timing.fsm_cpi is None
                 and last_load in record.rs_used):
             wait += self.timing.load_use_penalty
-        if not self.hazard_handling:
+        if not self.hazard_handling or not (self._pending_x
+                                            or self._pending_custom):
             return wait
         # Decoupled-result interlock (SCAIE-V scoreboard).
         ready = 0
@@ -211,8 +235,7 @@ class CoreTimingModel:
         if record.isax is not None:
             info = self._instr_info.get(record.isax)
             if info is not None:
-                _artifact, functionality = info
-                for entry in functionality.functionality.schedule:
+                for entry in info.schedule:
                     name = entry.interface
                     for reg_name, until in self._pending_custom.items():
                         if reg_name in name:
@@ -233,14 +256,9 @@ class CoreTimingModel:
         if info is None:
             # ISAX known functionally but not compiled for this core.
             return 1
-        artifact, functionality = info
-        mode = functionality.mode.value
-        schedule = functionality.functionality
-        makespan = functionality.schedule.makespan
+        artifact, mode, makespan = info.artifact, info.mode, info.makespan
         cycles = 1
-        uses_mem = any(e.interface in ("RdMem", "WrMem")
-                       for e in schedule.schedule)
-        if uses_mem:
+        if info.uses_mem:
             cycles += self.timing.mem_wait
         if record.taken:
             cycles += self.timing.branch_penalty
@@ -262,7 +280,7 @@ class CoreTimingModel:
             self._unit_busy_until[artifact.name] = completion
             if record.rd is not None:
                 self._pending_x[record.rd] = completion
-            for entry in schedule.schedule:
+            for entry in info.schedule:
                 if entry.mode == "decoupled" and entry.interface.endswith(".data"):
                     reg = entry.interface[2:-len(".data")]
                     self._pending_custom[reg] = completion

@@ -5,7 +5,8 @@ import pytest
 
 from repro.frontend import elaborate
 from repro.hls import compile_isax
-from repro.isaxes import ALL_ISAXES, AUTOINC, DOTPROD, SQRT_DECOUPLED, ZOL
+from repro.isaxes import (ALL_ISAXES, AUTOINC, DOTPROD, IJMP,
+                          SQRT_DECOUPLED, ZOL)
 from repro.scaiev import core_datasheet
 from repro.sim.riscv import (
     AssemblerError,
@@ -101,6 +102,68 @@ class TestAssembler:
             assemble("setup_zol bogus=1", isaxes=[isa])
 
 
+class TestAssemblerRanges:
+    """Operands that do not fit their encoding are errors, never wrapped."""
+
+    @pytest.mark.parametrize("text", [
+        "addi a0, x0, 2047", "addi a0, x0, -2048", "lw a0, 2047(a1)",
+        "sw a0, -2048(a1)", "jalr ra, -2048(a1)", "slli a0, a0, 31",
+        "srai a0, a0, 0", "lui a0, 0xFFFFF", "auipc a0, 0",
+    ])
+    def test_edges_of_each_range_assemble(self, text):
+        assert len(assemble(text)) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("addi a0, x0, 2048", "'addi': immediate 2048 is outside -2048..2047"),
+        ("andi a0, a0, -2049", "'andi': immediate -2049"),
+        ("lw a0, 2048(a1)", "'lw': offset 2048 is outside -2048..2047"),
+        ("jalr ra, -2049(a1)", "'jalr': offset -2049"),
+        ("sb a0, 4096(a1)", "'sb': offset 4096"),
+    ])
+    def test_i_type_and_memory_offsets(self, text, message):
+        with pytest.raises(AssemblerError, match=message):
+            assemble(text)
+
+    @pytest.mark.parametrize("amount", [32, 33, -1])
+    def test_shift_amounts(self, amount):
+        with pytest.raises(AssemblerError, match=f"shift amount {amount} "
+                                                 "is outside 0..31"):
+            assemble(f"slli a0, a0, {amount}")
+
+    def test_branch_offsets(self):
+        far = "\n".join(["nop"] * 1024)
+        assert len(assemble(f"start:\n{far}\nbeq x0, x0, start")) == 1025
+        with pytest.raises(AssemblerError,
+                           match=r"'beq': offset 4100 is outside an even "
+                                 r"value in -4096\.\.4094"):
+            assemble(f"beq x0, x0, end\n{far}\nend:")
+        with pytest.raises(AssemblerError, match="'bne': offset 3 is"):
+            assemble("bne a0, a1, 3")
+
+    def test_jump_offsets(self):
+        with pytest.raises(AssemblerError,
+                           match=r"'jal': offset 1048576 is outside an even "
+                                 r"value in -1048576\.\.1048574"):
+            assemble("jal ra, 1048576")
+        with pytest.raises(AssemblerError, match="'j': offset 5 is"):
+            assemble("j 5")
+        assert len(assemble("j -1048576")) == 1
+
+    @pytest.mark.parametrize("text", ["lui a0, 0x100000", "auipc a0, -1"])
+    def test_upper_immediates(self, text):
+        with pytest.raises(AssemblerError, match=r"upper immediate .* is "
+                                                 r"outside 0\.\.1048575"):
+            assemble(text)
+
+    def test_isax_named_field_width(self):
+        isa = elaborate(ZOL)
+        width = isa.instructions["setup_zol"].encoding.fields["uimmL"].width
+        assert assemble(f"setup_zol uimmS=1, uimmL={(1 << width) - 1}",
+                        isaxes=[isa])
+        with pytest.raises(AssemblerError, match=f"field uimmL {1 << width}"):
+            assemble(f"setup_zol uimmS=1, uimmL={1 << width}", isaxes=[isa])
+
+
 class TestISS:
     def test_arithmetic_program(self):
         sim = run_program("li t0, 20\nli t1, 22\nadd t2, t0, t1\necall")
@@ -161,6 +224,48 @@ class TestISS:
         sim.load_words([0xFFFFFFFF])
         with pytest.raises(SimError):
             sim.step()
+
+    def test_illegal_word_raises_with_each_pc(self):
+        from repro.sim.riscv.isa import SimError
+
+        sim = RV32ISimulator(elaborate(DOTPROD))
+        sim.load_words([0xFFFFFFFF, 0xFFFFFFFF])
+        for pc in (0, 4, 0):
+            sim.state.pc = pc
+            with pytest.raises(SimError, match=f"illegal instruction "
+                                               f"0xffffffff at pc={pc:#010x}"):
+                sim.step()
+
+    def test_isax_jump_to_its_own_address(self):
+        """The written PC is the next pc, even where it is the ISAX's own
+        address."""
+        sim = RV32ISimulator(elaborate(IJMP))
+        (word,) = assemble("ijmp t0", isaxes=sim.isax_isas)
+        sim.load_words([word], base=0x100)
+        sim.state.write_x(5, 0x200)
+        for target, taken in ((0x100, True), (0x180, True)):
+            sim.state.write_mem(0x200, target, 4)
+            sim.state.pc = 0x100
+            record = sim.step()
+            assert [(e.kind, e.value) for e in record.effects] == [
+                ("pc", target)]
+            assert (record.next_pc, record.taken) == (target, taken)
+            assert sim.state.pc == target
+
+    def test_isax_jump_costs_a_redirect(self):
+        """A jump to the ISAX's own address redirects like any other."""
+        core = "VexRiscv"
+        ijmp = compile_isax(IJMP, core)
+        program = assemble("li t0, 0x200\nijmp t0", isaxes=[ijmp.isa])
+        cycles = {}
+        for target in (4, 0x40):        # 4: the ijmp's own address
+            model = CoreTimingModel(core_datasheet(core), artifacts=[ijmp])
+            model.load_program(program)
+            model.load_data([target], 0x200)
+            report = model.run(max_instructions=2)
+            assert report.state.pc == target
+            cycles[target] = report.cycles
+        assert cycles[4] == cycles[0x40]
 
 
 class TestTimingModels:
