@@ -44,6 +44,15 @@ with its nodes, inputs, output, carries, loads and digest: for
 ``array_sum`` and ``audio_ml``, and for :func:`random_kernel` at seeds
 0-49 and sizes 4, 6 and 8.
 
+The ``iss`` key pins the instruction-set simulator and the core timing
+models: the Section 5.5 array-sum programs at n = 8 and 33 and the
+Section 5.6 programs, baseline and ISAX, on the four paper cores.  Per
+run it holds a sha256 over every retired record's ``(pc, word, kind, rd,
+rs_used, taken, isax, next_pc)`` and the final registers, and the
+report's cycles, instret, stall and ISAX-busy cycles.  A record's
+``mnemonic`` and ``effects`` are left out: they name and describe the
+instruction, which the timing models do not read.
+
 ``--compare BASE HEAD`` prints which top-level keys differ between two
 dumps, or that none do::
 
@@ -57,6 +66,9 @@ import dataclasses
 import hashlib
 import json
 import random
+from unittest import mock
+
+from repro import workloads
 
 from repro.discover.enumerate import enumerate_candidates
 from repro.discover.kernel import random_kernel, resolve_kernel
@@ -68,10 +80,12 @@ from repro.isaxes import ALL_ISAXES
 from repro.opt.equiv import architectural_trace
 from repro.scaiev.cores import CORES, EXPERIMENTAL_CORES
 from repro.sim.cosim import cosim_lanes, draw_trials, verify_artifact
+from repro.sim.riscv import CoreTimingModel
 
 ENGINES = ("interp", "compiled", "batched")
 GRID_TRIALS, FUZZ_TRIALS, FUZZ_COSIM_SEED = 25, 8, 5
 DISCOVER_KERNELS = ("array_sum", "audio_ml")
+ISS_ARRAY_SIZES = (8, 33)
 ENUMERATE_SEEDS, ENUMERATE_SIZES = range(50), (4, 6, 8)
 
 
@@ -137,6 +151,44 @@ def enumeration(kernel) -> list:
             for candidate in enumerate_candidates(kernel)]
 
 
+class _RecordingModel(CoreTimingModel):
+    """A core timing model that appends a digest of each run to ``runs``."""
+
+    runs: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        digest, step = hashlib.sha256(), self.sim.step
+
+        def recorded():
+            record = step()
+            digest.update(json.dumps([
+                record.pc, record.word, record.kind, record.rd,
+                record.rs_used, record.taken, record.isax,
+                record.next_pc]).encode())
+            return record
+        self.sim.step = recorded
+        self.digest = digest
+
+    def run(self, *args, **kwargs):
+        report = super().run(*args, **kwargs)
+        self.digest.update(json.dumps(
+            [report.state.read_x(i) for i in range(32)]).encode())
+        self.runs.append({"sha256": self.digest.hexdigest(),
+                          "cycles": report.cycles, "instret": report.instret,
+                          "stall_cycles": report.stall_cycles,
+                          "isax_busy_cycles": report.isax_busy_cycles})
+        return report
+
+
+def iss_runs(run) -> list:
+    """Digests of the core-model runs that ``run()`` makes, in order."""
+    _RecordingModel.runs = []
+    with mock.patch.object(workloads, "CoreTimingModel", _RecordingModel):
+        run()
+    return _RecordingModel.runs
+
+
 def verdict(report) -> list:
     return [report.ok, [[f.kind, f.core, f.detail] for f in report.failures]]
 
@@ -173,6 +225,13 @@ def main() -> None:
         for size in ENUMERATE_SIZES:
             doc["enumerate"][f"random/{seed}/{size}"] = enumeration(
                 random_kernel(seed, size))
+    doc["iss"] = {}
+    for core in CORES:
+        for n in ISS_ARRAY_SIZES:
+            doc["iss"][f"array_sum/{n}@{core}"] = iss_runs(
+                lambda: workloads.run_array_sum(n, core))
+        doc["iss"][f"audio_ml@{core}"] = iss_runs(
+            lambda: workloads.run_audio_ml(core))
     for isax in sorted(ALL_ISAXES):
         for core in (*CORES, *EXPERIMENTAL_CORES):
             doc["hardware"][f"{isax}@{core}/O0"] = fingerprint(

@@ -5,10 +5,11 @@ automatically created register data hazard handling that conditionally
 stalls subsequent issue of dependent instructions" — a tailored, lightweight
 scoreboard.  This module plans that hardware: which destinations must be
 tracked, how many pending slots are needed, and which comparators the issue
-stage gains.  The plan is consumed by the evaluation's area model and by the
-core timing model (which uses it to stall dependent instructions), and it
-can be disabled to reproduce Table 4's "without data-hazard handling"
-ablation row.
+stage gains.  The plan is consumed by the integration's area accounting
+(:mod:`repro.scaiev.integrate`), and it can be disabled to reproduce Table
+4's "without data-hazard handling" ablation row.  The core timing model
+(:mod:`repro.sim.riscv.core_model`) does not read it: it stalls dependent
+instructions with its own bookkeeping of pending decoupled results.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ with the value semantics guaranteed by the type system (operators never
 overflow; casts truncate/reinterpret).  Serves as:
 
 * the reference model for co-simulation against the generated RTL,
-* the ISAX executor inside the RV32I instruction-set simulator,
+* the executor of every instruction, base and ISAX, inside the RV32IM
+  instruction-set simulator,
 * the always-block evaluator of the core timing models.
 
 The model is translated, not walked: on the first execution, every
@@ -79,24 +80,25 @@ class ArchState:
 
     def write_x(self, index: int, value: int) -> None:
         if index % 32 != 0:
-            self.xregs[index % 32] = to_unsigned(value, 32)
+            self.xregs[index % 32] = value & 0xFFFFFFFF
 
-    # -- memory ---------------------------------------------------------------
+    # -- memory: byte addresses wrap at 2**32 ---------------------------------
     def read_mem_byte(self, address: int) -> int:
-        return self.memory.get(to_unsigned(address, 32), 0)
+        return self.memory.get(address & 0xFFFFFFFF, 0)
 
     def write_mem_byte(self, address: int, value: int) -> None:
-        self.memory[to_unsigned(address, 32)] = to_unsigned(value, 8)
+        self.memory[address & 0xFFFFFFFF] = value & 0xFF
 
     def read_mem(self, address: int, num_bytes: int) -> int:
-        value = 0
+        memory, value = self.memory, 0
         for i in range(num_bytes - 1, -1, -1):
-            value = (value << 8) | self.read_mem_byte(address + i)
+            value = (value << 8) | memory.get((address + i) & 0xFFFFFFFF, 0)
         return value
 
     def write_mem(self, address: int, value: int, num_bytes: int) -> None:
+        memory = self.memory
         for i in range(num_bytes):
-            self.write_mem_byte(address + i, (value >> (8 * i)) & 0xFF)
+            memory[(address + i) & 0xFFFFFFFF] = (value >> (8 * i)) & 0xFF
 
     # -- custom registers --------------------------------------------------------
     def read_custom(self, name: str, index: int = 0) -> int:
@@ -142,9 +144,15 @@ class CoreDSLInterpreter:
                 self._code = _TRANSLATIONS[self.isa] = _translate(self.isa)
         return self._code
 
+    def behavior(self, name: str) -> Callable:
+        """The compiled behavior of instruction ``name``; call it as
+        ``behavior(state, effects, fields)`` with the word's decoded
+        encoding fields, and it appends its effects."""
+        return self._translation()[0][name]
+
     def execute_instruction(self, state: ArchState, name: str,
                             word: int) -> List[Effect]:
-        behavior = self._translation()[0][name]
+        behavior = self.behavior(name)
         fields = self.isa.instructions[name].encoding.decode(word)
         self.effects = []
         behavior(state, self.effects, fields)

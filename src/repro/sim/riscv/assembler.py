@@ -1,16 +1,29 @@
-"""A small two-pass RV32I assembler with ISAX support.
+"""A small two-pass RV32IM assembler with ISAX support.
 
 Supports the subset needed to write the paper's evaluation programs
-(Section 5.3/5.5): the RV32I base instructions, labels, ``li``/``mv``/``j``
-/``nop``/``ret`` pseudo-instructions, ``.word`` data, and custom ISAX
-instructions.  An ISAX instruction is written with its CoreDSL name; operand
-registers bind to the ``rd``/``rs1``/``rs2`` encoding fields in that order,
-and any other encoding field is given as ``name=value`` (labels are allowed
-as values and resolve to their address):
+(Section 5.3/5.5): labels, ``.word`` data, the ``li``/``mv``/``j``/``nop``
+/``ret`` pseudo-instructions, and every instruction of the RV32IM
+description (:func:`~repro.sim.riscv.isa.base_isa`) and of the given ISAXes.
+An instruction is written with its CoreDSL name and encoded with its
+``Encoding``; its operands bind to the encoding fields:
 
+* ``off(reg)`` binds ``imm`` and ``rs1``;
+* register operands bind ``rd``, ``rs1`` and ``rs2`` in that order,
+  skipping any already bound;
+* ``name=value`` binds a named field (labels resolve to their address);
+* a remaining plain value binds the one other field; a label there is
+  PC-relative for branches and ``jal``.
+
+::
+
+    sw       a0, -4(sp)
+    beq      a0, a1, loop
     dotp     x5, x3, x4
-    setup_ai x3
     setup_zol uimmS=loop_end, uimmL=7
+
+A base instruction's ``imm`` is signed, with any unencoded low bits zero;
+its ``uimm`` and ``shamt`` are unsigned.  An ISAX field takes any value of
+its width, signed or unsigned.
 """
 
 from __future__ import annotations
@@ -18,7 +31,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.frontend.elaboration import ElaboratedISA
+from repro.frontend.elaboration import ElabInstruction, ElaboratedISA, EncodingField
+from repro.sim.riscv.isa import BASE_KINDS, base_isa
 from repro.utils.bits import to_unsigned
 
 
@@ -35,49 +49,66 @@ ABI_NAMES = {
     "t3": 28, "t4": 29, "t5": 30, "t6": 31,
 }
 
-_R_TYPE = {
-    "add": (0, 0x00), "sub": (0, 0x20), "sll": (1, 0x00), "slt": (2, 0x00),
-    "sltu": (3, 0x00), "xor": (4, 0x00), "srl": (5, 0x00), "sra": (5, 0x20),
-    "or": (6, 0x00), "and": (7, 0x00),
-    # RV32M
-    "mul": (0, 0x01), "mulh": (1, 0x01), "mulhsu": (2, 0x01),
-    "mulhu": (3, 0x01), "div": (4, 0x01), "divu": (5, 0x01),
-    "rem": (6, 0x01), "remu": (7, 0x01),
-}
-_I_TYPE = {
-    "addi": 0, "slti": 2, "sltiu": 3, "xori": 4, "ori": 6, "andi": 7,
-}
-_SHIFT_TYPE = {"slli": (1, 0x00), "srli": (5, 0x00), "srai": (5, 0x20)}
-_LOAD_TYPE = {"lb": 0, "lh": 1, "lw": 2, "lbu": 4, "lhu": 5}
-_STORE_TYPE = {"sb": 0, "sh": 1, "sw": 2}
-_BRANCH_TYPE = {"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7}
+#: Every register name: ABI names and x0..x31.
+_REGISTER_NAMES = {**ABI_NAMES, **{f"x{i}": i for i in range(32)}}
+
+_REGISTERS = ("rd", "rs1", "rs2")
+
+#: What each unsigned base field is called in range errors.
+_UNSIGNED = {"uimm": "upper immediate", "shamt": "shift amount"}
+
+#: The fields every base instruction that has them must be given.
+_REQUIRED = frozenset((*_REGISTERS, "imm", *_UNSIGNED))
+
+#: ``off(reg)``
+_MEMORY = re.compile(r"(.*)\(([^)]+)\)")
 
 
 def _fit(mnemonic: str, what: str, value: int, low: int, high: int,
-         even: bool = False) -> int:
+         step: int = 1) -> int:
     """``value``, or an :class:`AssemblerError` if it lies outside
-    ``low..high`` (or is odd where an even value is required)."""
-    if not low <= value <= high or (even and value % 2):
-        parity = "an even value in " if even else ""
+    ``low..high`` (or is not a multiple of ``step``)."""
+    if not low <= value <= high or value % step:
+        parity = {1: "", 2: "an even value in "}.get(
+            step, f"a multiple of {step} in ")
         raise AssemblerError(
             f"'{mnemonic}': {what} {value} is outside {parity}{low}..{high}")
     return value
 
 
+def _register(token: str) -> Optional[int]:
+    """The register ``token`` names, or None."""
+    return _REGISTER_NAMES.get(token.strip().lower())
+
+
 def _reg(token: str) -> int:
-    token = token.strip().lower()
-    if token in ABI_NAMES:
-        return ABI_NAMES[token]
-    if re.fullmatch(r"x([0-9]|[12][0-9]|3[01])", token):
-        return int(token[1:])
-    raise AssemblerError(f"invalid register {token!r}")
+    register = _register(token)
+    if register is None:
+        raise AssemblerError(f"invalid register {token.strip().lower()!r}")
+    return register
+
+
+def _expand(mnemonic: str, ops: List[str]) -> Tuple[str, List[str]]:
+    """The instruction and operands a pseudo-instruction stands for."""
+    if mnemonic == "nop":
+        return "addi", ["x0", "x0", "0"]
+    if mnemonic == "ret":
+        return "jalr", ["x0", "0(ra)"]
+    if mnemonic == "mv":
+        return "addi", [*ops, "0"]
+    if mnemonic == "j":
+        return "jal", ["x0", *ops]
+    if mnemonic == "jal" and len(ops) == 1:
+        return "jal", ["ra", *ops]
+    return mnemonic, ops
 
 
 class Assembler:
     def __init__(self, isaxes: Optional[List[ElaboratedISA]] = None,
                  base: int = 0):
         self.base = base
-        self.isax_instructions = {}
+        self.base_instructions = base_isa().isa.instructions
+        self.isax_instructions: Dict[str, ElabInstruction] = {}
         for isa in (isaxes or []):
             for name, instr in isa.instructions.items():
                 self.isax_instructions[name.lower()] = instr
@@ -151,152 +182,105 @@ class Assembler:
     # -------------------------------------------------------------- encode
     def _encode(self, mnemonic: str, ops: List[str],
                 labels: Dict[str, int], pc: int) -> List[int]:
-        if mnemonic == ".word":
-            return [to_unsigned(self._imm(ops[0], labels, pc), 32)]
-        if mnemonic == "nop":
-            return [0x00000013]
-        if mnemonic == "ecall":
-            return [0x00000073]
-        if mnemonic == "ebreak":
-            return [0x00100073]
-        if mnemonic == "ret":
-            return [self._i_type(0x67, 0, 0, 1, 0)]
-        if mnemonic == "mv":
-            return [self._i_type(0x13, _reg(ops[0]), 0, _reg(ops[1]), 0)]
-        if mnemonic == "li":
-            rd = _reg(ops[0])
-            value = self._imm(ops[1], labels, pc)
-            is_label = ops[1].strip() in labels
-            if not is_label and -2048 <= value < 2048:
-                return [self._i_type(0x13, rd, 0, 0, value)]
+        if mnemonic in (".word", "li"):
+            # A value a 32-bit register can hold, read signed or unsigned.
+            value = _fit(mnemonic, "value" if mnemonic == ".word" else "immediate",
+                         self._imm(ops[-1], labels, pc), -(1 << 31), (1 << 32) - 1)
+            if mnemonic == ".word":
+                return [to_unsigned(value, 32)]
+            rd = ops[0]
+            if ops[1].strip() not in labels and -2048 <= value < 2048:
+                return [self._bind(mnemonic, "addi", [rd, "x0", str(value)],
+                                   labels, pc)]
             upper = (value + 0x800) >> 12
-            lower = value - (upper << 12)
-            return [
-                (to_unsigned(upper, 20) << 12) | (rd << 7) | 0x37,
-                self._i_type(0x13, rd, 0, rd, lower),
-            ]
-        if mnemonic in ("lui", "auipc"):
-            rd = _reg(ops[0])
-            upper = _fit(mnemonic, "upper immediate",
-                         self._imm(ops[1], labels, pc), 0, 0xFFFFF)
-            return [(upper << 12) | (rd << 7)
-                    | (0x37 if mnemonic == "lui" else 0x17)]
-        if mnemonic in ("j", "jal"):
-            rd = 0 if mnemonic == "j" else 1
-            if mnemonic == "jal" and len(ops) > 1:
-                rd, ops = _reg(ops[0]), ops[1:]
-            offset = _fit(mnemonic, "offset",
-                          self._imm(ops[0], labels, pc, True),
-                          -(1 << 20), (1 << 20) - 2, even=True)
-            return [self._jal(rd, offset)]
-        if mnemonic == "jalr":
-            rd = _reg(ops[0])
-            base, offset = self._mem_operand(mnemonic, ops[1], labels, pc)
-            return [self._i_type(0x67, rd, 0, base, offset)]
-        if mnemonic in _R_TYPE:
-            funct3, funct7 = _R_TYPE[mnemonic]
-            rd, rs1, rs2 = _reg(ops[0]), _reg(ops[1]), _reg(ops[2])
-            return [(funct7 << 25) | (rs2 << 20) | (rs1 << 15)
-                    | (funct3 << 12) | (rd << 7) | 0x33]
-        if mnemonic in _I_TYPE:
-            rd, rs1 = _reg(ops[0]), _reg(ops[1])
-            imm = _fit(mnemonic, "immediate", self._imm(ops[2], labels, pc),
-                       -2048, 2047)
-            return [self._i_type(0x13, rd, _I_TYPE[mnemonic], rs1, imm)]
-        if mnemonic in _SHIFT_TYPE:
-            funct3, funct7 = _SHIFT_TYPE[mnemonic]
-            rd, rs1 = _reg(ops[0]), _reg(ops[1])
-            shamt = _fit(mnemonic, "shift amount",
-                         self._imm(ops[2], labels, pc), 0, 31)
-            return [(funct7 << 25) | (shamt << 20) | (rs1 << 15)
-                    | (funct3 << 12) | (rd << 7) | 0x13]
-        if mnemonic in _LOAD_TYPE:
-            rd = _reg(ops[0])
-            base, offset = self._mem_operand(mnemonic, ops[1], labels, pc)
-            return [self._i_type(0x03, rd, _LOAD_TYPE[mnemonic], base, offset)]
-        if mnemonic in _STORE_TYPE:
-            rs2 = _reg(ops[0])
-            base, offset = self._mem_operand(mnemonic, ops[1], labels, pc)
-            imm = to_unsigned(offset, 12)
-            return [((imm >> 5) << 25) | (rs2 << 20) | (base << 15)
-                    | (_STORE_TYPE[mnemonic] << 12) | ((imm & 0x1F) << 7)
-                    | 0x23]
-        if mnemonic in _BRANCH_TYPE:
-            rs1, rs2 = _reg(ops[0]), _reg(ops[1])
-            offset = _fit(mnemonic, "offset",
-                          self._imm(ops[2], labels, pc, relative=True),
-                          -4096, 4094, even=True)
-            imm = to_unsigned(offset, 13)
-            return [
-                (((imm >> 12) & 1) << 31) | (((imm >> 5) & 0x3F) << 25)
-                | (rs2 << 20) | (rs1 << 15) | (_BRANCH_TYPE[mnemonic] << 12)
-                | (((imm >> 1) & 0xF) << 8) | (((imm >> 11) & 1) << 7) | 0x63
-            ]
-        if mnemonic in self.isax_instructions:
-            return [self._encode_isax(mnemonic, ops, labels, pc)]
-        raise AssemblerError(f"unknown mnemonic {mnemonic!r}")
+            return [self._bind(mnemonic, "lui", [rd, str(to_unsigned(upper, 20))],
+                               labels, pc),
+                    self._bind(mnemonic, "addi", [rd, rd, str(value - (upper << 12))],
+                               labels, pc)]
+        name, ops = _expand(mnemonic, ops)
+        return [self._bind(mnemonic, name, ops, labels, pc)]
 
-    def _encode_isax(self, mnemonic: str, ops: List[str],
-                     labels: Dict[str, int], pc: int) -> int:
-        instr = self.isax_instructions[mnemonic]
-        field_values: Dict[str, int] = {}
-        positional = [f for f in ("rd", "rs1", "rs2")
-                      if f in instr.encoding.fields]
-        cursor = 0
+    def _bind(self, mnemonic: str, name: str, ops: List[str],
+              labels: Dict[str, int], pc: int) -> int:
+        """The word of instruction ``name`` with ``ops`` bound to its fields;
+        errors name the ``mnemonic`` as written."""
+        instr = self.base_instructions.get(name)
+        is_base = instr is not None
+        if instr is None:
+            instr = self.isax_instructions.get(name)
+            if instr is None:
+                raise AssemblerError(f"unknown mnemonic {mnemonic!r}")
+        fields = instr.encoding.fields
+        values: Dict[str, int] = {}
+        offsets = set()       # fields whose value is an offset
+        plain = []
         for op in ops:
+            memory = _MEMORY.fullmatch(op.strip()) if "(" in op else None
             if "=" in op:
-                name, _eq, value = op.partition("=")
-                name = name.strip()
-                if name not in instr.encoding.fields:
+                field, _eq, text = (part.strip() for part in op.partition("="))
+                if field not in fields:
                     raise AssemblerError(
-                        f"'{mnemonic}' has no encoding field '{name}'"
-                    )
-                if name in ("rd", "rs1", "rs2"):
-                    try:
-                        field_values[name] = _reg(value)
-                        continue
-                    except AssemblerError:
-                        pass
-                field_values[name] = self._imm(value, labels, pc)
+                        f"'{mnemonic}' has no encoding field '{field}'")
+                register = _register(text) if field in _REGISTERS else None
+                values[field] = (register if register is not None
+                                 else self._imm(text, labels, pc))
+            elif memory and "imm" in fields and "rs1" in fields:
+                values["imm"] = self._imm(memory.group(1).strip() or "0",
+                                          labels, pc)
+                values["rs1"] = _reg(memory.group(2))
+                offsets.add("imm")
             else:
-                if cursor >= len(positional):
+                plain.append(op)
+        registers = [field for field in _REGISTERS
+                     if field in fields and field not in values]
+        others = [field for field in fields
+                  if field not in values and field not in _REGISTERS]
+        for op in plain:
+            register = _register(op)
+            if register is not None:
+                if not registers:
                     raise AssemblerError(
-                        f"too many register operands for '{mnemonic}'"
-                    )
-                field_values[positional[cursor]] = _reg(op)
-                cursor += 1
-        for name, value in list(field_values.items()):
-            width = instr.encoding.fields[name].width
-            # A field takes any value of its width, signed or unsigned.
+                        f"too many register operands for '{mnemonic}'")
+                values[registers.pop(0)] = register
+                continue
+            if not others:
+                raise AssemblerError(f"invalid register {op.strip().lower()!r}")
+            if len(others) > 1:
+                raise AssemblerError(
+                    f"'{mnemonic}': give {op!r} as name=value, for one of "
+                    f"{', '.join(others)}")
+            field = others.pop()
+            relative = is_base and (BASE_KINDS.get(name) == "branch"
+                                    or name == "jal")
+            values[field] = self._imm(op, labels, pc, relative)
+            if relative:
+                offsets.add(field)
+        if is_base:
+            missing = [field for field in fields
+                       if field not in values and field in _REQUIRED]
+            if missing:
+                raise AssemblerError(
+                    f"'{mnemonic}': missing operand {', '.join(missing)}")
+        return instr.encoding.encode({
+            field: self._field(mnemonic, field, value, fields[field],
+                               is_base, field in offsets)
+            for field, value in values.items()})
+
+    @staticmethod
+    def _field(mnemonic: str, name: str, value: int, field: EncodingField,
+               is_base: bool, offset: bool) -> int:
+        """``value`` as the bits of ``field``, if it fits the field's rule."""
+        width = field.width
+        if is_base and name == "imm":
+            step = 1 << min(placement.field_lo for placement in field.placements)
+            _fit(mnemonic, "offset" if offset else "immediate", value,
+                 -(1 << (width - 1)), (1 << (width - 1)) - step, step)
+        elif is_base and name in _UNSIGNED:
+            _fit(mnemonic, _UNSIGNED[name], value, 0, (1 << width) - 1)
+        else:
             _fit(mnemonic, f"field {name}", value, -(1 << (width - 1)),
                  (1 << width) - 1)
-            field_values[name] = to_unsigned(value, width)
-        return instr.encoding.encode(field_values)
-
-    # ------------------------------------------------------------ low-level
-    @staticmethod
-    def _i_type(opcode: int, rd: int, funct3: int, rs1: int, imm: int) -> int:
-        return ((to_unsigned(imm, 12) << 20) | (rs1 << 15) | (funct3 << 12)
-                | (rd << 7) | opcode)
-
-    @staticmethod
-    def _jal(rd: int, offset: int) -> int:
-        imm = to_unsigned(offset, 21)
-        return (
-            (((imm >> 20) & 1) << 31) | (((imm >> 1) & 0x3FF) << 21)
-            | (((imm >> 11) & 1) << 20) | (((imm >> 12) & 0xFF) << 12)
-            | (rd << 7) | 0x6F
-        )
-
-    def _mem_operand(self, mnemonic: str, token: str, labels: Dict[str, int],
-                     pc: int) -> Tuple[int, int]:
-        match = re.fullmatch(r"(.*)\(([^)]+)\)", token.strip())
-        if not match:
-            raise AssemblerError(f"expected offset(reg), got {token!r}")
-        offset_text = match.group(1).strip() or "0"
-        offset = _fit(mnemonic, "offset", self._imm(offset_text, labels, pc),
-                      -2048, 2047)
-        return _reg(match.group(2)), offset
+        return value & ((1 << width) - 1)
 
 
 def assemble(text: str, isaxes: Optional[List[ElaboratedISA]] = None,

@@ -29,10 +29,9 @@ with autoinc+zol on VexRiscv); the *shape* — linear in n, ISAX ~1.6x faster
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.hls.longnail import FunctionalityArtifact, IsaxArtifact
-from repro.scaiev.config import ScheduleEntry
 from repro.scaiev.datasheet import VirtualDatasheet
 from repro.sim.coredsl_interp import ArchState, CoreDSLInterpreter
 from repro.sim.riscv.isa import ExecutedInstr, RV32ISimulator, SimError
@@ -87,21 +86,42 @@ class _InstrInfo(NamedTuple):
     """What the cost model reads of one compiled ISAX instruction."""
 
     artifact: IsaxArtifact
-    schedule: List[ScheduleEntry]   # its SCAIE-V interface schedule
     uses_mem: bool                  # RdMem or WrMem in the schedule
     reads_mem: bool                 # RdMem in the schedule
     mode: str                       # execution mode, e.g. "decoupled"
     makespan: int
+    #: the custom registers its schedule reads or writes
+    custom_regs: FrozenSet[str]
+    #: those of them it writes through a decoupled ``Wr<REG>.data``
+    decoupled_writes: Tuple[str, ...]
 
     @classmethod
     def of(cls, artifact: IsaxArtifact,
            functionality: FunctionalityArtifact) -> "_InstrInfo":
         schedule = functionality.functionality.schedule
         interfaces = {entry.interface for entry in schedule}
-        return cls(artifact, schedule,
-                   bool(interfaces & {"RdMem", "WrMem"}),
+        registers = {reg.name for reg in artifact.config.registers}
+        accesses = [(entry, _custom_register(entry.interface, registers))
+                    for entry in schedule]
+        return cls(artifact, bool(interfaces & {"RdMem", "WrMem"}),
                    "RdMem" in interfaces, functionality.mode.value,
-                   functionality.schedule.makespan)
+                   functionality.schedule.makespan,
+                   frozenset(reg for _entry, reg in accesses if reg),
+                   tuple(reg for entry, reg in accesses
+                         if reg and entry.mode == "decoupled"
+                         and entry.interface.endswith(".data")))
+
+
+def _custom_register(interface: str, registers: Set[str]) -> Optional[str]:
+    """The custom register that ``interface`` reads (``Rd<REG>``) or writes
+    (``Wr<REG>.addr``, ``Wr<REG>.data``), if it is one of ``registers``."""
+    if interface.startswith("Rd"):
+        name = interface[2:]
+    elif interface.startswith("Wr") and interface.endswith((".addr", ".data")):
+        name = interface[2:-5]      # less ".addr" or ".data"
+    else:
+        return None
+    return name if name in registers else None
 
 
 class CoreTimingModel:
@@ -150,8 +170,7 @@ class CoreTimingModel:
         self.state.pc = base
 
     def load_data(self, words: List[int], base: int) -> None:
-        for i, word in enumerate(words):
-            self.state.write_mem(base + 4 * i, word & 0xFFFFFFFF, 4)
+        self.sim.load_words(words, base)
 
     # ----------------------------------------------------------------- run
     def run(self, max_instructions: int = 1_000_000) -> TimingReport:
@@ -235,11 +254,9 @@ class CoreTimingModel:
         if record.isax is not None:
             info = self._instr_info.get(record.isax)
             if info is not None:
-                for entry in info.schedule:
-                    name = entry.interface
-                    for reg_name, until in self._pending_custom.items():
-                        if reg_name in name:
-                            ready = max(ready, until)
+                for reg_name, until in self._pending_custom.items():
+                    if reg_name in info.custom_regs:
+                        ready = max(ready, until)
         if ready > self.cycles:
             wait += ready - self.cycles
             self.stall_cycles += ready - self.cycles
@@ -280,8 +297,6 @@ class CoreTimingModel:
             self._unit_busy_until[artifact.name] = completion
             if record.rd is not None:
                 self._pending_x[record.rd] = completion
-            for entry in info.schedule:
-                if entry.mode == "decoupled" and entry.interface.endswith(".data"):
-                    reg = entry.interface[2:-len(".data")]
-                    self._pending_custom[reg] = completion
+            for reg in info.decoupled_writes:
+                self._pending_custom[reg] = completion
         return cycles

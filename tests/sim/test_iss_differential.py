@@ -1,12 +1,18 @@
-"""The decode-once ISS against the per-call decoder it replaced.
+"""The ISS, which runs the RV32IM CoreDSL description, against a
+hand-written decoder.
 
-``_Reference`` keeps the old decoder: it fetches through
+``_Reference`` keeps the hand-written decoder: it fetches through
 ``ArchState.read_mem`` and extracts every field of every word on every
 call.  ``_Lockstep`` runs each step of the real simulator next to the
 reference on a copy of the state, and compares every ``ExecutedInstr``
-field and the whole architectural state after it.  The reference keeps the
-old ISAX next-pc rule ("did ``state.pc`` change"), so no program here jumps
-to an ISAX's own address; ``test_riscv.py`` covers that case.
+field and the whole architectural state after it.  The reference names
+OP, OP-IMM and M words by family and records no base effects, so a
+record's mnemonic is checked against the instruction the test derives from
+the word, and its effects against the state change of the step.  Where
+both reject a word, both raise :class:`SimError`; the texts may differ.
+The reference keeps the old ISAX next-pc rule ("did ``state.pc``
+change"), so no program here jumps to an ISAX's own address;
+``test_riscv.py`` covers that case.
 """
 
 import dataclasses
@@ -294,12 +300,73 @@ def _copy(state):
 
 
 def _outcome(sim, action):
-    """``(record fields or the SimError text, state, halted)``."""
+    """``(record or the SimError raised, state, halted)``."""
     try:
-        record = dataclasses.astuple(action())
+        record = action()
     except SimError as err:
-        record = str(err)
+        record = err
     return record, sim.state.snapshot(), sim.halted
+
+
+_OP_IMM = {0: "addi", 1: "slli", 2: "slti", 3: "sltiu", 4: "xori",
+           6: "ori", 7: "andi"}
+_OP = {(0, 0): "add", (0, 0x20): "sub", (1, 0): "sll", (2, 0): "slt",
+       (3, 0): "sltu", (4, 0): "xor", (5, 0): "srl", (5, 0x20): "sra",
+       (6, 0): "or", (7, 0): "and"}
+_OP_M = ("mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu")
+
+
+def _name(record):
+    """The instruction a reference record ran: its mnemonic, or the member
+    of its family that the word's funct3 and funct7 select."""
+    funct3, funct7 = (record.word >> 12) & 7, record.word >> 25
+    if record.mnemonic == "op-imm":
+        if funct3 == 5:
+            return "srai" if funct7 & 0x20 else "srli"
+        return _OP_IMM[funct3]
+    if record.mnemonic == "op":
+        return _OP[funct3, funct7]
+    if record.mnemonic == "op-m":
+        return _OP_M[funct3]
+    return record.mnemonic
+
+
+def _replayed(before, record, stepped):
+    """The state ``before`` with the record's effects applied, and the pc
+    moved on if the simulator stepped."""
+    for effect in record.effects:
+        if effect.kind == "gpr":
+            before.write_x(effect.index, effect.value)
+        elif effect.kind == "mem":
+            before.write_mem(effect.index, effect.value, effect.width // 8)
+        elif effect.kind == "custom":
+            before.write_custom(effect.name, effect.value, effect.index)
+        else:
+            assert effect.kind == "pc" and record.taken
+    if stepped:
+        before.pc = record.next_pc
+    return before.snapshot()
+
+
+def _check(before, outcome, expected, stepped, context=None):
+    """``outcome`` of the simulator against ``expected`` of the reference,
+    both from the state ``before``."""
+    (record, state, halted), (reference, reference_state, reference_halted) \
+        = outcome, expected
+    assert (state, halted) == (reference_state, reference_halted), context
+    if isinstance(reference, SimError) or isinstance(record, SimError):
+        assert (type(record), type(reference)) == (SimError, SimError), \
+            (context, record, reference)
+        return
+    plain = ("mnemonic", "effects")
+    assert ({k: v for k, v in dataclasses.asdict(record).items()
+             if k not in plain}
+            == {k: v for k, v in dataclasses.asdict(reference).items()
+                if k not in plain}), context
+    assert record.mnemonic == _name(reference), context
+    if reference.isax is not None:
+        assert record.effects == reference.effects, context
+    assert _replayed(before, record, stepped) == state, context
 
 
 def _reference_of(sim):
@@ -318,17 +385,13 @@ class _Lockstep(RV32ISimulator):
     def step(self):
         reference = _reference_of(self)
         expected = _outcome(reference, reference.step)
-        record = None
-        try:
-            record = RV32ISimulator.step(self)
-            fields = dataclasses.astuple(record)
-        except SimError as err:
-            fields = str(err)
-        assert (fields, self.state.snapshot(), self.halted) == expected
+        before = _copy(self.state)
+        outcome = _outcome(self, lambda: RV32ISimulator.step(self))
+        _check(before, outcome, expected, stepped=True)
         _Lockstep.checked += 1
-        if record is None:
-            raise SimError(fields)
-        return record
+        if isinstance(outcome[0], SimError):
+            raise outcome[0]
+        return outcome[0]
 
 
 @pytest.fixture
@@ -398,8 +461,10 @@ def _check_word(sim, word, pc=None):
                 each.state.write_mem(pc, word, 4)
         action = (lambda s: s.step) if via_memory else \
             (lambda s: lambda: s.execute(word, pc))
-        assert _outcome(new, action(new)) == \
-            _outcome(reference, action(reference)), (hex(word), hex(pc))
+        before = _copy(new.state)
+        _check(before, _outcome(new, action(new)),
+               _outcome(reference, action(reference)), via_memory,
+               (hex(word), hex(pc)))
 
 
 def test_random_words_on_random_states():

@@ -155,6 +155,26 @@ class TestAssemblerRanges:
                                                  r"outside 0\.\.1048575"):
             assemble(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("li a0, 0x100000000", "'li': immediate 4294967296 is outside "
+                               "-2147483648..4294967295"),
+        ("li a0, 0x123456789", "'li': immediate 4886718345"),
+        (".word 0x100000001", "'.word': value 4294967297"),
+    ])
+    def test_values_beyond_32_bits(self, text, message):
+        with pytest.raises(AssemblerError, match=message):
+            assemble(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("li a0, 0xffffffff", 0xFFFFFFFF), ("li a0, -0x80000000", 0x80000000),
+        (".word -1", 0xFFFFFFFF),
+    ])
+    def test_32_bit_values_assemble(self, text, value):
+        if text.startswith(".word"):
+            assert assemble(text) == [value]
+        else:
+            assert run_program(text + "\necall").state.read_x(10) == value
+
     def test_isax_named_field_width(self):
         isa = elaborate(ZOL)
         width = isa.instructions["setup_zol"].encoding.fields["uimmL"].width
@@ -347,6 +367,49 @@ class TestTimingModels:
         r_without = without.run()
         assert r_hazard.stall_cycles > 0
         assert r_without.cycles < r_hazard.cycles
+
+    #: ``slow`` writes R in a decoupled spawn block; ``fast`` only reads
+    #: X[rs1], through the interface ``RdRS1``, whose name contains "R";
+    #: ``peek`` reads R.
+    PENDING_R = """import "RV32I.core_desc"
+    InstructionSet pending extends RV32I {
+      architectural_state { register unsigned<32> R; }
+      instructions {
+        slow { encoding: 7'd0 :: rs2[4:0] :: rs1[4:0] :: 3'd0 :: rd[4:0] :: 7'b0001011;
+          behavior: {
+            unsigned<32> v = X[rs1];
+            spawn {
+              unsigned<32> acc = v;
+              for (int i = 0; i < 8; i += 1) acc = (unsigned<32>) (acc * v + 1);
+              R = acc;
+            }
+          } }
+        fast { encoding: 7'd0 :: rs2[4:0] :: rs1[4:0] :: 3'd1 :: rd[4:0] :: 7'b0001011;
+          behavior: X[rd] = (unsigned<32>) (X[rs1] + 1); }
+        peek { encoding: 7'd0 :: rs2[4:0] :: rs1[4:0] :: 3'd2 :: rd[4:0] :: 7'b0001011;
+          behavior: X[rd] = R; }
+      }
+    }
+    """
+
+    def _stall_cycles(self, second):
+        """Stall cycles of ``slow t0, t1`` then ``<second> t2, t0``, per
+        core."""
+        stalls = {}
+        for core in ("ORCA", "VexRiscv"):
+            artifact = compile_isax(self.PENDING_R, core)
+            assert artifact.artifact("slow").mode.value == "decoupled"
+            model = CoreTimingModel(core_datasheet(core), artifacts=[artifact])
+            model.load_program(assemble(f"slow t0, t1\n{second} t2, t0\necall",
+                                        isaxes=[artifact.isa]))
+            stalls[core] = model.run().stall_cycles
+        return stalls
+
+    def test_pending_custom_register_spares_other_interfaces(self):
+        assert self._stall_cycles("fast") == {"ORCA": 0, "VexRiscv": 0}
+
+    def test_pending_custom_register_stalls_its_reader(self):
+        assert all(self._stall_cycles("peek").values())
 
     def test_tightly_coupled_stalls_core(self):
         core = "VexRiscv"
